@@ -42,13 +42,13 @@ reused fixpoints from verification.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
 from .coverage import CoverageEstimator, CoverageReport, format_uncovered_traces
 from .ctl.ast import CtlFormula
-from .engine import EngineConfig, _warn_deprecated
+from .engine import EngineConfig
 from .errors import ModelError, ReportError, VerificationError
 from .fsm.fsm import FSM
 from .mc import CheckResult, ModelChecker, WorkMeter, WorkStats
@@ -114,18 +114,6 @@ class AnalysisResult:
     #: built from a module AST.  ``None`` for builtin/custom analyses —
     #: the JSON block is strictly additive, like ``metrics``.
     lint: Optional[Dict] = None
-    #: Deprecated constructor keyword (the former flat ``JobResult.trans``
-    #: field); folds into ``config`` with a warning.  Not a field.
-    trans: InitVar[Optional[str]] = None
-
-    def __post_init__(self, trans: Optional[str]) -> None:
-        if trans is not None:
-            _warn_deprecated(
-                "AnalysisResult(trans=...) is deprecated; pass "
-                "config=EngineConfig(trans=...) instead",
-                stacklevel=3,
-            )
-            self.config = self.config.with_(trans=trans)
 
     @property
     def ok(self) -> bool:
@@ -221,20 +209,6 @@ class AnalysisResult:
         else:
             detail = f"ERROR   ({self.error})"
         return f"{self.name:24s} {detail}"
-
-
-def _deprecated_result_trans(self) -> str:
-    """Deprecated: read ``result.config.trans`` instead."""
-    _warn_deprecated(
-        "AnalysisResult.trans is deprecated; read result.config.trans",
-        stacklevel=3,
-    )
-    return self.config.trans
-
-
-#: Attached post-decoration: inside the class body the property object
-#: would be mistaken for the ``trans`` InitVar's default.
-AnalysisResult.trans = property(_deprecated_result_trans)
 
 
 def _looks_like_path(source: Union[str, Path]) -> bool:

@@ -9,11 +9,11 @@ Public surface:
 * :func:`to_dot` — Graphviz export.
 * :func:`sift`, :func:`set_order`, :func:`swap_adjacent` — dynamic variable
   reordering.
-* :data:`BACKEND_NAMES` / :func:`create_backend` — pluggable node-store
-  kernels (``dict`` and ``array``); see :mod:`repro.bdd.backends`.
+* :class:`BDDBackend` — the node-store/kernel interface the manager
+  delegates to; see :mod:`repro.bdd.backends`.
 """
 
-from .backends import BACKEND_NAMES, BDDBackend, create_backend
+from .backends import BDDBackend
 from .dot import to_dot
 from .function import Function
 from .manager import FALSE, TRUE, BDDManager
@@ -32,6 +32,4 @@ __all__ = [
     "set_order",
     "swap_adjacent",
     "BDDBackend",
-    "BACKEND_NAMES",
-    "create_backend",
 ]

@@ -1,59 +1,19 @@
-"""Pluggable BDD backends: node storage + kernels behind one interface.
+"""BDD node storage + kernels behind one interface.
 
 The manager (:class:`repro.bdd.manager.BDDManager`) is written once against
-:class:`~repro.bdd.backends.base.BDDBackend`; which physical engine runs
-underneath is an :class:`~repro.engine.EngineConfig` knob (``backend``).
-See :mod:`repro.bdd.backends.base` for the contract.
+:class:`~repro.bdd.backends.base.BDDBackend`; the engine's node store is the
+:class:`~repro.bdd.backends.dict_backend.DictBackend`.  See
+:mod:`repro.bdd.backends.base` for the contract.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple, Type
-
-from ...errors import BDDError
-from .array_backend import ArrayBackend
 from .base import FALSE, TERMINAL_LEVEL, TRUE, BDDBackend
 from .dict_backend import DictBackend
-
-#: Canonical registry names.
-BACKEND_DICT = "dict"
-BACKEND_ARRAY = "array"
-
-_REGISTRY: Dict[str, Type[BDDBackend]] = {
-    BACKEND_DICT: DictBackend,
-    BACKEND_ARRAY: ArrayBackend,
-}
-
-#: All selectable backend names, sorted (the argparse choices list).
-BACKEND_NAMES: Tuple[str, ...] = tuple(sorted(_REGISTRY))
-
-
-def create_backend(name: str) -> BDDBackend:
-    """Instantiate the backend registered under ``name``.
-
-    >>> create_backend("dict").name
-    'dict'
-    >>> create_backend("array").name
-    'array'
-    """
-    try:
-        cls = _REGISTRY[name]
-    except KeyError:
-        raise BDDError(
-            f"unknown BDD backend {name!r}; "
-            f"available: {', '.join(BACKEND_NAMES)}"
-        ) from None
-    return cls()
-
 
 __all__ = [
     "BDDBackend",
     "DictBackend",
-    "ArrayBackend",
-    "BACKEND_DICT",
-    "BACKEND_ARRAY",
-    "BACKEND_NAMES",
-    "create_backend",
     "FALSE",
     "TRUE",
     "TERMINAL_LEVEL",

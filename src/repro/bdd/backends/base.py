@@ -12,28 +12,19 @@ translates its var-id API onto this level-based one.
 
 The split is the classic separation of algorithm from storage that fast
 DD packages get from a compiled kernel: the manager (and with it the
-whole model-checking stack) is written once against this interface, and
-node representation becomes a swappable engine choice
-(:data:`~repro.engine.EngineConfig.backend`).  Two backends ship:
+whole model-checking stack) is written once against this interface.  One
+backend ships: ``dict`` — tuple-keyed hash consing on Python dicts (see
+:mod:`repro.bdd.backends.dict_backend`).
 
-* ``dict`` — tuple-keyed hash consing on Python dicts (the historical
-  engine, bit-for-bit).
-* ``array`` — struct-of-arrays node store on flat ``array('q')`` buffers
-  with open-addressed integer-probed tables (see
-  :mod:`repro.bdd.backends.array_backend`).
-
-**Contract.**  Backends must agree on *meaning*, not on node ids: for one
-sequence of operations, every backend must produce structurally identical
-ROBDDs (same levels, same cofactor graphs), identical satcounts, and
-identical cube enumeration order — that is what makes coverage verdicts,
-percentages, and trace renderings byte-identical across backends (enforced
-by ``tests/bdd/test_backend_conformance.py`` and the ``backend`` axis of
-the differential fuzz oracle).  The two shipped backends additionally use
-identical memoisation semantics (every computed sub-result is cached until
-an explicit cache clear), so even their *work counters* — nodes created,
-unique probes, op-cache hits/misses — coincide; conformance pins that too,
-because it is what lets one committed bench baseline describe a workload
-regardless of storage.
+**Contract.**  A backend must produce canonical ROBDDs (same levels, same
+cofactor graphs for one function), exact satcounts, and cube enumeration
+in the canonical low-first order — coverage verdicts, percentages, and
+trace renderings depend on all three (enforced against brute-force truth
+tables by ``tests/bdd/test_backend_conformance.py``).  Memoisation is
+exact: every computed sub-result is cached until an explicit cache clear,
+which is what makes the engine work counters — nodes created, unique
+probes, op-cache hits/misses — deterministic enough to gate in the
+committed bench baselines.
 """
 
 from __future__ import annotations
@@ -60,7 +51,7 @@ class BDDBackend(ABC):
     generations the compose cache may accumulate before a purge.
     """
 
-    #: Registry name of this backend (``"dict"``, ``"array"``, ...).
+    #: Short name of this backend (``"dict"``), shown in the manager's repr.
     name: str = "?"
 
     #: Compose-cache purge period, installed by the manager from its
@@ -167,7 +158,7 @@ class BDDBackend(ABC):
     def iter_cube_paths(self, f: int) -> Iterator[List[Tuple[int, bool]]]:
         """Yield one ``[(level, value), ...]`` literal path per cube of
         ``f``, in the canonical low-first DFS order (trace rendering
-        depends on this order being backend-invariant)."""
+        depends on this order being deterministic)."""
 
     @abstractmethod
     def cube_levels(self, assignment: Dict[int, bool]) -> int:

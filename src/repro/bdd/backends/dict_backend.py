@@ -2,9 +2,9 @@
 
 This is the historical engine of this repository, verbatim: parallel
 Python lists for the node fields, a ``(level, low, high) -> node`` dict as
-the unique table, and one dict per operation cache.  It is the reference
-implementation the conformance suite measures every other backend against,
-and the default engine (``EngineConfig(backend="dict")``).
+the unique table, and one dict per operation cache.  It is the engine's
+only node store; the conformance suite checks it against brute-force truth
+tables.
 
 Every traversal is **iterative** (explicit work stacks), so the kernel's
 depth limit is available memory, not Python's recursion limit: a

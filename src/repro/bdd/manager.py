@@ -6,10 +6,10 @@ memoisation, specialised binary operators, existential/universal
 quantification, relational products (``and_exists``), functional composition,
 variable renaming, satisfying-assignment counting and enumeration.
 
-Since PR 7 the manager is a *facade*: node storage, the unique table, the
-operation caches, and every kernel algorithm live in a pluggable
-:class:`~repro.bdd.backends.base.BDDBackend` (``dict`` or ``array``,
-selected by :class:`~repro.engine.EngineConfig.backend`).  What remains
+The manager is a *facade*: node storage, the unique table, the operation
+caches, and every kernel algorithm live behind the
+:class:`~repro.bdd.backends.base.BDDBackend` interface (implemented by
+:class:`~repro.bdd.backends.dict_backend.DictBackend`).  What remains
 here is the engine-facing policy layer — variable naming and the
 variable<->level maps, external root tracking for the
 :class:`~repro.bdd.function.Function` wrappers, pinning for in-flight
@@ -33,10 +33,10 @@ from __future__ import annotations
 
 import time
 import weakref
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import BDDError
-from .backends import BDDBackend, create_backend
+from .backends import BDDBackend, DictBackend
 from .backends.base import FALSE, TERMINAL_LEVEL, TRUE
 from .policy import DEFAULT_POLICY, ResourcePolicy
 
@@ -59,21 +59,14 @@ class BDDManager:
         Resource-management thresholds (automatic GC, cache caps, the
         auto-sift hook).  Defaults to
         :data:`~repro.bdd.policy.DEFAULT_POLICY`.
-    backend:
-        Node-store/kernel implementation: a registry name (``"dict"``,
-        ``"array"``) or an already-constructed, unused
-        :class:`~repro.bdd.backends.base.BDDBackend` instance.
     """
 
     def __init__(
         self,
         var_names: Optional[Iterable[str]] = None,
         policy: Optional[ResourcePolicy] = None,
-        backend: Union[str, BDDBackend] = "dict",
     ):
-        if isinstance(backend, str):
-            backend = create_backend(backend)
-        self.backend: BDDBackend = backend
+        self.backend: BDDBackend = DictBackend()
 
         # Variable bookkeeping.  A "variable" is a stable integer id; its
         # position in the order is a "level".  Initially id == level.
@@ -658,9 +651,8 @@ class BDDManager:
         boundaries, and ``repro bench`` baselines persist it — the names
         below appear verbatim in suite JSON, trace exports, and
         ``BENCH_*.json`` files (see ``docs/observability.md``).  Reading it
-        never mutates manager state.  The schema is backend-independent:
-        the kernel counters come from :meth:`BDDBackend.counters` under the
-        same names for every backend.
+        never mutates manager state.  The kernel counters come from
+        :meth:`BDDBackend.counters`.
         """
         kernel = self.backend.counters()
         return {

@@ -36,10 +36,9 @@ from __future__ import annotations
 import math
 from typing import List, Optional
 
-from ..bdd import ResourcePolicy
 from ..ctl.ast import CtlAnd, CtlFormula
 from ..ctl.parser import parse_ctl
-from ..engine import EngineConfig, _coalesce_trans
+from ..engine import EngineConfig
 from ..expr.arith import increment_mod_bits, mux
 from ..expr.ast import FALSE_EXPR, And, Not, Or, Var, Xor
 from ..expr.parser import parse_expr
@@ -60,16 +59,14 @@ DEFAULT_DEPTH = 4
 
 def build_circular_queue(
     depth: int = DEFAULT_DEPTH,
-    trans: Optional[str] = None,
-    policy: Optional[ResourcePolicy] = None,
+    *,
     config: Optional[EngineConfig] = None,
 ) -> FSM:
     """Build the circular queue with pointer width ``ceil(log2(depth))``.
 
-    ``config`` carries the engine knobs; ``trans=`` directly is deprecated
-    (see :meth:`~repro.fsm.builder.CircuitBuilder.build`).
+    ``config`` carries the engine knobs (see
+    :meth:`~repro.fsm.builder.CircuitBuilder.build`).
     """
-    config = _coalesce_trans("build_circular_queue", config, trans)
     if depth < 2 or depth & (depth - 1):
         raise ValueError("depth must be a power of two >= 2")
     width = int(math.log2(depth))
@@ -112,7 +109,7 @@ def build_circular_queue(
     b.word("wr", wr_bits)
     b.define("full", full)
     b.define("empty", empty)
-    return b.build(config=config, policy=policy)
+    return b.build(config=config)
 
 
 def _bundle(parts: List[CtlFormula]) -> CtlFormula:

@@ -19,10 +19,9 @@ from __future__ import annotations
 import math
 from typing import List, Optional
 
-from ..bdd import ResourcePolicy
 from ..ctl.ast import CtlFormula
 from ..ctl.parser import parse_ctl
-from ..engine import EngineConfig, _coalesce_trans
+from ..engine import EngineConfig
 from ..expr.arith import increment_mod_bits, mux
 from ..expr.ast import FALSE_EXPR, Var
 from ..fsm.builder import CircuitBuilder
@@ -37,8 +36,7 @@ __all__ = [
 
 def build_counter(
     modulus: int = 5,
-    trans: Optional[str] = None,
-    policy: Optional[ResourcePolicy] = None,
+    *,
     config: Optional[EngineConfig] = None,
 ) -> FSM:
     """The modulo-``modulus`` counter of the paper's introduction.
@@ -46,11 +44,9 @@ def build_counter(
     State variables: ``count`` (a ``ceil(log2(modulus))``-bit word) plus the
     free inputs ``stall`` and ``reset``.  Values ``>= modulus`` are
     unreachable (and therefore outside the coverage space).  ``config``
-    carries the engine knobs (transition mode, resource thresholds) and
-    ``policy`` optionally overrides its resource knobs; ``trans=`` directly
-    is deprecated (see :meth:`~repro.fsm.builder.CircuitBuilder.build`).
+    carries the engine knobs (transition mode, resource thresholds; see
+    :meth:`~repro.fsm.builder.CircuitBuilder.build`).
     """
-    config = _coalesce_trans("build_counter", config, trans)
     width = max(1, math.ceil(math.log2(modulus)))
     builder = CircuitBuilder(f"counter_mod{modulus}")
     stall = builder.input("stall")
@@ -62,7 +58,7 @@ def build_counter(
         # Reset dominates: the bit clears regardless of stall.
         builder.latch(bit, init=False, next_=mux(reset, FALSE_EXPR, advance))
     builder.word("count", bits)
-    return builder.build(config=config, policy=policy)
+    return builder.build(config=config)
 
 
 def counter_properties(modulus: int = 5) -> List[CtlFormula]:

@@ -29,10 +29,9 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from ..bdd import ResourcePolicy
 from ..ctl.ast import CtlFormula
 from ..ctl.parser import parse_ctl
-from ..engine import EngineConfig, _coalesce_trans
+from ..engine import EngineConfig
 from ..expr.arith import mux
 from ..expr.ast import And, Not, Var
 from ..expr.parser import parse_expr
@@ -53,8 +52,7 @@ HOLD_CYCLES = 3
 
 def build_pipeline(
     stages: int = 3,
-    trans: Optional[str] = None,
-    policy: Optional[ResourcePolicy] = None,
+    *,
     config: Optional[EngineConfig] = None,
 ) -> FSM:
     """Build the ``stages``-stage pipeline with the output hold state machine.
@@ -67,10 +65,8 @@ def build_pipeline(
     with more ``vK,dK`` pairs (the property suites below are written for
     the 3-stage shape only); the partition benchmark uses widened instances
     to measure mono vs partitioned image costs.  ``config`` carries the
-    engine knobs; ``trans=`` directly is deprecated (see
-    :meth:`~repro.fsm.builder.CircuitBuilder.build`).
+    engine knobs (see :meth:`~repro.fsm.builder.CircuitBuilder.build`).
     """
-    config = _coalesce_trans("build_pipeline", config, trans)
     if stages < 2:
         raise ValueError("the pipeline needs at least 2 stages")
     b = CircuitBuilder(f"pipeline{stages}")
@@ -104,7 +100,7 @@ def build_pipeline(
     b.define("output", f"d{stages}")
     b.define("out_valid", f"v{stages}")
     b.fairness("!stall")
-    return b.build(config=config, policy=policy)
+    return b.build(config=config)
 
 
 def pipeline_output_properties() -> List[CtlFormula]:

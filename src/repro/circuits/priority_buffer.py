@@ -36,10 +36,9 @@ from __future__ import annotations
 import math
 from typing import List, Optional
 
-from ..bdd import ResourcePolicy
 from ..ctl.ast import CtlAnd, CtlFormula
 from ..ctl.parser import parse_ctl
-from ..engine import EngineConfig, _coalesce_trans
+from ..engine import EngineConfig
 from ..expr.arith import add_words_bits, conditional_delta_bits, mux
 from ..expr.ast import FALSE_EXPR, And, Expr, Not
 from ..expr.parser import parse_expr
@@ -64,8 +63,7 @@ def _width_for(count: int) -> int:
 
 def build_priority_buffer(
     capacity: int = DEFAULT_CAPACITY, buggy: bool = False,
-    trans: Optional[str] = None,
-    policy: Optional[ResourcePolicy] = None,
+    *,
     config: Optional[EngineConfig] = None,
 ) -> FSM:
     """Build the priority buffer.
@@ -79,11 +77,9 @@ def build_priority_buffer(
         whenever the buffer is completely empty (the designer's acceptance
         logic short-circuits on the empty condition).
     config:
-        Engine knobs (transition mode, resource thresholds); ``trans=``
-        directly is deprecated (see
+        Engine knobs (transition mode, resource thresholds; see
         :meth:`~repro.fsm.builder.CircuitBuilder.build`).
     """
-    config = _coalesce_trans("build_priority_buffer", config, trans)
     width = _width_for(capacity)
     b = CircuitBuilder(
         f"priority_buffer{capacity}{'_buggy' if buggy else ''}"
@@ -130,7 +126,7 @@ def build_priority_buffer(
         b.define(f"total{i}", expr)
         total_names.append(f"total{i}")
     b.word("total", total_names)
-    return b.build(config=config, policy=policy)
+    return b.build(config=config)
 
 
 def _bundle(parts: List[CtlFormula]) -> CtlFormula:

@@ -326,7 +326,7 @@ def _build_lint_parser() -> argparse.ArgumentParser:
 
 
 def _build_bench_parser() -> argparse.ArgumentParser:
-    from .obs.bench import DEFAULT_BACKEND, DEFAULT_TOLERANCE
+    from .obs.bench import DEFAULT_TOLERANCE
 
     parser = argparse.ArgumentParser(
         prog="repro-coverage bench",
@@ -342,14 +342,6 @@ def _build_bench_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--list", action="store_true", help="list registered workloads"
-    )
-    parser.add_argument(
-        "--backend", default=DEFAULT_BACKEND, metavar="NAMES",
-        help=(
-            "comma-separated BDD backends to run each workload on "
-            f"(default: {DEFAULT_BACKEND}); non-default backends use "
-            "BENCH_<name>@<backend>.json baselines"
-        ),
     )
     parser.add_argument(
         "--out", metavar="DIR",
@@ -771,7 +763,6 @@ def _main_lint(argv: List[str]) -> int:
 
 
 def _main_bench(argv: List[str]) -> int:
-    from .bdd.backends import BACKEND_NAMES
     from .obs.bench import (
         BENCH_WORKLOADS,
         baseline_path,
@@ -799,52 +790,39 @@ def _main_bench(argv: List[str]) -> int:
             file=sys.stderr,
         )
         return 2
-    backends = [b for b in args.backend.split(",") if b]
-    unknown = sorted(set(backends) - set(BACKEND_NAMES))
-    if unknown or not backends:
-        print(
-            f"error: unknown BDD backend(s): {', '.join(unknown) or '<none>'} "
-            f"(known: {', '.join(BACKEND_NAMES)})",
-            file=sys.stderr,
-        )
-        return 2
     regressions: List[str] = []
-    runs = 0
     for name in names:
-        for backend in backends:
-            result = run_workload(BENCH_WORKLOADS[name], backend)
-            runs += 1
-            counters = result.counters
-            print(
-                f"{result.label:28s} nodes={counters['nodes_created']:>9,} "
-                f"peak={counters['peak_live_nodes']:>8,} "
-                f"op_misses={counters['op_misses']:>9,} "
-                f"gc={counters['gc_runs']:>3} "
-                f"wall={result.wall_seconds:.2f}s"
-            )
-            if args.out:
-                write_baseline(result, args.out)
-            if args.compare:
-                path = baseline_path(args.compare, name, backend)
-                if not path.is_file():
-                    missing = (
-                        f"{result.label}: no committed baseline at {path} "
-                        f"(run: repro bench {name} --backend {backend} "
-                        f"--out {args.compare})"
-                    )
-                    print(f"  REGRESSION: {missing}", file=sys.stderr)
-                    regressions.append(missing)
-                    continue
-                found, notes = compare_result(
-                    result, load_baseline(path), tolerance=args.tolerance
+        result = run_workload(BENCH_WORKLOADS[name])
+        counters = result.counters
+        print(
+            f"{name:28s} nodes={counters['nodes_created']:>9,} "
+            f"peak={counters['peak_live_nodes']:>8,} "
+            f"op_misses={counters['op_misses']:>9,} "
+            f"gc={counters['gc_runs']:>3} "
+            f"wall={result.wall_seconds:.2f}s"
+        )
+        if args.out:
+            write_baseline(result, args.out)
+        if args.compare:
+            path = baseline_path(args.compare, name)
+            if not path.is_file():
+                missing = (
+                    f"{name}: no committed baseline at {path} "
+                    f"(run: repro bench {name} --out {args.compare})"
                 )
-                for note in notes:
-                    print(f"  note: {note}")
-                for regression in found:
-                    print(f"  REGRESSION: {regression}", file=sys.stderr)
-                regressions.extend(found)
+                print(f"  REGRESSION: {missing}", file=sys.stderr)
+                regressions.append(missing)
+                continue
+            found, notes = compare_result(
+                result, load_baseline(path), tolerance=args.tolerance
+            )
+            for note in notes:
+                print(f"  note: {note}")
+            for regression in found:
+                print(f"  REGRESSION: {regression}", file=sys.stderr)
+            regressions.extend(found)
     if args.out:
-        print(f"wrote {runs} baseline(s) under {args.out}")
+        print(f"wrote {len(names)} baseline(s) under {args.out}")
     if args.compare:
         if regressions:
             print(
@@ -854,7 +832,7 @@ def _main_bench(argv: List[str]) -> int:
             )
             return 1
         print(
-            f"bench compare: OK ({runs} workload run(s) within "
+            f"bench compare: OK ({len(names)} workload run(s) within "
             f"{args.tolerance:.0%} counter tolerance of {args.compare})"
         )
     return 0

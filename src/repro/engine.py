@@ -38,11 +38,9 @@ builders.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, fields, replace
 from typing import Dict, List, Optional
 
-from .bdd.backends import BACKEND_DICT, BACKEND_NAMES
 from .errors import ConfigError
 from .obs.telemetry import TELEMETRY_LEVELS, TELEMETRY_OFF
 
@@ -52,7 +50,6 @@ __all__ = [
     "TRANS_MONO",
     "TRANS_PARTITIONED",
     "TRANS_MODES",
-    "BACKEND_NAMES",
 ]
 
 #: Execute images through the monolithic transition relation.
@@ -94,12 +91,6 @@ class EngineConfig:
         engine counters in reports), or ``"spans"`` (full phase spans and
         frontier events — what ``--profile`` and ``--trace`` need).
         Purely observational: results are identical at every level.
-    backend:
-        BDD node-store/kernel implementation: ``"dict"`` (tuple-keyed
-        Python dicts, the default) or ``"array"`` (struct-of-arrays flat
-        integer buffers with open-addressed tables).  A storage choice
-        only — verdicts, coverage numbers, traces, and even the engine
-        work counters are identical across backends.
     """
 
     trans: str = TRANS_PARTITIONED
@@ -108,7 +99,6 @@ class EngineConfig:
     cache_threshold: Optional[int] = None
     auto_reorder: bool = False
     telemetry: str = "off"
-    backend: str = BACKEND_DICT
 
     def __post_init__(self) -> None:
         self.validate()
@@ -137,11 +127,6 @@ class EngineConfig:
             raise ConfigError(
                 f"unknown telemetry level {self.telemetry!r} "
                 f"(valid levels: {', '.join(TELEMETRY_LEVELS)})"
-            )
-        if self.backend not in BACKEND_NAMES:
-            raise ConfigError(
-                f"unknown BDD backend {self.backend!r} "
-                f"(valid backends: {', '.join(BACKEND_NAMES)})"
             )
         return self
 
@@ -234,15 +219,6 @@ class EngineConfig:
                 "results are identical at every level"
             ),
         )
-        parser.add_argument(
-            "--backend", choices=list(BACKEND_NAMES), default=BACKEND_DICT,
-            help=(
-                "BDD node-store/kernel implementation: 'dict' (tuple-keyed "
-                "Python dicts, the default) or 'array' (struct-of-arrays "
-                "flat integer buffers); a storage choice only — results "
-                "and work counters are identical across backends"
-            ),
-        )
 
     @classmethod
     def from_args(cls, args) -> "EngineConfig":
@@ -254,7 +230,6 @@ class EngineConfig:
             cache_threshold=getattr(args, "cache_threshold", None),
             auto_reorder=bool(getattr(args, "auto_reorder", False)),
             telemetry=getattr(args, "telemetry", TELEMETRY_OFF),
-            backend=getattr(args, "backend", BACKEND_DICT),
         )
 
     def to_cli_args(self) -> List[str]:
@@ -277,8 +252,6 @@ class EngineConfig:
             args += ["--auto-reorder"]
         if self.telemetry != TELEMETRY_OFF:
             args += ["--telemetry", self.telemetry]
-        if self.backend != BACKEND_DICT:
-            args += ["--backend", self.backend]
         return args
 
     # ------------------------------------------------------------------
@@ -295,7 +268,6 @@ class EngineConfig:
             "cache_threshold": self.cache_threshold,
             "auto_reorder": self.auto_reorder,
             "telemetry": self.telemetry,
-            "backend": self.backend,
         }
 
     def fingerprint(self) -> str:
@@ -339,90 +311,3 @@ class EngineConfig:
 #: The configuration used when none is supplied anywhere.
 DEFAULT_CONFIG = EngineConfig()
 
-
-# ----------------------------------------------------------------------
-# Deprecated-kwarg folding (the shims' shared machinery)
-# ----------------------------------------------------------------------
-
-
-def _warn_deprecated(message: str, stacklevel: int = 3) -> None:
-    """Emit one DeprecationWarning for a legacy entry point.
-
-    Messages start with ``repro:`` so the test suite can escalate exactly
-    these warnings to errors (``-W error`` scoped by message prefix)
-    without tripping on third-party deprecations.
-    """
-    warnings.warn(f"repro: {message}", DeprecationWarning, stacklevel=stacklevel)
-
-
-#: Sentinel distinguishing "not passed" from any real value in the
-#: deprecated keyword shims.
-_UNSET = object()
-
-
-def _coalesce_flat(
-    where: str,
-    config: Optional[EngineConfig],
-    trans=_UNSET,
-    gc_threshold=_UNSET,
-    auto_reorder=_UNSET,
-) -> EngineConfig:
-    """Resolve ``config=`` against the deprecated flat knob keywords of a
-    job-level entry point (``CoverageJob`` and the job factories), warning
-    once when any are used.  Passing both is a hard error.
-
-    Values that carry no information — ``trans=None``,
-    ``gc_threshold=None``, ``auto_reorder=False``, i.e. the old
-    defaults — are treated as not passed, so callers forwarding a
-    maybe-None variable do not trip a spurious warning.
-    """
-    legacy = {
-        key: value
-        for key, value in (
-            ("trans", trans),
-            ("gc_threshold", gc_threshold),
-            ("auto_reorder", auto_reorder),
-        )
-        if value is not _UNSET
-        and value is not None
-        and not (key == "auto_reorder" and value is False)
-    }
-    if not legacy:
-        return config if config is not None else DEFAULT_CONFIG
-    if config is not None:
-        raise ConfigError(
-            f"{where}: pass either config= or the deprecated flat "
-            f"keyword(s) {', '.join(sorted(legacy))}, not both"
-        )
-    _warn_deprecated(
-        f"{where}({', '.join(f'{k}=...' for k in sorted(legacy))}) is "
-        "deprecated; pass config=EngineConfig(...) instead",
-        stacklevel=4,
-    )
-    return EngineConfig(**legacy)
-
-
-def _coalesce_trans(
-    where: str,
-    config: Optional[EngineConfig],
-    trans: Optional[str],
-) -> EngineConfig:
-    """Resolve a ``(config=, trans=)`` pair at a shimmed entry point.
-
-    ``trans=None`` means the caller used the new API; a string means the
-    legacy keyword, which warns once and folds into the returned config.
-    Passing both is a hard error — silently preferring one would hide a
-    real conflict.
-    """
-    if trans is None:
-        return config if config is not None else DEFAULT_CONFIG
-    if config is not None:
-        raise ConfigError(
-            f"{where}: pass either config= or the deprecated trans=, not both"
-        )
-    _warn_deprecated(
-        f"{where}(trans=...) is deprecated; pass "
-        f"config=EngineConfig(trans={trans!r}) instead",
-        stacklevel=4,
-    )
-    return EngineConfig(trans=trans)

@@ -21,18 +21,14 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Union
 
-from ..bdd import BDDManager, Function, ResourcePolicy
-from ..engine import EngineConfig, _coalesce_trans
+from ..bdd import BDDManager, Function
+from ..engine import DEFAULT_CONFIG, EngineConfig
 from ..errors import ModelError
 from ..expr.ast import Expr, Var
 from ..expr.bitvector import WordTable, int_to_bits, resolve_words
 from ..expr.parser import parse_expr
 from .fsm import FSM, NEXT_SUFFIX
-from .partition import (
-    TRANS_MONO,
-    TransitionPartition,
-    validate_trans_mode,
-)
+from .partition import TRANS_MONO, TransitionPartition
 
 __all__ = ["CircuitBuilder"]
 
@@ -171,10 +167,8 @@ class CircuitBuilder:
     def build(
         self,
         manager: Optional[BDDManager] = None,
-        config: Optional[EngineConfig] = None,
-        policy: Optional[ResourcePolicy] = None,
         *,
-        trans: Optional[str] = None,
+        config: Optional[EngineConfig] = None,
     ) -> FSM:
         """Compile the accumulated description into an :class:`FSM`.
 
@@ -190,30 +184,14 @@ class CircuitBuilder:
         front; both machines compute identical sets (see
         ``tests/fsm/test_trans_equivalence.py``) — and its resource knobs
         compile to the manager's :class:`~repro.bdd.policy.ResourcePolicy`.
-
-        ``policy`` is the low-level escape hatch for resource knobs beyond
-        the config's portable subset (per-cache growth factors, compose
-        generations, ...); when given it overrides the config's resource
-        knobs.  When a ``manager`` is supplied, the policy is installed on
-        it.
-
-        ``trans=`` as a direct keyword is deprecated — pass
-        ``config=EngineConfig(trans=...)``.
+        When a ``manager`` is supplied and a resource knob is set, that
+        policy is installed on it.
         """
-        if isinstance(config, str):
-            # Legacy positional call: build(manager, "mono") bound the
-            # mode string to what is now the config slot.
-            config, trans = None, config
-        if trans is not None:
-            # Preserve the legacy contract (ModelError on a bad mode)
-            # before folding into the config.
-            validate_trans_mode(trans)
-        config = _coalesce_trans("CircuitBuilder.build", config, trans)
-        trans = validate_trans_mode(config.trans)
-        if policy is None:
-            policy = config.policy()
+        config = config if config is not None else DEFAULT_CONFIG
+        trans = config.trans
+        policy = config.policy()
         if manager is None:
-            manager = BDDManager(policy=policy, backend=config.backend)
+            manager = BDDManager(policy=policy)
         elif policy is not None:
             manager.set_policy(policy)
         state_vars = self._latches + self._inputs

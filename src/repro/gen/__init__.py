@@ -38,7 +38,6 @@ from .model import (
     random_module,
 )
 from .oracle import (
-    AXIS_BACKEND,
     AXIS_CONFIGS,
     AXIS_EXPLICIT,
     AXIS_GC,
@@ -66,7 +65,6 @@ __all__ = [
     # oracle
     "AXIS_MONO",
     "AXIS_GC",
-    "AXIS_BACKEND",
     "AXIS_EXPLICIT",
     "AXIS_ROUNDTRIP",
     "AXIS_CONFIGS",

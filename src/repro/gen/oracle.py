@@ -20,10 +20,6 @@ of them agree *byte for byte* on everything a user can observe:
     count must match; on small fairness-free models the Definition-3
     mutation oracle re-derives every property's covered set state by
     state and compares it against the symbolic Table-1 recursion.
-``backend``
-    The symbolic pipeline on the ``array`` BDD backend (struct-of-arrays
-    node store, open-addressed tables), compared against the default
-    ``dict`` backend.  Node storage must be invisible in results.
 ``roundtrip``
     The language round trip: printing and re-parsing the module must be
     the identity, and the reprint must reproduce the text — otherwise a
@@ -60,7 +56,6 @@ from ..mc.witness import format_trace
 __all__ = [
     "AXIS_MONO",
     "AXIS_GC",
-    "AXIS_BACKEND",
     "AXIS_EXPLICIT",
     "AXIS_ROUNDTRIP",
     "AXIS_LINT",
@@ -75,24 +70,20 @@ __all__ = [
 
 AXIS_MONO = "mono"
 AXIS_GC = "gc"
-AXIS_BACKEND = "backend"
 AXIS_EXPLICIT = "explicit"
 AXIS_ROUNDTRIP = "roundtrip"
 AXIS_LINT = "lint"
 
 #: Every axis, in checking order (cheap symbolic re-runs first).
 DEFAULT_AXES: Tuple[str, ...] = (
-    AXIS_MONO, AXIS_GC, AXIS_BACKEND, AXIS_EXPLICIT, AXIS_ROUNDTRIP,
-    AXIS_LINT,
+    AXIS_MONO, AXIS_GC, AXIS_EXPLICIT, AXIS_ROUNDTRIP, AXIS_LINT,
 )
 
 #: The engine configuration each symbolic axis re-runs under.  The
-#: reference run uses the default config (partitioned, default policy,
-#: dict backend).
+#: reference run uses the default config (partitioned, default policy).
 AXIS_CONFIGS: Dict[str, EngineConfig] = {
     AXIS_MONO: EngineConfig(trans="mono"),
     AXIS_GC: EngineConfig(gc_threshold=1, gc_growth=1.0, cache_threshold=64),
-    AXIS_BACKEND: EngineConfig(backend="array"),
 }
 
 #: Result fields that measure cost, not meaning — excluded from comparison

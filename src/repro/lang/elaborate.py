@@ -42,7 +42,6 @@ from .ast import (
 )
 
 if TYPE_CHECKING:
-    from ..bdd import ResourcePolicy
     from ..engine import EngineConfig
     from ..fsm.fsm import FSM
 
@@ -65,13 +64,9 @@ class _Elaborator:
         self,
         module: Module,
         config: Optional[EngineConfig] = None,
-        policy: Optional[ResourcePolicy] = None,
     ):
-        from ..engine import EngineConfig
-
         self.module = module
-        self.config = config if config is not None else EngineConfig()
-        self.policy = policy
+        self.config = config
         self.filename = module.filename or "<module>"
         #: word name -> LSB-first bit names (vars and word-sum defines)
         self.word_bits: Dict[str, List[str]] = {}
@@ -284,6 +279,9 @@ class _Elaborator:
     # ------------------------------------------------------------------
 
     def run(self) -> ElaboratedModel:
+        # The engine (and through it the BDD layer) is imported only when a
+        # module is actually lowered: importing this package must stay cheap
+        # and BDD-free so ``repro.lint`` can use the parser alone.
         from ..fsm.builder import CircuitBuilder
 
         module = self.module
@@ -352,7 +350,7 @@ class _Elaborator:
 
         return ElaboratedModel(
             module=module,
-            fsm=builder.build(config=self.config, policy=self.policy),
+            fsm=builder.build(config=self.config),
             specs=specs,
             observed=list(module.observed),
             dont_care=module.dont_care,
@@ -379,8 +377,7 @@ class _Elaborator:
 
 def elaborate(
     module: Module,
-    trans: Optional[str] = None,
-    policy: Optional[ResourcePolicy] = None,
+    *,
     config: Optional[EngineConfig] = None,
 ) -> ElaboratedModel:
     """Lower ``module`` to an :class:`ElaboratedModel` (FSM + properties).
@@ -389,19 +386,10 @@ def elaborate(
     knobs: the FSM's transition-relation mode — ``"partitioned"`` (default,
     per-latch conjuncts with early quantification) or ``"mono"`` (one
     relation BDD) — and the resource thresholds compiled into the BDD
-    manager's policy.  ``policy`` optionally overrides the config's
-    resource knobs with a full :class:`~repro.bdd.policy.ResourcePolicy`;
-    ``trans=`` directly is deprecated (see
-    :meth:`~repro.fsm.builder.CircuitBuilder.build`).
+    manager's policy (see :meth:`~repro.fsm.builder.CircuitBuilder.build`).
 
     Raises :class:`~repro.errors.ParseError` with source location on any
     validation failure (unknown signals, width mismatches, non-exhaustive
     cases, init on a free input, ...).
     """
-    # The engine (and through it the BDD layer) is imported only when a
-    # module is actually lowered: importing this package must stay cheap
-    # and BDD-free so ``repro.lint`` can use the parser alone.
-    from ..engine import _coalesce_trans
-
-    config = _coalesce_trans("elaborate", config, trans)
-    return _Elaborator(module, config=config, policy=policy).run()
+    return _Elaborator(module, config=config).run()

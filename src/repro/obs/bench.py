@@ -15,14 +15,6 @@ tolerance, or when the analysis outcome (status / coverage percentage)
 drifts at all — coverage results are engine-config-invariant, so any
 drift there is a correctness bug, not a perf regression.
 
-Every workload also carries a *backend* dimension (``repro bench
---backend dict,array``): the same analysis on each selected BDD backend.
-The ``dict`` backend keeps the historical ``BENCH_<name>.json`` file
-names; other backends are suffixed ``BENCH_<name>@<backend>.json``.  The
-two shipped backends share memoisation semantics, so their gated counters
-must agree — tracking both catches a kernel whose *work* silently
-diverges even while its answers stay right.
-
 The comparison allows ``baseline * (1 + tolerance) + ABS_SLACK``: the
 relative term absorbs intentional small shifts, the absolute term keeps
 tiny counters (a GC count of 2) from tripping on ±1 noise.
@@ -89,10 +81,6 @@ _OP_KINDS = (
 )
 
 
-#: The backend every baseline without a ``@<backend>`` suffix describes.
-DEFAULT_BACKEND = "dict"
-
-
 @dataclass(frozen=True)
 class BenchWorkload:
     """One registered benchmark: a named analysis construction."""
@@ -101,18 +89,17 @@ class BenchWorkload:
     name: str
     #: What the workload exercises (shown by ``repro bench --list``).
     description: str
-    #: Builds the analysis to run on the given BDD backend (imports
-    #: deferred to run time).
-    build: Callable[[str], "object"]
+    #: Builds the analysis to run (imports deferred to run time).
+    build: Callable[[], "object"]
 
 
 def _builtin(target: str, stage: Optional[str] = None,
-             **config_kwargs) -> Callable[[str], "object"]:
-    def build(backend: str = DEFAULT_BACKEND):
+             **config_kwargs) -> Callable[[], "object"]:
+    def build():
         from ..analysis import Analysis
         from ..engine import EngineConfig
 
-        config = EngineConfig(backend=backend, **config_kwargs)
+        config = EngineConfig(**config_kwargs)
         return Analysis.builtin(target, stage=stage, config=config)
 
     return build
@@ -155,10 +142,10 @@ class _ServeCacheRun:
     #: Identical requests per run; only the first may do engine work.
     REPEATS = 4
 
-    def __init__(self, backend: str):
+    def __init__(self):
         from ..engine import EngineConfig
 
-        self.config = EngineConfig(backend=backend)
+        self.config = EngineConfig()
         self._manager_runs: List[Dict[str, int]] = []
         self.fsm = _SummedFsm(_SummedManager(self._manager_runs))
 
@@ -184,13 +171,6 @@ class _ServeCacheRun:
             self._manager_runs.append(analysis.fsm.manager.resource_stats())
             cache.put(key, outcome.to_json())
         return outcome
-
-
-def _serve_cache() -> Callable[[str], "object"]:
-    def build(backend: str = DEFAULT_BACKEND):
-        return _ServeCacheRun(backend)
-
-    return build
 
 
 #: The registered workloads, mirroring the ``benchmarks/test_bench_*``
@@ -241,7 +221,7 @@ BENCH_WORKLOADS: Dict[str, BenchWorkload] = {
             "serve_cache",
             "repeated identical requests through the repro.serve result "
             "cache (counters = exactly one analysis when the cache works)",
-            _serve_cache(),
+            _ServeCacheRun,
         ),
     )
 }
@@ -254,8 +234,6 @@ class BenchResult:
     name: str
     description: str
     config: "EngineConfig"
-    #: The BDD backend the workload ran on (a label; also in ``config``).
-    backend: str
     #: Analysis outcome — compared exactly (drift is a correctness bug).
     status: str
     percentage: Optional[float]
@@ -265,20 +243,12 @@ class BenchResult:
     #: Informational only — never gated.
     wall_seconds: float
 
-    @property
-    def label(self) -> str:
-        """``name`` for the default backend, ``name@backend`` otherwise."""
-        if self.backend == DEFAULT_BACKEND:
-            return self.name
-        return f"{self.name}@{self.backend}"
-
     def to_json(self) -> Dict[str, object]:
         return {
             "schema": BENCH_SCHEMA,
             "name": self.name,
             "description": self.description,
             "config": self.config.to_json(),
-            "backend": self.backend,
             "status": self.status,
             "percentage": self.percentage,
             "counters": dict(self.counters),
@@ -287,12 +257,10 @@ class BenchResult:
         }
 
 
-def run_workload(
-    workload: BenchWorkload, backend: str = DEFAULT_BACKEND
-) -> BenchResult:
-    """Run one workload on one backend and capture its counters."""
+def run_workload(workload: BenchWorkload) -> BenchResult:
+    """Run one workload and capture its counters."""
     t0 = time.perf_counter()
-    analysis = workload.build(backend)
+    analysis = workload.build()
     outcome = analysis.result()
     wall = time.perf_counter() - t0
     stats = analysis.fsm.manager.resource_stats()
@@ -305,7 +273,6 @@ def run_workload(
         name=workload.name,
         description=workload.description,
         config=analysis.config,
-        backend=backend,
         status=outcome.status,
         percentage=outcome.percentage,
         counters=counters,
@@ -313,14 +280,10 @@ def run_workload(
     )
 
 
-def run_bench(
-    names: Optional[Sequence[str]] = None,
-    backends: Optional[Sequence[str]] = None,
-) -> List[BenchResult]:
-    """Run the named workloads (all when ``names`` is empty/``None``) on
-    each of ``backends`` (default: just the ``dict`` backend).
+def run_bench(names: Optional[Sequence[str]] = None) -> List[BenchResult]:
+    """Run the named workloads (all when ``names`` is empty/``None``).
 
-    Raises :class:`ValueError` for an unknown workload or backend name.
+    Raises :class:`ValueError` for an unknown workload name.
     """
     if not names:
         selected = list(BENCH_WORKLOADS)
@@ -332,22 +295,7 @@ def run_bench(
                 f"(known: {', '.join(BENCH_WORKLOADS)})"
             )
         selected = list(names)
-    if not backends:
-        backends = (DEFAULT_BACKEND,)
-    else:
-        from ..bdd.backends import BACKEND_NAMES
-
-        unknown = sorted(set(backends) - set(BACKEND_NAMES))
-        if unknown:
-            raise ValueError(
-                f"unknown BDD backend(s): {', '.join(unknown)} "
-                f"(known: {', '.join(BACKEND_NAMES)})"
-            )
-    return [
-        run_workload(BENCH_WORKLOADS[name], backend)
-        for name in selected
-        for backend in backends
-    ]
+    return [run_workload(BENCH_WORKLOADS[name]) for name in selected]
 
 
 # ----------------------------------------------------------------------
@@ -355,23 +303,14 @@ def run_bench(
 # ----------------------------------------------------------------------
 
 
-def baseline_path(
-    directory: Union[str, Path], name: str, backend: str = DEFAULT_BACKEND
-) -> Path:
-    """Where workload ``name``'s baseline lives under ``directory``.
-
-    The default (``dict``) backend keeps the historical unsuffixed file
-    name, so pre-existing committed baselines stay valid; other backends
-    get ``BENCH_<name>@<backend>.json``.
-    """
-    if backend == DEFAULT_BACKEND:
-        return Path(directory) / f"BENCH_{name}.json"
-    return Path(directory) / f"BENCH_{name}@{backend}.json"
+def baseline_path(directory: Union[str, Path], name: str) -> Path:
+    """Where workload ``name``'s baseline lives under ``directory``."""
+    return Path(directory) / f"BENCH_{name}.json"
 
 
 def write_baseline(result: BenchResult, directory: Union[str, Path]) -> Path:
     """Write ``result`` as its ``BENCH_*.json`` file and return the path."""
-    path = baseline_path(directory, result.name, result.backend)
+    path = baseline_path(directory, result.name)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(
         json.dumps(result.to_json(), indent=2, sort_keys=True) + "\n"

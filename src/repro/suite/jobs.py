@@ -7,10 +7,6 @@ target name or ``.rml`` text), property stage, observed signals, and the
 historical name :data:`JobResult`).  Both are plain picklable values so
 jobs fan out across a ``ProcessPoolExecutor`` (BDD managers are
 per-process state, which makes jobs embarrassingly parallel).
-
-The pre-``EngineConfig`` flat knob fields (``trans``, ``gc_threshold``,
-``auto_reorder``) remain accepted as deprecated constructor keywords and
-readable as deprecated properties; both warn and delegate to ``config``.
 """
 
 from __future__ import annotations
@@ -19,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..analysis import AnalysisResult
-from ..engine import _UNSET, EngineConfig, _coalesce_flat, _warn_deprecated
+from ..engine import EngineConfig
 
 __all__ = ["CoverageJob", "JobResult"]
 
@@ -32,7 +28,7 @@ KIND_RML = "rml"
 JobResult = AnalysisResult
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class CoverageJob:
     """One (model, property stage, engine config) unit of work.
 
@@ -54,63 +50,6 @@ class CoverageJob:
     path: Optional[str] = None
     source: Optional[str] = None
     config: EngineConfig = field(default_factory=EngineConfig)
-
-    def __init__(
-        self,
-        name: str,
-        kind: str,
-        target: Optional[str] = None,
-        stage: Optional[str] = None,
-        buggy: bool = False,
-        path: Optional[str] = None,
-        source: Optional[str] = None,
-        config: Optional[EngineConfig] = None,
-        trans=_UNSET,
-        gc_threshold=_UNSET,
-        auto_reorder=_UNSET,
-    ):
-        config = _coalesce_flat(
-            "CoverageJob", config, trans, gc_threshold, auto_reorder
-        )
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "stage", stage)
-        object.__setattr__(self, "buggy", buggy)
-        object.__setattr__(self, "path", path)
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "config", config)
-
-    # Deprecated flat-field views -------------------------------------
-
-    @property
-    def trans(self) -> str:
-        """Deprecated: read ``job.config.trans`` instead."""
-        _warn_deprecated(
-            "CoverageJob.trans is deprecated; read job.config.trans",
-            stacklevel=3,
-        )
-        return self.config.trans
-
-    @property
-    def gc_threshold(self) -> Optional[int]:
-        """Deprecated: read ``job.config.gc_threshold`` instead."""
-        _warn_deprecated(
-            "CoverageJob.gc_threshold is deprecated; read "
-            "job.config.gc_threshold",
-            stacklevel=3,
-        )
-        return self.config.gc_threshold
-
-    @property
-    def auto_reorder(self) -> bool:
-        """Deprecated: read ``job.config.auto_reorder`` instead."""
-        _warn_deprecated(
-            "CoverageJob.auto_reorder is deprecated; read "
-            "job.config.auto_reorder",
-            stacklevel=3,
-        )
-        return self.config.auto_reorder
 
     def describe(self) -> str:
         """The job as the CLI invocation that reproduces it.

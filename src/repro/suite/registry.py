@@ -10,9 +10,7 @@ The registry is the single source of truth for what can be analysed:
 * :func:`default_jobs` — the merged job list a suite run executes: every
   builtin target at every stage, plus every discovered ``.rml`` file.
 
-Engine knobs travel as one :class:`~repro.engine.EngineConfig` value; the
-pre-config flat keywords (``trans=``, ``policy=``, ``gc_threshold=``,
-``auto_reorder=``) remain as deprecated shims.
+Engine knobs travel as one :class:`~repro.engine.EngineConfig` value.
 """
 
 from __future__ import annotations
@@ -38,8 +36,7 @@ from ..circuits import (
     priority_buffer_lo_augmented_properties,
     priority_buffer_lo_properties,
 )
-from ..engine import _UNSET, EngineConfig, _coalesce_flat, _warn_deprecated
-from ..errors import ConfigError
+from ..engine import DEFAULT_CONFIG, EngineConfig
 from .jobs import KIND_BUILTIN, KIND_RML, CoverageJob
 
 __all__ = [
@@ -57,9 +54,9 @@ BuildResult = Tuple[object, list, object, Optional[str]]
 
 
 def _counter(
-    stage: Optional[str], buggy: bool, config: EngineConfig, policy=None
+    stage: Optional[str], buggy: bool, config: EngineConfig
 ) -> BuildResult:
-    fsm = build_counter(config=config, policy=policy)
+    fsm = build_counter(config=config)
     if stage == "partial":
         props = counter_partial_properties()
     else:
@@ -68,16 +65,16 @@ def _counter(
 
 
 def _buffer_hi(
-    stage: Optional[str], buggy: bool, config: EngineConfig, policy=None
+    stage: Optional[str], buggy: bool, config: EngineConfig
 ) -> BuildResult:
-    fsm = build_priority_buffer(buggy=buggy, config=config, policy=policy)
+    fsm = build_priority_buffer(buggy=buggy, config=config)
     return fsm, priority_buffer_hi_properties(), "hi", None
 
 
 def _buffer_lo(
-    stage: Optional[str], buggy: bool, config: EngineConfig, policy=None
+    stage: Optional[str], buggy: bool, config: EngineConfig
 ) -> BuildResult:
-    fsm = build_priority_buffer(buggy=buggy, config=config, policy=policy)
+    fsm = build_priority_buffer(buggy=buggy, config=config)
     if stage == "augmented":
         props = priority_buffer_lo_augmented_properties()
     else:
@@ -86,9 +83,9 @@ def _buffer_lo(
 
 
 def _queue_wrap(
-    stage: Optional[str], buggy: bool, config: EngineConfig, policy=None
+    stage: Optional[str], buggy: bool, config: EngineConfig
 ) -> BuildResult:
-    fsm = build_circular_queue(config=config, policy=policy)
+    fsm = build_circular_queue(config=config)
     stage = stage or "initial"
     if stage == "final":
         props = circular_queue_wrap_properties(stage="extended")
@@ -99,10 +96,10 @@ def _queue_wrap(
 
 
 def _queue_full(
-    stage: Optional[str], buggy: bool, config: EngineConfig, policy=None
+    stage: Optional[str], buggy: bool, config: EngineConfig
 ) -> BuildResult:
     return (
-        build_circular_queue(config=config, policy=policy),
+        build_circular_queue(config=config),
         circular_queue_full_properties(),
         "full",
         None,
@@ -110,10 +107,10 @@ def _queue_full(
 
 
 def _queue_empty(
-    stage: Optional[str], buggy: bool, config: EngineConfig, policy=None
+    stage: Optional[str], buggy: bool, config: EngineConfig
 ) -> BuildResult:
     return (
-        build_circular_queue(config=config, policy=policy),
+        build_circular_queue(config=config),
         circular_queue_empty_properties(),
         "empty",
         None,
@@ -121,9 +118,9 @@ def _queue_empty(
 
 
 def _pipeline(
-    stage: Optional[str], buggy: bool, config: EngineConfig, policy=None
+    stage: Optional[str], buggy: bool, config: EngineConfig
 ) -> BuildResult:
-    fsm = build_pipeline(config=config, policy=policy)
+    fsm = build_pipeline(config=config)
     if stage == "augmented":
         props = pipeline_augmented_properties()
     else:
@@ -170,8 +167,7 @@ def build_builtin(
     name: str,
     stage: Optional[str] = None,
     buggy: bool = False,
-    trans=_UNSET,
-    policy=_UNSET,
+    *,
     config: Optional[EngineConfig] = None,
 ) -> BuildResult:
     """Construct ``(fsm, properties, observed, dont_care)`` for a target.
@@ -182,32 +178,8 @@ def build_builtin(
     :class:`ValueError` for an unknown target or a stage outside the
     target's stage list, and :class:`~repro.errors.ConfigError` (a
     ``ValueError`` subclass) for an invalid config.
-
-    ``trans=`` / ``policy=`` are the pre-config keywords; both are
-    deprecated shims that warn and fold into the new path.
     """
-    # Explicit None is the old default for both keywords — it carries no
-    # information, so it must not trip the deprecation shim.
-    legacy = {}
-    if trans is not _UNSET and trans is not None:
-        legacy["trans"] = trans
-    if policy is not _UNSET and policy is not None:
-        legacy["policy"] = policy
-    policy_override = legacy.get("policy")
-    if legacy:
-        if config is not None:
-            raise ConfigError(
-                "build_builtin: pass either config= or the deprecated "
-                f"{'/'.join(sorted(legacy))}=, not both"
-            )
-        _warn_deprecated(
-            f"build_builtin({', '.join(f'{k}=...' for k in sorted(legacy))}) "
-            "is deprecated; pass config=EngineConfig(...) instead",
-            stacklevel=3,
-        )
-        if "trans" in legacy:
-            config = EngineConfig(trans=legacy["trans"])
-    config = config if config is not None else EngineConfig()
+    config = config if config is not None else DEFAULT_CONFIG
     target = BUILTIN_TARGETS.get(name)
     if target is None:
         raise ValueError(f"unknown target {name!r}")
@@ -218,7 +190,7 @@ def build_builtin(
             f"(valid stages: {valid})"
         )
     config.validate()
-    return target.builder(stage, buggy, config, policy_override)
+    return target.builder(stage, buggy, config)
 
 
 # ----------------------------------------------------------------------
@@ -226,17 +198,10 @@ def build_builtin(
 # ----------------------------------------------------------------------
 
 
-def builtin_jobs(
-    trans=_UNSET,
-    gc_threshold=_UNSET,
-    auto_reorder=_UNSET,
-    config: Optional[EngineConfig] = None,
-) -> List[CoverageJob]:
+def builtin_jobs(*, config: Optional[EngineConfig] = None) -> List[CoverageJob]:
     """One job per (builtin target, stage) pair — stage-less targets get a
     single job at their default suite."""
-    config = _coalesce_flat(
-        "builtin_jobs", config, trans, gc_threshold, auto_reorder
-    )
+    config = config if config is not None else DEFAULT_CONFIG
     jobs: List[CoverageJob] = []
     for target in BUILTIN_TARGETS.values():
         stages: Tuple[Optional[str], ...] = target.stages or (None,)
@@ -260,17 +225,11 @@ def discover_rml(directory: "str | Path") -> List[Path]:
 
 
 def rml_job(
-    path: "str | Path",
-    trans=_UNSET,
-    gc_threshold=_UNSET,
-    auto_reorder=_UNSET,
-    config: Optional[EngineConfig] = None,
+    path: "str | Path", *, config: Optional[EngineConfig] = None
 ) -> CoverageJob:
     """A job running one ``.rml`` file (source is read eagerly so the job
     stays self-contained when shipped to a worker process)."""
-    config = _coalesce_flat(
-        "rml_job", config, trans, gc_threshold, auto_reorder
-    )
+    config = config if config is not None else DEFAULT_CONFIG
     path = Path(path)
     return CoverageJob(
         name=f"rml:{path.stem}",
@@ -284,15 +243,10 @@ def rml_job(
 def default_jobs(
     rml_dir: "str | Path | None" = None,
     include_builtins: bool = True,
-    trans=_UNSET,
-    gc_threshold=_UNSET,
-    auto_reorder=_UNSET,
+    *,
     config: Optional[EngineConfig] = None,
 ) -> List[CoverageJob]:
     """The merged registry: builtin jobs plus discovered ``.rml`` jobs."""
-    config = _coalesce_flat(
-        "default_jobs", config, trans, gc_threshold, auto_reorder
-    )
     jobs: List[CoverageJob] = (
         builtin_jobs(config=config) if include_builtins else []
     )

@@ -1,9 +1,10 @@
-"""Backend conformance: every node store obeys the same kernel contract.
+"""Backend conformance: the node store obeys the kernel contract.
 
 The :class:`~repro.bdd.backends.base.BDDBackend` interface has exactly one
 specification — the ROBDD algebra plus the engine's memoisation contract —
-and this suite is that specification as code, run against every registered
-backend via the ``backend`` fixture (``tests/conftest.py``):
+and this suite is that specification as code, run against the engine's
+node store (:class:`~repro.bdd.backends.dict_backend.DictBackend`) and
+checked against brute-force truth tables:
 
 * **Node invariants** — ordered, reduced, hash-consed: children live on
   strictly deeper levels, no redundant tests (``low != high``), one node
@@ -13,19 +14,18 @@ backend via the ``backend`` fixture (``tests/conftest.py``):
   id comparison; negation is an involution on ids.
 * **Op-cache hit semantics** — repeating an operation hits the cache; a
   collection that frees nothing must *keep* the caches; one that frees
-  must drop them.  Both shipped backends implement exact (never lossy)
-  memoisation, so their hit/miss counters must agree run for run.
+  must drop them.
 * **Counting and enumeration** — ``satcount`` / ``pick_sat`` /
   ``iter_cubes`` / ``iter_sat`` against brute-force truth tables, with
-  the enumeration *order* pinned across backends (trace text depends
-  on it).
+  the enumeration *order* pinned to the canonical low-first order (trace
+  text depends on it).
 * **Quantification** — ``exist`` / ``forall`` / ``and_exists`` /
   ``and_exists_chain`` / ``restrict`` / ``compose`` against a
   brute-force oracle, including the fused relational-product identity
   ``and_exists(f, g, V) == exists(f & g, V)``.
 
-Deterministic seeded generation (no hypothesis): the point is identical
-coverage on every backend, so the scenario set must not vary per run.
+Deterministic seeded generation (no hypothesis): the scenario set must
+not vary per run.
 """
 
 import itertools
@@ -34,7 +34,7 @@ import random
 import pytest
 
 from repro.bdd import BDDManager, Function, ResourcePolicy
-from repro.bdd.backends import BACKEND_NAMES, FALSE, TRUE, create_backend
+from repro.bdd.backends import FALSE, TRUE, DictBackend
 from repro.bdd.backends.base import TERMINAL_LEVEL
 
 VARS = ["a", "b", "c", "d", "e"]
@@ -104,8 +104,8 @@ def _all_envs():
         yield dict(zip(VARS, bits))
 
 
-def _manager(backend):
-    return BDDManager(VARS, policy=ResourcePolicy.disabled(), backend=backend)
+def _manager():
+    return BDDManager(VARS, policy=ResourcePolicy.disabled())
 
 
 def _id_envs(mgr):
@@ -122,15 +122,15 @@ def _id_envs(mgr):
 
 
 class TestNodeInvariants:
-    def test_terminals_are_canonical(self, backend):
-        b = create_backend(backend)
+    def test_terminals_are_canonical(self):
+        b = DictBackend()
         assert (FALSE, TRUE) == (0, 1)
         assert b.level_of(FALSE) == TERMINAL_LEVEL
         assert b.level_of(TRUE) == TERMINAL_LEVEL
         assert b.node_count() == 2
 
-    def test_reachable_nodes_are_ordered_and_reduced(self, backend):
-        mgr = _manager(backend)
+    def test_reachable_nodes_are_ordered_and_reduced(self):
+        mgr = _manager()
         roots = [_build(mgr, e).node for e in _expr_pool(101, 30)]
         b = mgr.backend
         seen = set()
@@ -153,8 +153,8 @@ class TestNodeInvariants:
                 b.level_of(node), b.low_of(node), b.high_of(node)
             ) == node
 
-    def test_mk_collapses_redundant_and_dedupes(self, backend):
-        b = create_backend(backend)
+    def test_mk_collapses_redundant_and_dedupes(self):
+        b = DictBackend()
         assert b.mk(3, TRUE, TRUE) == TRUE
         assert b.mk(3, FALSE, FALSE) == FALSE
         n1 = b.mk(3, FALSE, TRUE)
@@ -163,8 +163,8 @@ class TestNodeInvariants:
         assert b.find(3, FALSE, TRUE) == n1
         assert b.find(3, TRUE, FALSE) == -1 or b.find(3, TRUE, FALSE) != n1
 
-    def test_complement_laws_hold_on_ids(self, backend):
-        mgr = _manager(backend)
+    def test_complement_laws_hold_on_ids(self):
+        mgr = _manager()
         for expr in _expr_pool(202, 20):
             f = _build(mgr, expr)
             g = ~f
@@ -181,9 +181,9 @@ class TestNodeInvariants:
 
 
 class TestCanonicity:
-    def test_equal_functions_share_node_ids(self, backend):
+    def test_equal_functions_share_node_ids(self):
         """Different syntactic routes to one function: one node id."""
-        mgr = _manager(backend)
+        mgr = _manager()
         a, b_, c = (Function.var(mgr, v) for v in "abc")
         assert (a & b_).node == (~(~a | ~b_)).node  # De Morgan
         assert (a ^ b_).node == ((a | b_) & ~(a & b_)).node
@@ -191,8 +191,8 @@ class TestCanonicity:
         assert (a.iff(b_)).node == (~(a ^ b_)).node
         assert (a.ite(b_, c)).node == ((a & b_) | (~a & c)).node
 
-    def test_pool_truth_table_equality_is_id_equality(self, backend):
-        mgr = _manager(backend)
+    def test_pool_truth_table_equality_is_id_equality(self):
+        mgr = _manager()
         envs = list(_all_envs())
         pool = [(e, _build(mgr, e)) for e in _expr_pool(303, 25)]
         tables = {}
@@ -202,8 +202,8 @@ class TestCanonicity:
         for table, nodes in tables.items():
             assert len(nodes) == 1, "one truth table, multiple node ids"
 
-    def test_node_count_tracks_unique_table(self, backend):
-        b = create_backend(backend)
+    def test_node_count_tracks_unique_table(self):
+        b = DictBackend()
         assert b.node_count() == b.unique_size() + 2  # terminals
         b.mk(0, FALSE, TRUE)
         b.mk(1, FALSE, TRUE)
@@ -216,8 +216,8 @@ class TestCanonicity:
 
 
 class TestOpCacheSemantics:
-    def test_repeat_operation_hits_cache(self, backend):
-        b = create_backend(backend)
+    def test_repeat_operation_hits_cache(self):
+        b = DictBackend()
         x = b.mk(0, FALSE, TRUE)
         y = b.mk(1, FALSE, TRUE)
         b.apply_and(x, y)
@@ -225,8 +225,8 @@ class TestOpCacheSemantics:
         assert b.apply_and(x, y) == b.apply_and(x, y)
         assert b.counters()["and_hits"] > hits_before
 
-    def test_clear_caches_forgets(self, backend):
-        b = create_backend(backend)
+    def test_clear_caches_forgets(self):
+        b = DictBackend()
         x = b.mk(0, FALSE, TRUE)
         y = b.mk(1, FALSE, TRUE)
         b.apply_and(x, y)
@@ -236,8 +236,8 @@ class TestOpCacheSemantics:
         b.apply_and(x, y)
         assert b.counters()["and_misses"] > misses_before
 
-    def test_collect_that_frees_nothing_keeps_caches(self, backend):
-        mgr = _manager(backend)
+    def test_collect_that_frees_nothing_keeps_caches(self):
+        mgr = _manager()
         a, b_ = Function.var(mgr, "a"), Function.var(mgr, "b")
         f = a & b_
         entries = mgr.backend.cache_entry_count()
@@ -248,40 +248,13 @@ class TestOpCacheSemantics:
         assert (a & b_).node == f.node
         assert mgr.backend.counters()["and_hits"] > hits_before
 
-    def test_collect_that_frees_drops_caches(self, backend):
-        mgr = _manager(backend)
+    def test_collect_that_frees_drops_caches(self):
+        mgr = _manager()
         a, b_ = Function.var(mgr, "a"), Function.var(mgr, "b")
         f = a & b_
         del f
         assert mgr.collect_garbage() > 0
         assert mgr.backend.cache_entry_count() == 0
-
-    def test_counter_parity_across_backends(self):
-        """Same op sequence, same hit/miss/probe counters on every
-        backend: both implement exact memoisation, so the *work* profile
-        — not just the answers — is backend-invariant.  (This is what
-        lets ``repro bench`` gate both backends on one expectation.)"""
-        pool = _expr_pool(404, 40)
-
-        def profile(name):
-            mgr = _manager(name)
-            fns = [_build(mgr, e) for e in pool]
-            ids = [mgr.var_id(v) for v in VARS]
-            acc = Function.true(mgr)
-            for fn in fns[:10]:
-                acc = acc.and_exists(fn, ids[:2])
-            for fn in fns[10:20]:
-                fn.exist(ids[1:3])
-                fn.forall(ids[3:])
-                fn.restrict(ids[0], True)
-            counters = dict(mgr.backend.counters())
-            counters.pop("created_nodes", None)  # id-space detail
-            return counters
-
-        profiles = {name: profile(name) for name in BACKEND_NAMES}
-        reference = profiles["dict"]
-        for name, counters in profiles.items():
-            assert counters == reference, f"backend {name!r} work diverged"
 
 
 # ----------------------------------------------------------------------
@@ -290,8 +263,8 @@ class TestOpCacheSemantics:
 
 
 class TestCountingAndEnumeration:
-    def test_satcount_matches_brute_force(self, backend):
-        mgr = _manager(backend)
+    def test_satcount_matches_brute_force(self):
+        mgr = _manager()
         ids = [mgr.var_id(v) for v in VARS]
         envs = list(_all_envs())
         for expr in _expr_pool(505, 25):
@@ -299,8 +272,8 @@ class TestCountingAndEnumeration:
             expected = sum(1 for env in envs if _eval(expr, env))
             assert fn.satcount(ids) == expected
 
-    def test_pick_sat_satisfies(self, backend):
-        mgr = _manager(backend)
+    def test_pick_sat_satisfies(self):
+        mgr = _manager()
         ids = [mgr.var_id(v) for v in VARS]
         for expr in _expr_pool(606, 25):
             fn = _build(mgr, expr)
@@ -311,8 +284,8 @@ class TestCountingAndEnumeration:
                 assert picked is not None
                 assert fn.evaluate(picked)
 
-    def test_iter_cubes_partitions_the_sat_set(self, backend):
-        mgr = _manager(backend)
+    def test_iter_cubes_partitions_the_sat_set(self):
+        mgr = _manager()
         envs = _id_envs(mgr)
         for expr in _expr_pool(707, 15):
             fn = _build(mgr, expr)
@@ -327,23 +300,34 @@ class TestCountingAndEnumeration:
                 else:
                     assert not matching
 
-    def test_iter_sat_matches_satcount_and_order_is_canonical(self, backend):
+    def test_iter_sat_matches_satcount_and_order_is_canonical(self):
         """Enumeration yields exactly satcount assignments, and the order
-        matches the dict backend's (the reporting layer's trace text is
+        is the canonical low-first one — a function of the BDD alone, not
+        of node ids (the reporting layer's trace text is
         enumeration-order-sensitive)."""
-        mgr = _manager(backend)
-        ref = _manager("dict")
+        pool = _expr_pool(808, 10)
+        mgr = _manager()
+        # The reference manager builds the pool in reverse first, so the
+        # same functions end up on different node ids.
+        ref = _manager()
+        for expr in reversed(pool):
+            _build(ref, expr)
         ids = [mgr.var_id(v) for v in VARS]
-        for expr in _expr_pool(808, 10):
+        for expr in pool:
             fn = _build(mgr, expr)
             sats = list(fn.iter_sat(ids))
             assert len(sats) == fn.satcount(ids)
             assert len(sats) == len(
                 set(tuple(sorted(s.items())) for s in sats)
             )
+            cubes = list(fn.iter_cubes())
+            # Low-first DFS: consecutive cubes first differ at a variable
+            # the earlier cube sets False and the later one sets True.
+            keys = [tuple(c.get(v, -1) for v in ids) for c in cubes]
+            assert keys == sorted(keys)
             ref_fn = _build(ref, expr)
             assert sats == list(ref_fn.iter_sat(ids))
-            assert list(fn.iter_cubes()) == list(ref_fn.iter_cubes())
+            assert cubes == list(ref_fn.iter_cubes())
 
 
 # ----------------------------------------------------------------------
@@ -360,8 +344,8 @@ class TestQuantification:
         )
 
     @pytest.mark.parametrize("exists", [True, False], ids=["exists", "forall"])
-    def test_quantifiers_match_brute_force(self, backend, exists):
-        mgr = _manager(backend)
+    def test_quantifiers_match_brute_force(self, exists):
+        mgr = _manager()
         rng = random.Random(909)
         envs = list(_all_envs())
         for expr in _expr_pool(909, 20):
@@ -375,8 +359,8 @@ class TestQuantification:
                     {mgr.var_id(v): env[v] for v in VARS}
                 ) == expected
 
-    def test_and_exists_is_fused_relational_product(self, backend):
-        mgr = _manager(backend)
+    def test_and_exists_is_fused_relational_product(self):
+        mgr = _manager()
         rng = random.Random(111)
         pool = _expr_pool(111, 30)
         for i in range(0, len(pool) - 1, 2):
@@ -386,8 +370,8 @@ class TestQuantification:
             ids = [mgr.var_id(v) for v in names]
             assert f.and_exists(g, ids).node == (f & g).exist(ids).node
 
-    def test_and_exists_chain_matches_unfused(self, backend):
-        mgr = _manager(backend)
+    def test_and_exists_chain_matches_unfused(self):
+        mgr = _manager()
         rng = random.Random(222)
         pool = _expr_pool(222, 24)
         for i in range(0, len(pool) - 2, 3):
@@ -400,8 +384,8 @@ class TestQuantification:
             conj = fns[0] & fns[1] & fns[2]
             assert chained.node == conj.exist(ids).node
 
-    def test_restrict_and_compose_match_brute_force(self, backend):
-        mgr = _manager(backend)
+    def test_restrict_and_compose_match_brute_force(self):
+        mgr = _manager()
         rng = random.Random(333)
         pool = _expr_pool(333, 20)
         envs = list(_all_envs())

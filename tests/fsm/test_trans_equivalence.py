@@ -8,11 +8,6 @@ model.  BDD canonicity makes this exact — both modes compute the same
 state sets, hence the same nodes, hence the same enumeration order in
 trace generation — so the assertions below compare rendered text, not
 just counts.
-
-Every test takes the ``backend`` fixture (``tests/conftest.py``): the
-mono/partitioned guarantee must hold on every node store, and because
-trace text is enumeration-order-sensitive, this doubles as a check that
-the array backend's cube enumeration matches the dict backend's exactly.
 """
 
 from pathlib import Path
@@ -26,13 +21,8 @@ from repro.lang import elaborate, load_module
 from repro.mc import ModelChecker
 from repro.suite import BUILTIN_TARGETS, build_builtin
 
-def _mono(backend):
-    return EngineConfig(trans="mono", backend=backend)
-
-
-def _partitioned(backend):
-    return EngineConfig(trans="partitioned", backend=backend)
-
+MONO = EngineConfig(trans="mono")
+PARTITIONED = EngineConfig(trans="partitioned")
 
 EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
 
@@ -71,9 +61,9 @@ def _estimate(fsm, props, observed, dont_care):
 
 
 @pytest.mark.parametrize("name,stage", _all_builtin_cases())
-def test_builtin_targets_mode_equivalent(name, stage, backend):
-    mono = build_builtin(name, stage=stage, config=_mono(backend))
-    part = build_builtin(name, stage=stage, config=_partitioned(backend))
+def test_builtin_targets_mode_equivalent(name, stage):
+    mono = build_builtin(name, stage=stage, config=MONO)
+    part = build_builtin(name, stage=stage, config=PARTITIONED)
     fsm_m, props_m, obs_m, dc_m = mono
     fsm_p, props_p, obs_p, dc_p = part
     assert fsm_m.trans_mode == "mono"
@@ -94,10 +84,10 @@ def test_builtin_targets_mode_equivalent(name, stage, backend):
 @pytest.mark.parametrize(
     "path", sorted(EXAMPLES.glob("*.rml")), ids=lambda p: p.stem
 )
-def test_rml_examples_mode_equivalent(path, backend):
+def test_rml_examples_mode_equivalent(path):
     module = load_module(path)
-    mono = elaborate(module, config=_mono(backend))
-    part = elaborate(module, config=_partitioned(backend))
+    mono = elaborate(module, config=MONO)
+    part = elaborate(module, config=PARTITIONED)
     assert mono.fsm.trans_mode == "mono"
     assert part.fsm.trans_mode == "partitioned"
     assert mono.fsm.count_states(mono.fsm.reachable()) == part.fsm.count_states(
@@ -108,7 +98,7 @@ def test_rml_examples_mode_equivalent(path, backend):
     ) == _estimate(part.fsm, part.specs, part.observed, part.dont_care)
 
 
-def test_counterexample_traces_mode_equivalent(backend):
+def test_counterexample_traces_mode_equivalent():
     """Failing properties produce the same counterexample trace in both
     modes (the buggy priority buffer from the paper's narrative; the
     augmented suite is the one that catches the planted bug)."""
@@ -116,7 +106,7 @@ def test_counterexample_traces_mode_equivalent(backend):
     for trans in ("mono", "partitioned"):
         fsm, props, _obs, _dc = build_builtin(
             "buffer-lo", stage="augmented", buggy=True,
-            config=EngineConfig(trans=trans, backend=backend),
+            config=EngineConfig(trans=trans),
         )
         checker = ModelChecker(fsm)
         traces = []
@@ -132,11 +122,11 @@ def test_counterexample_traces_mode_equivalent(backend):
     assert any(results["mono"][1])
 
 
-def test_lazy_mono_transition_matches_eager(backend):
+def test_lazy_mono_transition_matches_eager():
     """Accessing ``transition`` on a partitioned FSM conjoins the same
     relation the mono build produced eagerly."""
-    fsm_m, _, _, _ = build_builtin("queue-wrap", config=_mono(backend))
-    fsm_p, _, _, _ = build_builtin("queue-wrap", config=_partitioned(backend))
+    fsm_m, _, _, _ = build_builtin("queue-wrap", config=MONO)
+    fsm_p, _, _, _ = build_builtin("queue-wrap", config=PARTITIONED)
     # Different managers — compare via satcount over all variables.
     all_vars = list(range(fsm_m.manager.num_vars))
     assert fsm_m.transition.satcount(all_vars) == fsm_p.transition.satcount(
@@ -153,8 +143,8 @@ def test_lazy_mono_transition_matches_eager(backend):
 
 @pytest.mark.parametrize("trans", ["mono", "partitioned"])
 @pytest.mark.parametrize("name,stage", _all_builtin_cases())
-def test_facade_matches_hand_wired_pipeline(name, stage, trans, backend):
-    config = EngineConfig(trans=trans, backend=backend)
+def test_facade_matches_hand_wired_pipeline(name, stage, trans):
+    config = EngineConfig(trans=trans)
     manual = _estimate(*build_builtin(name, stage=stage, config=config))
     analysis = Analysis.builtin(name, stage=stage, config=config)
     if not analysis.holds():
@@ -178,8 +168,8 @@ def test_facade_matches_hand_wired_pipeline(name, stage, trans, backend):
 @pytest.mark.parametrize(
     "path", sorted(EXAMPLES.glob("*.rml")), ids=lambda p: p.stem
 )
-def test_facade_matches_hand_wired_rml(path, trans, backend):
-    config = EngineConfig(trans=trans, backend=backend)
+def test_facade_matches_hand_wired_rml(path, trans):
+    config = EngineConfig(trans=trans)
     model = elaborate(load_module(path), config=config)
     manual = _estimate(model.fsm, model.specs, model.observed, model.dont_care)
     analysis = Analysis.from_rml(path, config=config)

@@ -3,6 +3,8 @@
 import json
 import os
 
+import pytest
+
 from repro.cli import main
 from repro.gen import FUZZ_SCHEMA_ID, GenParams, case_key, run_fuzz
 from repro.gen import fuzz as fuzz_mod
@@ -101,8 +103,10 @@ class TestFuzzCli:
         # No disagreements -> no reproducers written.
         assert not (tmp_path / "corpus").exists()
 
-    def test_unknown_axis_is_usage_error(self, capsys):
-        assert main(["fuzz", "--budget", "1", "--axes", "nope"]) == 2
+    # ``backend`` was an axis until the BDD engine had a single node store.
+    @pytest.mark.parametrize("axis", ["nope", "backend"])
+    def test_unknown_axis_is_usage_error(self, capsys, axis):
+        assert main(["fuzz", "--budget", "1", "--axes", axis]) == 2
         assert "unknown oracle axis" in capsys.readouterr().err
 
     def test_bad_budget_is_usage_error(self, capsys):

@@ -99,12 +99,6 @@ class TestRequestKey:
             target="counter", config=mono
         )
 
-    def test_backend_is_part_of_the_key(self):
-        array = EngineConfig(backend="array")
-        assert request_key(target="counter") != request_key(
-            target="counter", config=array
-        )
-
     def test_property_selection_is_part_of_the_key(self):
         base = request_key(target="counter")
         assert base != request_key(target="counter", stage="partial")

@@ -9,6 +9,7 @@ import re
 import signal
 import subprocess
 import sys
+import time
 import urllib.error
 import urllib.request
 from pathlib import Path
@@ -18,10 +19,31 @@ import pytest
 REPO = Path(__file__).resolve().parents[2]
 
 
+def _live_group_members(pgid: int) -> list:
+    """PIDs of the live (non-zombie) processes in process group ``pgid``,
+    read from ``/proc`` (empty where there is no ``/proc``)."""
+    live = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            # Fields after the parenthesised command: state, ppid, pgrp, ...
+            state, _ppid, pgrp = stat.read_text().rsplit(")", 1)[1].split()[:3]
+        except (OSError, ValueError):
+            continue  # the process exited mid-scan
+        if int(pgrp) == pgid and state != "Z":
+            live.append(int(stat.parent.name))
+    return live
+
+
 @pytest.fixture
 def serve_process(tmp_path):
     """A ``repro serve`` subprocess on an ephemeral port, with process
-    workers and crash hooks enabled; yields (process, base_url)."""
+    workers and crash hooks enabled; yields (process, base_url).
+
+    The server runs in its own session, so it and its forked pool workers
+    form one process group.  Teardown stops it with SIGTERM (the clean
+    shutdown path), SIGKILLs whatever of the group is still alive, and
+    fails if any process of the group survives — an orphaned worker
+    would otherwise outlive the test run."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO / "src")
     proc = subprocess.Popen(
@@ -36,14 +58,26 @@ def serve_process(tmp_path):
         text=True,
         env=env,
         cwd=str(REPO),
+        start_new_session=True,
     )
     banner = proc.stdout.readline()
     match = re.search(r"http://[\d.]+:\d+", banner)
     assert match, f"no listening banner in {banner!r}"
     yield proc, match.group(0)
     if proc.poll() is None:
-        proc.kill()
-        proc.wait(timeout=30)
+        proc.terminate()
+        try:
+            proc.wait(timeout=30)
+        except subprocess.TimeoutExpired:
+            pass
+    if _live_group_members(proc.pid):
+        os.killpg(proc.pid, signal.SIGKILL)
+    proc.wait(timeout=30)
+    proc.stdout.close()
+    deadline = time.monotonic() + 10
+    while _live_group_members(proc.pid) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert _live_group_members(proc.pid) == []
 
 
 def post(url: str, document) -> dict:

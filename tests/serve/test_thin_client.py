@@ -1,7 +1,7 @@
 """Satellite guarantee: the suite thin client is a drop-in for local runs.
 
 For every builtin target plus every ``examples/*.rml`` model, under both
-transition-relation modes and both BDD backends, the server must return
+transition-relation modes, the server must return
 reports byte-identical to local execution (timings excluded — they are
 wall-clock, everything else is the contract).  A second remote pass over
 the same matrix must be ≥90% cache hits as measured by ``/v1/stats``.
@@ -17,11 +17,7 @@ from repro.suite.registry import default_jobs
 from repro.suite.runner import run_jobs, run_jobs_via_server
 
 CONFIGS = [
-    pytest.param(
-        EngineConfig(backend=backend, trans=trans),
-        id=f"{backend}-{trans}",
-    )
-    for backend in ("dict", "array")
+    pytest.param(EngineConfig(trans=trans), id=trans)
     for trans in ("mono", "partitioned")
 ]
 
@@ -75,11 +71,7 @@ def test_second_remote_run_is_mostly_cache_hits(matrix_server):
     """Re-running the whole matrix against the warmed server must be
     ≥90% cache hits, measured through the public /v1/stats endpoint."""
     client = matrix_server.client()
-    configs = [
-        EngineConfig(backend=backend, trans=trans)
-        for backend in ("dict", "array")
-        for trans in ("mono", "partitioned")
-    ]
+    configs = [EngineConfig(trans=trans) for trans in ("mono", "partitioned")]
     jobs = [
         job
         for config in configs

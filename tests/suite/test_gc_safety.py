@@ -23,9 +23,12 @@ WeakSet-based root registry failed exactly these tests: structural
 ``Function`` equality collapsed equal wrappers into one registry entry,
 so dropping one unrooted the node its live twin still denoted.
 
-Every test takes the ``backend`` fixture (``tests/conftest.py``) and runs
-once per BDD backend: each node store has its own mark/sweep/free-list
-machinery, so GC safety must be proven per backend, not once.
+Each transition-relation mode keeps different long-lived roots (one
+monolithic relation BDD, or the per-latch conjuncts with their
+quantification schedule), so GC safety is proven per mode: the ``.rml``
+and wrapper-granularity tests run once per mode, and the builtin
+top-level test runs on the default mode while
+``test_mono_vs_partitioned_identical_under_forced_gc`` pins ``mono`` to it.
 """
 
 import itertools
@@ -36,7 +39,7 @@ import pytest
 from repro.bdd import BDDManager, Function, ResourcePolicy
 from repro.coverage import CoverageEstimator, format_uncovered_traces
 from repro.coverage.report import CoverageReport, PropertyCoverage
-from repro.engine import EngineConfig
+from repro.engine import TRANS_MODES, EngineConfig
 from repro.lang import elaborate, load_module
 from repro.mc import ModelChecker, WorkStats
 from repro.suite import BUILTIN_TARGETS, build_builtin
@@ -44,10 +47,13 @@ from repro.suite import BUILTIN_TARGETS, build_builtin
 EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
 
 
-def _aggressive(backend):
+PER_TRANS_MODE = pytest.mark.parametrize("trans", TRANS_MODES)
+
+
+def _aggressive(trans):
     """Forced GC at every wrapper-creation safe point (small models only)
     — the config form of :meth:`ResourcePolicy.aggressive`."""
-    return EngineConfig(gc_threshold=1, gc_growth=1.0, backend=backend)
+    return EngineConfig(trans=trans, gc_threshold=1, gc_growth=1.0)
 
 
 def _all_builtin_cases():
@@ -127,19 +133,19 @@ def _forced_gc_report(fsm, props, observed, dont_care):
 
 
 @pytest.mark.parametrize("name,stage", _all_builtin_cases())
-def test_builtin_reports_identical_under_forced_gc(name, stage, backend):
-    config = EngineConfig(backend=backend)
-    default = _default_report(*build_builtin(name, stage=stage, config=config))
-    forced = _forced_gc_report(*build_builtin(name, stage=stage, config=config))
+def test_builtin_reports_identical_under_forced_gc(name, stage):
+    default = _default_report(*build_builtin(name, stage=stage))
+    forced = _forced_gc_report(*build_builtin(name, stage=stage))
     assert forced == default
 
 
+@PER_TRANS_MODE
 @pytest.mark.parametrize(
     "path", sorted(EXAMPLES.glob("*.rml")), ids=lambda p: p.stem
 )
-def test_rml_reports_identical_under_forced_gc(path, backend):
+def test_rml_reports_identical_under_forced_gc(path, trans):
     module = load_module(path)
-    config = EngineConfig(backend=backend)
+    config = EngineConfig(trans=trans)
     default = elaborate(module, config=config)
     forced = elaborate(module, config=config)
     assert _forced_gc_report(
@@ -150,19 +156,19 @@ def test_rml_reports_identical_under_forced_gc(path, backend):
 
 
 @pytest.mark.parametrize("name,stage", _all_builtin_cases())
-def test_mono_vs_partitioned_identical_under_forced_gc(name, stage, backend):
+def test_mono_vs_partitioned_identical_under_forced_gc(name, stage):
     """The mono/partitioned equivalence guarantee survives the densest GC
     schedule (the tentpole's acceptance criterion)."""
     mono = _forced_gc_report(
         *build_builtin(
             name, stage=stage,
-            config=EngineConfig(trans="mono", backend=backend),
+            config=EngineConfig(trans="mono"),
         )
     )
     part = _forced_gc_report(
         *build_builtin(
             name, stage=stage,
-            config=EngineConfig(trans="partitioned", backend=backend),
+            config=EngineConfig(trans="partitioned"),
         )
     )
     assert mono == part
@@ -171,28 +177,28 @@ def test_mono_vs_partitioned_identical_under_forced_gc(name, stage, backend):
 class TestWrapperGranularity:
     """GC at every single wrapper-creation safe point, everywhere."""
 
+    @PER_TRANS_MODE
     @pytest.mark.parametrize("name,stage", _all_builtin_cases())
     def test_builtin_identical_under_aggressive_policy(
-        self, name, stage, backend
+        self, name, stage, trans
     ):
         default = _default_report(
-            *build_builtin(
-                name, stage=stage, config=EngineConfig(backend=backend)
-            )
+            *build_builtin(name, stage=stage, config=EngineConfig(trans=trans))
         )
         fsm, props, obs, dc = build_builtin(
-            name, stage=stage, config=_aggressive(backend)
+            name, stage=stage, config=_aggressive(trans)
         )
         assert _default_report(fsm, props, obs, dc) == default
         assert fsm.manager.gc_runs > 100  # it really collected
 
+    @PER_TRANS_MODE
     @pytest.mark.parametrize(
         "path", sorted(EXAMPLES.glob("*.rml")), ids=lambda p: p.stem
     )
-    def test_rml_identical_under_aggressive_policy(self, path, backend):
+    def test_rml_identical_under_aggressive_policy(self, path, trans):
         module = load_module(path)
-        default = elaborate(module, config=EngineConfig(backend=backend))
-        forced = elaborate(module, config=_aggressive(backend))
+        default = elaborate(module, config=EngineConfig(trans=trans))
+        forced = elaborate(module, config=_aggressive(trans))
         assert _default_report(
             forced.fsm, forced.specs, forced.observed, forced.dont_care
         ) == _default_report(
@@ -201,12 +207,10 @@ class TestWrapperGranularity:
         assert forced.fsm.manager.gc_runs > 100
 
 
-def test_live_wrappers_denote_same_functions_across_gc(backend):
+def test_live_wrappers_denote_same_functions_across_gc():
     """Function wrappers survive any number of collections unchanged."""
     names = [f"b{i}" for i in range(6)]
-    mgr = BDDManager(
-        names, policy=ResourcePolicy.disabled(), backend=backend
-    )
+    mgr = BDDManager(names, policy=ResourcePolicy.disabled())
     funcs = []
     # A spread of shapes: literals, conjunctions, parities, implications.
     for i in range(6):

@@ -13,7 +13,6 @@ import pickle
 import pytest
 
 from repro.engine import EngineConfig
-from repro.errors import ConfigError
 from repro.suite import CoverageJob
 
 
@@ -87,9 +86,3 @@ class TestConstruction:
         job = CoverageJob(name="c", kind="builtin", target="counter",
                           config=EngineConfig(gc_threshold=3))
         assert pickle.loads(pickle.dumps(job)) == job
-
-    def test_config_and_legacy_kwargs_conflict(self):
-        # Conflicts are a hard error (raised before the shim warns).
-        with pytest.raises(ConfigError, match="not both"):
-            CoverageJob(name="c", kind="builtin", target="counter",
-                        config=EngineConfig(), trans="mono")

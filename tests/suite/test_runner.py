@@ -5,8 +5,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis import AnalysisResult
 from repro.engine import EngineConfig
-from repro.errors import ReportError
+from repro.errors import ConfigError, ReportError
 from repro.suite import (
     JSON_SCHEMA_ID,
     JSON_SCHEMA_ID_V1,
@@ -185,6 +186,22 @@ class TestReporting:
             EngineConfig.from_json(j["config"]) for j in loaded["jobs"]
         ]
         assert configs == [EngineConfig(), EngineConfig()]
+
+    def test_stale_backend_key_loads_but_does_not_revive(self, tmp_path):
+        # Reports written while the engine had a ``backend`` knob carry it
+        # in every job config.  read_report never revives configs, so it
+        # still loads them; reviving one is a ConfigError naming the key.
+        results = run_jobs(_jobs()[:1], max_workers=1)
+        out = tmp_path / "report.json"
+        write_report(results, out)
+        document = json.loads(out.read_text())
+        document["jobs"][0]["config"]["backend"] = "dict"
+        out.write_text(json.dumps(document))
+        job_json = read_report(out)["jobs"][0]
+        with pytest.raises(ConfigError, match="backend"):
+            EngineConfig.from_json(job_json["config"])
+        with pytest.raises(ConfigError, match="backend"):
+            AnalysisResult.from_json(job_json)
 
     def test_read_report_rejects_v1_with_version_mismatch(self, tmp_path):
         out = tmp_path / "old.json"

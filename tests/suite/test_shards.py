@@ -14,7 +14,6 @@ import threading
 
 import pytest
 
-from repro.engine import EngineConfig
 from repro.errors import ConfigError
 from repro.obs import Telemetry
 from repro.obs.counters import counter_delta
@@ -367,12 +366,11 @@ class TestRunJobsSharded:
 
 @pytest.mark.slow
 class TestShardMergeDeterminism:
-    def test_sharded_report_identical_to_serial_everywhere(self, backend):
-        """Builtins + examples/*.rml, both backends: the merged sharded
-        report is byte-identical to ``max_workers=1`` once wall-clock
-        noise is stripped."""
-        config = EngineConfig(backend=backend)
-        jobs = default_jobs(rml_dir=EXAMPLES_DIR, config=config)
+    def test_sharded_report_identical_to_serial_everywhere(self):
+        """Builtins + examples/*.rml: the merged sharded report is
+        byte-identical to ``max_workers=1`` once wall-clock noise is
+        stripped."""
+        jobs = default_jobs(rml_dir=EXAMPLES_DIR)
         assert len(jobs) > 10
         serial = run_jobs(jobs, max_workers=1)
         sharded = run_jobs(jobs, max_workers=4, shards=7)

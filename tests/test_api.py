@@ -1,5 +1,7 @@
 """Public API surface tests: the top-level namespace is complete and lazy."""
 
+import functools
+
 import pytest
 
 import repro
@@ -100,3 +102,149 @@ def test_facade_and_config_errors_exported():
     assert issubclass(ConfigError, ValueError)
     assert issubclass(ReportError, repro.ReproError)
     assert Analysis.builtin and AnalysisResult and EngineConfig
+
+
+def _stale_positional_calls():
+    """Calls that passed the transition mode positionally, back when
+    ``trans`` was a parameter.  Each must fail loudly, not bind ``"mono"``
+    to the next parameter in line."""
+    from repro.circuits import (build_circular_queue, build_counter,
+                                build_pipeline, build_priority_buffer)
+    from repro.engine import EngineConfig
+    from repro.fsm import CircuitBuilder
+    from repro.lang import elaborate, parse_module
+    from repro.suite import build_builtin
+
+    def circuit_builder_build():
+        b = CircuitBuilder("m")
+        b.latch("x", init=False, next_="!x")
+        return b.build(None, "mono")
+
+    module = parse_module(
+        "MODULE m\nVAR\n  x : boolean;\nASSIGN\n  init(x) := 0;\n"
+        "  next(x) := !x;\nOBSERVED x;\n"
+    )
+    return [
+        pytest.param(lambda: build_counter(5, "mono"), id="build_counter"),
+        pytest.param(
+            lambda: build_circular_queue(4, "mono"), id="build_circular_queue"
+        ),
+        pytest.param(
+            lambda: build_priority_buffer(4, False, "mono"),
+            id="build_priority_buffer",
+        ),
+        pytest.param(lambda: build_pipeline(3, "mono"), id="build_pipeline"),
+        pytest.param(lambda: elaborate(module, "mono"), id="elaborate"),
+        pytest.param(circuit_builder_build, id="CircuitBuilder.build"),
+        pytest.param(
+            lambda: build_builtin("counter", None, False, EngineConfig()),
+            id="build_builtin",
+        ),
+    ]
+
+
+@pytest.mark.parametrize("call", _stale_positional_calls())
+def test_engine_knobs_are_keyword_only(call):
+    with pytest.raises(TypeError, match="positional argument"):
+        call()
+
+
+def _removed_keyword_calls():
+    """Calls that spell an engine knob the way the removed compatibility
+    keywords did.  Each must fail loudly, not run on the default engine
+    with the knob silently dropped."""
+    from pathlib import Path
+
+    from repro.analysis import AnalysisResult
+    from repro.bdd import BDDManager, ResourcePolicy
+    from repro.circuits import (build_circular_queue, build_counter,
+                                build_pipeline, build_priority_buffer)
+    from repro.engine import EngineConfig
+    from repro.fsm import CircuitBuilder
+    from repro.lang import elaborate, parse_module
+    from repro.suite import (CoverageJob, build_builtin, builtin_jobs,
+                             default_jobs, rml_job)
+
+    def circuit_builder_build(**kwargs):
+        b = CircuitBuilder("m")
+        b.latch("x", init=False, next_="!x")
+        return b.build(**kwargs)
+
+    module = parse_module(
+        "MODULE m\nVAR\n  x : boolean;\nASSIGN\n  init(x) := 0;\n"
+        "  next(x) := !x;\nOBSERVED x;\n"
+    )
+    example = Path(__file__).resolve().parents[1] / "examples" / "counter.rml"
+    flat = {"trans": "mono", "gc_threshold": 1, "auto_reorder": True}
+    builders = [
+        ("build_counter", lambda **kw: build_counter(5, **kw)),
+        ("build_circular_queue", lambda **kw: build_circular_queue(4, **kw)),
+        ("build_priority_buffer",
+         lambda **kw: build_priority_buffer(4, **kw)),
+        ("build_pipeline", lambda **kw: build_pipeline(3, **kw)),
+        ("elaborate", lambda **kw: elaborate(module, **kw)),
+        ("CircuitBuilder.build", circuit_builder_build),
+        ("build_builtin", lambda **kw: build_builtin("counter", **kw)),
+    ]
+    calls = [
+        (name, fn, keyword)
+        for name, fn in builders
+        for keyword in ("trans", "policy")
+    ]
+    for keyword in flat:
+        calls += [
+            ("builtin_jobs", builtin_jobs, keyword),
+            ("rml_job", lambda **kw: rml_job(example, **kw), keyword),
+            ("default_jobs", default_jobs, keyword),
+            ("CoverageJob",
+             lambda **kw: CoverageJob("j", "builtin", "counter", **kw),
+             keyword),
+        ]
+    calls += [
+        ("AnalysisResult",
+         lambda **kw: AnalysisResult("r", "builtin", "ok", **kw), "trans"),
+        ("EngineConfig", EngineConfig, "backend"),
+        ("BDDManager", lambda **kw: BDDManager(["a"], **kw), "backend"),
+    ]
+    values = {**flat, "policy": ResourcePolicy(), "backend": "dict"}
+    return [
+        pytest.param(
+            functools.partial(fn, **{keyword: values[keyword]}), keyword,
+            id=f"{name}-{keyword}",
+        )
+        for name, fn, keyword in calls
+    ]
+
+
+@pytest.mark.parametrize("call,keyword", _removed_keyword_calls())
+def test_removed_engine_keywords_are_rejected(call, keyword):
+    with pytest.raises(
+        TypeError, match=f"unexpected keyword argument '{keyword}'"
+    ):
+        call()
+
+
+def _removed_attribute_reads():
+    from repro.analysis import AnalysisResult
+    from repro.engine import EngineConfig
+    from repro.suite import CoverageJob
+
+    job = CoverageJob("j", "builtin", "counter")
+    return [
+        pytest.param(job, "trans", id="CoverageJob.trans"),
+        pytest.param(job, "gc_threshold", id="CoverageJob.gc_threshold"),
+        pytest.param(job, "auto_reorder", id="CoverageJob.auto_reorder"),
+        pytest.param(
+            AnalysisResult("r", "builtin", "ok"), "trans",
+            id="AnalysisResult.trans",
+        ),
+        pytest.param(EngineConfig(), "backend", id="EngineConfig.backend"),
+    ]
+
+
+@pytest.mark.parametrize("obj,attr", _removed_attribute_reads())
+def test_removed_engine_attributes_are_gone(obj, attr):
+    """Knobs live on ``.config`` only; the flat aliases are gone."""
+    with pytest.raises(AttributeError):
+        getattr(obj, attr)
+    assert not hasattr(type(obj), attr)

@@ -14,6 +14,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from repro.engine import TRANS_MODES
+
 ROOT = Path(__file__).resolve().parents[1]
 HASH_SEEDS = ("0", "424242")
 
@@ -54,12 +58,13 @@ def _strip_timings(data):
 
 
 class TestHashSeedInvariance:
-    def test_target_report_with_traces_is_stable(self, backend):
+    @pytest.mark.parametrize("trans", TRANS_MODES)
+    def test_target_report_with_traces_is_stable(self, trans):
         outs = []
         for hs in HASH_SEEDS:
             proc = _run(
                 ["counter", "--stage", "partial", "--traces", "2",
-                 "--backend", backend],
+                 "--trans", trans],
                 hs,
             )
             assert proc.returncode == 0, proc.stderr
@@ -67,12 +72,13 @@ class TestHashSeedInvariance:
         assert outs[0] == outs[1]
         assert "trace to uncovered state" in outs[0]
 
-    def test_rml_run_with_traces_is_stable(self, backend):
+    @pytest.mark.parametrize("trans", TRANS_MODES)
+    def test_rml_run_with_traces_is_stable(self, trans):
         outs = []
         for hs in HASH_SEEDS:
             proc = _run(
                 ["run", "examples/arbiter.rml", "--traces", "2",
-                 "--backend", backend],
+                 "--trans", trans],
                 hs,
             )
             assert proc.returncode == 0, proc.stderr
@@ -147,22 +153,6 @@ class TestHashSeedInvariance:
         )
         assert base.returncode == spans.returncode == 0
         assert normalise(base.stdout) == normalise(spans.stdout)
-
-    def test_cli_output_identical_across_backends(self):
-        """The two BDD backends produce byte-identical CLI reports —
-        including the node counts in the cost line: the backends share
-        memoisation semantics, so even their *work* counters agree.  Only
-        wall-clock digits are normalised."""
-        outs = {}
-        for backend in ("dict", "array"):
-            proc = _run(
-                ["counter", "--stage", "partial", "--traces", "2",
-                 "--backend", backend],
-                "0",
-            )
-            assert proc.returncode == 0, proc.stderr
-            outs[backend] = _normalise_stdout(proc.stdout)
-        assert outs["dict"] == outs["array"]
 
     def test_fuzz_report_is_stable(self, tmp_path):
         reports = []

@@ -39,10 +39,6 @@ class TestValidation:
         with pytest.raises(ConfigError, match="unknown telemetry level"):
             EngineConfig(telemetry="verbose")
 
-    def test_unknown_backend(self):
-        with pytest.raises(ConfigError, match="unknown BDD backend"):
-            EngineConfig(backend="cudd")
-
     def test_config_error_is_value_error_and_repro_error(self):
         from repro.errors import ReproError
 
@@ -66,7 +62,7 @@ class TestJsonCodec:
     def test_round_trip(self):
         cfg = EngineConfig(
             trans="mono", gc_threshold=1234, gc_growth=1.5,
-            cache_threshold=0, auto_reorder=True, backend="array",
+            cache_threshold=0, auto_reorder=True, telemetry="spans",
         )
         assert EngineConfig.from_json(cfg.to_json()) == cfg
 
@@ -77,12 +73,20 @@ class TestJsonCodec:
         payload = EngineConfig().to_json()
         assert set(payload) == {
             "trans", "gc_threshold", "gc_growth", "cache_threshold",
-            "auto_reorder", "telemetry", "backend",
+            "auto_reorder", "telemetry",
         }
 
-    def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError, match="unknown engine config key"):
-            EngineConfig.from_json({"trans": "mono", "warp_drive": True})
+    @pytest.mark.parametrize("payload,key", [
+        ({"trans": "mono", "warp_drive": True}, "warp_drive"),
+        # The BDD backend knob is gone: a config recorded before its
+        # removal fails loudly, naming the stale key.
+        ({"backend": "dict"}, "backend"),
+    ])
+    def test_unknown_key_rejected(self, payload, key):
+        with pytest.raises(
+            ConfigError, match=f"unknown engine config key.*{key}"
+        ):
+            EngineConfig.from_json(payload)
 
     def test_non_object_rejected(self):
         with pytest.raises(ConfigError, match="JSON object"):
@@ -102,10 +106,9 @@ class TestCliCodec:
         EngineConfig(gc_threshold=500, auto_reorder=True),
         EngineConfig(gc_growth=1.0, cache_threshold=10_000),
         EngineConfig(telemetry="spans"),
-        EngineConfig(backend="array"),
         EngineConfig(trans="mono", gc_threshold=1, gc_growth=2.5,
                      cache_threshold=0, auto_reorder=True,
-                     telemetry="counters", backend="array"),
+                     telemetry="counters"),
     ])
     def test_to_cli_args_round_trips(self, cfg):
         args = self._parser().parse_args(cfg.to_cli_args())
@@ -131,10 +134,6 @@ class TestPolicyCompilation:
     def test_telemetry_alone_compiles_to_none(self):
         # Telemetry is observational, not a resource knob.
         assert EngineConfig(telemetry="spans").policy() is None
-
-    def test_backend_alone_compiles_to_none(self):
-        # The backend is a storage choice, not a resource knob.
-        assert EngineConfig(backend="array").policy() is None
 
     def test_gc_threshold_sets_node_threshold(self):
         policy = EngineConfig(gc_threshold=42).policy()

@@ -1,15 +1,15 @@
 #!/usr/bin/env python3
 """Fail CI when the codebase breaks one of its structural invariants.
 
-Three guarantees earlier PRs established are enforceable by AST
+Two guarantees earlier PRs established are enforceable by AST
 inspection, so this tool enforces them:
 
 ``kernel-recursion``
     No function in ``src/repro/bdd/backends/`` calls itself (directly,
     or via ``self.``/``cls.``).  PR 3 rewrote every BDD traversal as
     explicit-stack iteration so depth is memory-bound, and PR 7 moved
-    those kernels behind the backend seam; a reintroduced recursive
-    kernel would silently restore the recursion-limit ceiling.
+    those kernels behind the ``BDDBackend`` interface; a reintroduced
+    recursive kernel would silently restore the recursion-limit ceiling.
 
 ``set-iteration``
     No ``for`` loop or comprehension in a report/serialization module
@@ -18,11 +18,6 @@ inspection, so this tool enforces them:
     set comprehension.  Set order is not deterministic across runs, and
     these modules feed byte-compared JSON reports (the PR 5 oracle
     contract) — wrap the set in ``sorted(...)`` instead.
-
-``deprecation-prefix``
-    Every literal ``DeprecationWarning`` message starts with
-    ``"repro: "``, so users filtering warnings can target the library
-    with one pattern.
 
 When scanning a directory each rule applies only to its scoped paths;
 explicitly-listed files get every rule (which is how the deliberately
@@ -150,60 +145,6 @@ def check_set_iteration(tree: ast.AST, path: Path) -> List[Violation]:
 
 
 # ----------------------------------------------------------------------
-# Rule: deprecation-prefix
-# ----------------------------------------------------------------------
-
-
-def _mentions_deprecation(node: ast.Call) -> bool:
-    def is_dw(expr: ast.AST) -> bool:
-        return (
-            isinstance(expr, ast.Name) and expr.id == "DeprecationWarning"
-        ) or (
-            isinstance(expr, ast.Attribute)
-            and expr.attr == "DeprecationWarning"
-        )
-
-    return any(is_dw(arg) for arg in node.args) or any(
-        is_dw(kw.value) for kw in node.keywords
-    )
-
-
-def _literal_prefix(node: ast.AST) -> "str | None":
-    """The compile-time prefix of a string expression, if there is one."""
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        return node.value
-    if isinstance(node, ast.JoinedStr) and node.values:
-        head = node.values[0]
-        if isinstance(head, ast.Constant) and isinstance(head.value, str):
-            return head.value
-        return ""  # f-string starting with an interpolation
-    return None
-
-
-def check_deprecation_prefix(tree: ast.AST, path: Path) -> List[Violation]:
-    """Flag DeprecationWarning messages missing the ``"repro: "`` tag."""
-    out: List[Violation] = []
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        if not _mentions_deprecation(node) or not node.args:
-            continue
-        prefix = _literal_prefix(node.args[0])
-        if prefix is None:
-            continue  # non-literal message: nothing to check statically
-        if not prefix.startswith("repro: "):
-            out.append(
-                Violation(
-                    path, node.lineno, "deprecation-prefix",
-                    "DeprecationWarning message must start with "
-                    "'repro: ' so users can filter the library's "
-                    "warnings with one pattern",
-                )
-            )
-    return out
-
-
-# ----------------------------------------------------------------------
 # Driver
 # ----------------------------------------------------------------------
 
@@ -217,11 +158,6 @@ RULES: Tuple[Tuple[str, Callable, Callable], ...] = (
         "set-iteration",
         check_set_iteration,
         lambda rel: any(rel.startswith(m) for m in ORDERED_OUTPUT_MODULES),
-    ),
-    (
-        "deprecation-prefix",
-        check_deprecation_prefix,
-        lambda rel: rel.startswith("src/"),
     ),
 )
 

@@ -6,8 +6,6 @@ assert that every rule fires.  Nothing imports this module — it only
 needs to be syntactically valid.
 """
 
-import warnings
-
 
 class BadKernel:
     def apply(self, a, b):
@@ -28,8 +26,3 @@ def bad_report(names):
         print(name)
     # set-iteration: a comprehension drawing from a set literal.
     return [item for item in {"b", "a"}]
-
-
-def bad_warning():
-    # deprecation-prefix: message lacks the "repro: " tag.
-    warnings.warn("this API is deprecated", DeprecationWarning, stacklevel=2)
