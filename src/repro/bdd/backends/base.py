@@ -132,8 +132,9 @@ class BDDBackend(ABC):
         """Relational product ``exists levels . (f & g)`` in one pass."""
 
     @abstractmethod
-    def restrict_level(self, f: int, level: int, value: bool) -> int:
-        """Cofactor of ``f`` with the variable at ``level`` fixed."""
+    def restrict_levels(self, f: int, assignment: Dict[int, bool]) -> int:
+        """Cofactor of ``f`` with every level in ``assignment`` fixed to its
+        value, in one pass over ``f``."""
 
     @abstractmethod
     def compose_levels(self, f: int, by_level: Dict[int, int]) -> int:

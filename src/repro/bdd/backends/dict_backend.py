@@ -515,10 +515,17 @@ class DictBackend(BDDBackend):
     # Cofactor / composition / renaming
     # ------------------------------------------------------------------
 
-    def restrict_level(self, f: int, level: int, value: bool) -> int:
+    def restrict_levels(self, f: int, assignment: Dict[int, bool]) -> int:
+        if not assignment:
+            return f
         level_arr = self._level
-        cache = self._quant_cache
-        tag = 2 if value else 3
+        low_arr = self._low
+        high_arr = self._high
+        bottom = max(assignment)
+        # The assignment is fixed for the whole call, so a node's result
+        # depends on the node alone: a per-call memo is exact, and no
+        # entry of it could be hit by a later call with another cube.
+        memo: Dict[int, int] = {}
         hits = misses = 0
         tasks: List[Tuple[int, bool]] = [(f, False)]
         results: List[int] = []
@@ -528,28 +535,27 @@ class DictBackend(BDDBackend):
                 high = results.pop()
                 low = results.pop()
                 result = self.mk(level_arr[f], low, high)
-                cache[(tag, f, level)] = result
+                memo[f] = result
                 results.append(result)
                 continue
-            if f <= TRUE or level_arr[f] > level:
+            # A fixed variable is replaced by its chosen child, which
+            # needs no frame of its own.
+            value = assignment.get(level_arr[f])
+            while value is not None:
+                f = high_arr[f] if value else low_arr[f]
+                value = assignment.get(level_arr[f])
+            if f <= TRUE or level_arr[f] > bottom:
                 results.append(f)
                 continue
-            cached = cache.get((tag, f, level))
+            cached = memo.get(f)
             if cached is not None:
                 hits += 1
                 results.append(cached)
                 continue
             misses += 1
-            if level_arr[f] == level:
-                # The restricted variable cannot reappear below its level,
-                # so the chosen child is already fully restricted.
-                result = self._high[f] if value else self._low[f]
-                cache[(tag, f, level)] = result
-                results.append(result)
-                continue
             tasks.append((f, True))
-            tasks.append((self._high[f], False))
-            tasks.append((self._low[f], False))
+            tasks.append((high_arr[f], False))
+            tasks.append((low_arr[f], False))
         self._restrict_hits += hits
         self._restrict_misses += misses
         return results[0]

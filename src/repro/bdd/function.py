@@ -159,6 +159,10 @@ class Function:
         """Cofactor with variable id ``var`` fixed to ``value``."""
         return Function(self.manager, self.manager.restrict(self.node, var, value))
 
+    def cofactor(self, assignment: Dict[int, bool]) -> "Function":
+        """Cofactor with every variable id in ``assignment`` fixed to its value."""
+        return Function(self.manager, self.manager.cofactor(self.node, assignment))
+
     def compose(self, substitution: Dict[int, "Function"]) -> "Function":
         """Simultaneously substitute functions for variable ids."""
         raw = {var: self._coerce(g) for var, g in substitution.items()}

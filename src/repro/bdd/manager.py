@@ -312,7 +312,14 @@ class BDDManager:
 
     def restrict(self, f: int, var: int, value: bool) -> int:
         """Cofactor of ``f`` with variable id ``var`` fixed to ``value``."""
-        return self.backend.restrict_level(f, self._var2level[var], value)
+        return self.cofactor(f, {var: value})
+
+    def cofactor(self, f: int, assignment: Dict[int, bool]) -> int:
+        """Cofactor of ``f`` with each variable id in ``assignment`` fixed to
+        its value — one pass over ``f``, however many variables are fixed."""
+        return self.backend.restrict_levels(
+            f, {self._var2level[var]: value for var, value in assignment.items()}
+        )
 
     def compose(self, f: int, var: int, g: int) -> int:
         """Substitute function ``g`` for variable id ``var`` inside ``f``."""

@@ -96,12 +96,16 @@ class CoverageEstimator:
             return None
         return self.checker.fair_states()
 
+    def _fair_reachable(self) -> Function:
+        """Reachable states clipped to fair states (all reachable states
+        without fairness)."""
+        reach = self.fsm.reachable()
+        restrict = self._fair_restrict()
+        return reach if restrict is None else reach & restrict
+
     def coverage_space(self, dont_care: DontCareSpec = None) -> Function:
         """Reachable states, clipped to fair paths, minus don't-cares."""
-        space = self.fsm.reachable()
-        restrict = self._fair_restrict()
-        if restrict is not None:
-            space = space & restrict
+        space = self._fair_reachable()
         dc = self._dont_care_set(dont_care)
         if dc is not None:
             space = space.diff(dc)
@@ -240,14 +244,22 @@ class CoverageEstimator:
         )
 
     def _restricted_reachable_from(self, start: Function) -> Function:
+        """States reachable from ``start`` along fair states only: the
+        ``reachable(S0)`` of ``C(S0, AG f)`` under Section 4.3's semantics.
+
+        From the initial states this is the FSM's cached reachable set
+        clipped to the fair states — the paper's remark about sharing
+        fixpoints between verification and estimation, applied to the most
+        expensive one.  That is exact: a state on a path into a fair state
+        has a fair continuation, so it is itself fair.  Every path from an
+        initial state to a reachable fair state therefore stays inside the
+        fair states, and the clipped search below would visit exactly
+        ``reachable & fair``.
+        """
+        if start == self.fsm.init:
+            return self._fair_reachable()
         restrict = self._fair_restrict()
         if restrict is None:
-            if start == self.fsm.init:
-                # The common C(SI, AG f) shape: reuse the FSM's cached
-                # reachability instead of rerunning the BFS — the paper's
-                # remark about sharing results between verification and
-                # estimation, applied to the most expensive fixpoint.
-                return self.fsm.reachable()
             return self.fsm.reachable_from(start)
         reached = start & restrict
         frontier = reached

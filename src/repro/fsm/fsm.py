@@ -410,11 +410,13 @@ class FSM:
 
     def shortest_trace(self, target: Function) -> Optional[List[Dict[str, bool]]]:
         """Shortest path (as full state assignments) from an initial state to
-        ``target``, via breadth-first rings and backward images.
+        ``target``, via breadth-first rings walked backwards.
 
-        Returns ``None`` when the target is unreachable.  The input portion
-        of each state is the stimulus that drives the circuit along the
-        trace (the "input sequence" the paper prints for uncovered states).
+        Each backward step picks a predecessor of the current state in the
+        previous ring (:meth:`_predecessors`).  Returns ``None`` when the
+        target is unreachable.  The input portion of each state is the
+        stimulus that drives the circuit along the trace (the "input
+        sequence" the paper prints for uncovered states).
         """
         rings = self.rings()
         hit_index = None
@@ -428,11 +430,29 @@ class FSM:
         current = self._pick(rings[hit_index] & target)
         path = [current]
         for k in range(hit_index - 1, -1, -1):
-            pred = self.preimage(self.state_cube(current)) & rings[k]
-            current = self._pick(pred)
+            current = self._pick(self._predecessors(current, rings[k]))
             path.append(current)
         path.reverse()
         return path
+
+    def _predecessors(self, state: Dict[str, bool], within: Function) -> Function:
+        """The states of ``within`` with a transition into ``state``.
+
+        ``state`` fixes every next-state variable, so its preimage is the
+        relation's cofactor ``T[next := state]``: no relational product and
+        no rename.  Partitioned mode cofactors each conjunct at its own
+        next-state variables; mono mode cofactors the one relation in a
+        single pass (fixing one variable at a time rebuilds it once per
+        variable).  The result is the same BDD as
+        ``preimage(state_cube(state)) & within``, so traces pick the same
+        states.
+        """
+        at_next = {self.next_ids[v]: bool(state[v]) for v in self.state_vars}
+        if self.trans_mode == TRANS_PARTITIONED:
+            cofactors = self.partition.cofactors(at_next)
+        else:
+            cofactors = [self.transition.cofactor(at_next)]
+        return _conjoin_balanced([within] + cofactors)
 
     def _pick(self, states: Function) -> Dict[str, bool]:
         # pick_sat assigns exactly the requested variables, so the result
@@ -449,3 +469,20 @@ class FSM:
             f"inputs={len(self.inputs)} signals={len(self.signals)} "
             f"trans={self.trans_mode}>"
         )
+
+
+def _conjoin_balanced(parts: List[Function]) -> Function:
+    """Conjoin ``parts`` as a balanced pairwise tree, keeping their order.
+
+    Each conjunct of a pipeline mentions its own stage's variables and the
+    shared hold counter and stall input, which sit at the other end of the
+    variable order, so a left fold rebuilds the whole accumulator at every
+    conjunct; pairing keeps each product small until the last few levels
+    of the tree.
+    """
+    while len(parts) > 1:
+        paired = [a & b for a, b in zip(parts[0::2], parts[1::2])]
+        if len(parts) % 2:
+            paired.append(parts[-1])
+        parts = paired
+    return parts[0]

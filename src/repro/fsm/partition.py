@@ -258,6 +258,21 @@ class TransitionPartition:
         ]
         return states.and_exists_chain(steps)
 
+    def cofactors(self, assignment: Dict[int, bool]) -> List[Function]:
+        """Every conjunct cofactored at the variables of ``assignment`` it
+        mentions (read from the cached supports), in conjunct order.
+
+        Their conjunction is the whole relation's cofactor at
+        ``assignment``; a conjunct that mentions none of the variables is
+        returned unchanged.
+        """
+        return [
+            conjunct.cofactor(
+                {var: assignment[var] for var in support if var in assignment}
+            )
+            for conjunct, support in zip(self.conjuncts, self._supports)
+        ]
+
     def monolithic(self) -> Function:
         """The conjunction of all conjuncts (cached).
 

@@ -363,6 +363,12 @@ def _format_nodes(count: float) -> str:
     return str(count)
 
 
+def _format_ms(seconds: float) -> str:
+    """Phase times in milliseconds: a paper-model phase takes about a
+    millisecond, which a seconds column rounds to ``0.00s``."""
+    return f"{seconds * 1000:.1f}ms"
+
+
 def format_profile(telemetry: Telemetry) -> str:
     """Render the recorded spans as the paper's "nodes - time" table.
 
@@ -379,12 +385,13 @@ def format_profile(telemetry: Telemetry) -> str:
     for span in telemetry.spans:
         label = "  " * span.depth + span.label()
         nodes = span.counters.get("nodes_created", 0)
-        rows.append((label, f"{_format_nodes(nodes)} - {span.seconds:.2f}s"))
+        cost = f"{_format_nodes(nodes)} - {_format_ms(span.seconds)}"
+        rows.append((label, cost))
     totals = telemetry._snapshot() or {}
     total_nodes = totals.get("nodes_created", 0)
     total_seconds = sum(s.seconds for s in telemetry.spans if s.depth == 0)
     rows.append(
-        ("total", f"{_format_nodes(total_nodes)} - {total_seconds:.2f}s")
+        ("total", f"{_format_nodes(total_nodes)} - {_format_ms(total_seconds)}")
     )
     width = max(len(label) for label, _ in rows)
     width = max(width, len("phase"))

@@ -1,0 +1,60 @@
+"""A trace step's predecessor set equals the preimage it replaced.
+
+``FSM.shortest_trace`` walks the breadth-first rings backwards, taking the
+predecessors of one state from the relation cofactored at that state
+instead of a relational product.  The result must be the same BDD as
+``preimage(state_cube(s)) & ring`` — the reference kept here — or traces
+would pick different states.  Checked for up to four states of every ring
+of every shipped model (examples, corpus, builtins), in both transition
+modes.
+"""
+
+from itertools import islice
+from pathlib import Path
+
+import pytest
+
+from repro.engine import TRANS_MODES, EngineConfig
+from repro.lang import elaborate, load_module
+from repro.suite import BUILTIN_TARGETS, build_builtin
+
+ROOT = Path(__file__).resolve().parents[2]
+
+RML_MODELS = sorted(ROOT.glob("examples/*.rml")) + sorted(
+    ROOT.glob("tests/corpus/*.rml")
+)
+
+BUILTIN_CASES = [
+    (target.name, stage)
+    for target in BUILTIN_TARGETS.values()
+    for stage in target.stages or (None,)
+]
+
+
+def _assert_predecessors_match_preimage(fsm):
+    rings = fsm.rings()
+    for k in range(1, len(rings)):
+        for state in islice(fsm.iter_states(rings[k]), 4):
+            reference = fsm.preimage(fsm.state_cube(state)) & rings[k - 1]
+            assert fsm._predecessors(state, rings[k - 1]) == reference
+            assert not reference.is_false()
+
+
+@pytest.mark.parametrize("trans", TRANS_MODES)
+@pytest.mark.parametrize(
+    "path", RML_MODELS, ids=lambda p: f"{p.parent.name}/{p.stem}"
+)
+def test_rml_predecessors_match_preimage(path, trans):
+    fsm = elaborate(load_module(path), config=EngineConfig(trans=trans)).fsm
+    assert fsm.trans_mode == trans
+    _assert_predecessors_match_preimage(fsm)
+
+
+@pytest.mark.parametrize("trans", TRANS_MODES)
+@pytest.mark.parametrize(
+    "name,stage", BUILTIN_CASES, ids=[f"{n}@{s}" for n, s in BUILTIN_CASES]
+)
+def test_builtin_predecessors_match_preimage(name, stage, trans):
+    fsm = build_builtin(name, stage=stage, config=EngineConfig(trans=trans))[0]
+    assert fsm.trans_mode == trans
+    _assert_predecessors_match_preimage(fsm)

@@ -1,5 +1,7 @@
 """`repro.obs.telemetry`: span nesting, counter deltas, levels, inertness."""
 
+import re
+
 import pytest
 
 from repro.bdd import BDDManager, Function, ResourcePolicy
@@ -222,6 +224,8 @@ class TestFormatProfile:
         assert any(line.startswith("outer") for line in lines)
         assert any("  inner [AG p]" in line for line in lines)
         assert lines[-1].startswith("total")
+        # Times are in ms: a paper-model phase would read 0.00s in seconds.
+        assert all(re.search(r" - \d+\.\dms$", line) for line in lines[1:])
 
     def test_empty_recording_explains_itself(self):
         assert "no phase spans" in format_profile(Telemetry("counters"))

@@ -40,9 +40,10 @@ TIMING_KEYS = ("seconds", "gc_seconds", "t", "ts", "dur", "wall_seconds")
 
 
 def _normalise_stdout(text):
-    """Blank the wall-clock digits in cost lines ("25 - 0.00s") — they
-    are load noise, not hash-order signal."""
-    return re.sub(r"(\d+k?) - \d+\.\d+s", r"\1 - Xs", text)
+    """Blank the wall-clock digits in cost lines (the report's
+    "25 - 0.00s", ``--profile``'s "25 - 1.3ms") — they are load noise, not
+    hash-order signal."""
+    return re.sub(r"(\d+k?) - \d+\.\d+m?s", r"\1 - Xs", text)
 
 
 def _strip_timings(data):
@@ -78,12 +79,15 @@ class TestHashSeedInvariance:
         for hs in HASH_SEEDS:
             proc = _run(
                 ["run", "examples/arbiter.rml", "--traces", "2",
-                 "--trans", trans],
+                 "--trans", trans, "--profile"],
                 hs,
             )
             assert proc.returncode == 0, proc.stderr
             outs.append(_normalise_stdout(proc.stdout))
         assert outs[0] == outs[1]
+        # The --profile table is there, with its ms digits blanked.
+        assert "cost (nodes - time)" in outs[0]
+        assert not re.search(r"\d\.\d+m?s", outs[0])
 
     def test_suite_json_is_stable(self, tmp_path):
         reports = []
@@ -142,17 +146,12 @@ class TestHashSeedInvariance:
         on or off (spans only read engine state).  Only wall-clock digits
         are normalised — the node counts in the cost line must match too,
         proving the recording created no BDD nodes."""
-        import re
-
-        def normalise(text):
-            return re.sub(r"(\d+k?) - \d+\.\d+s", r"\1 - Xs", text)
-
         base = _run(["counter", "--traces", "2"], "0")
         spans = _run(
             ["counter", "--traces", "2", "--telemetry", "spans"], "0"
         )
         assert base.returncode == spans.returncode == 0
-        assert normalise(base.stdout) == normalise(spans.stdout)
+        assert _normalise_stdout(base.stdout) == _normalise_stdout(spans.stdout)
 
     def test_fuzz_report_is_stable(self, tmp_path):
         reports = []
