@@ -9,11 +9,8 @@ Public surface:
 * :func:`to_dot` — Graphviz export.
 * :func:`sift`, :func:`set_order`, :func:`swap_adjacent` — dynamic variable
   reordering.
-* :class:`BDDBackend` — the node-store/kernel interface the manager
-  delegates to; see :mod:`repro.bdd.backends`.
 """
 
-from .backends import BDDBackend
 from .dot import to_dot
 from .function import Function
 from .manager import FALSE, TRUE, BDDManager
@@ -31,5 +28,4 @@ __all__ = [
     "sift",
     "set_order",
     "swap_adjacent",
-    "BDDBackend",
 ]

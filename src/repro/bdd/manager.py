@@ -6,23 +6,32 @@ memoisation, specialised binary operators, existential/universal
 quantification, relational products (``and_exists``), functional composition,
 variable renaming, satisfying-assignment counting and enumeration.
 
-The manager is a *facade*: node storage, the unique table, the operation
-caches, and every kernel algorithm live behind the
-:class:`~repro.bdd.backends.base.BDDBackend` interface (implemented by
-:class:`~repro.bdd.backends.dict_backend.DictBackend`).  What remains
-here is the engine-facing policy layer — variable naming and the
-variable<->level maps, external root tracking for the
-:class:`~repro.bdd.function.Function` wrappers, pinning for in-flight
-enumerations, the :class:`~repro.bdd.policy.ResourcePolicy` safe points
-(:meth:`BDDManager.checkpoint`), and the :meth:`BDDManager.resource_stats`
-schema — plus the var-id to level translation in front of every kernel.
+:class:`BDDManager` is the node store: parallel Python lists for the node
+fields, a ``(level, low, high) -> node`` dict as the unique table, one dict
+per operation cache, and the kernels that work on them.  Around the store
+it keeps variable naming and the variable<->level maps, external root
+tracking for the :class:`~repro.bdd.function.Function` wrappers, pinning
+for in-flight enumerations, the :class:`~repro.bdd.policy.ResourcePolicy`
+safe points (:meth:`BDDManager.checkpoint`), and the
+:meth:`BDDManager.resource_stats` schema.
 
 Nodes are integers; the two terminals are the reserved node ids ``0``
 (FALSE) and ``1`` (TRUE).  Nodes store *levels* rather than variable ids so
 that variable reordering can swap adjacent levels in place without
-invalidating outstanding node references (see :mod:`repro.bdd.reorder`).
-Every kernel is **iterative** (explicit work stacks), so the engine's depth
-limit is available memory, not Python's recursion limit.
+invalidating outstanding node references (see :mod:`repro.bdd.reorder`);
+the public API takes variable ids and translates them on entry.  Every
+kernel is **iterative** (explicit work stacks), so the engine's depth limit
+is available memory, not Python's recursion limit: a 1400-level BDD chain
+is as routine as a 14-level one.
+
+The kernels produce canonical ROBDDs, exact satcounts, and cube enumeration
+in the canonical low-first order — coverage verdicts, percentages, and
+trace renderings depend on all three (checked against brute-force truth
+tables by ``tests/bdd/test_backend_conformance.py``).  Memoisation is
+exact: every computed sub-result is cached until an explicit cache clear,
+which is what makes the work counters — nodes created, unique probes,
+op-cache hits/misses — deterministic enough to gate in the committed bench
+baselines.
 
 The user-facing wrapper with operator overloading lives in
 :mod:`repro.bdd.function`; this module works on raw node ids and is the
@@ -36,11 +45,41 @@ import weakref
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import BDDError
-from .backends import BDDBackend, DictBackend
-from .backends.base import FALSE, TERMINAL_LEVEL, TRUE
 from .policy import DEFAULT_POLICY, ResourcePolicy
 
 __all__ = ["BDDManager", "FALSE", "TRUE", "TERMINAL_LEVEL"]
+
+#: Pseudo-level assigned to the two terminal nodes; orders after any variable.
+TERMINAL_LEVEL = 1 << 30
+
+#: Reserved node ids for the constant functions.
+FALSE = 0
+TRUE = 1
+
+#: The compose cache is keyed by a per-substitution token, so entries from
+#: finished ``compose_many`` calls can never be hit again; it is purged
+#: after this many substitution generations.
+COMPOSE_GENERATIONS = 8
+#: Live-node trigger of the opt-in auto-sift hook (``policy.auto_reorder``).
+REORDER_NODE_THRESHOLD = 100_000
+#: Multiplier applied to the auto-sift trigger after each automatic sift
+#: (sifting is far too expensive to run at a fixed threshold).
+REORDER_GROWTH = 2.0
+#: Automatic sifts move only this many variables (the most populated ones):
+#: a full Rudell pass is O(vars² · live) and would stall wide managers for
+#: minutes; the heaviest few variables capture most of the reduction.
+REORDER_MAX_VARS = 12
+
+# Tags used to keep the shared binary-op cache collision free.
+_OP_AND = 0
+_OP_OR = 1
+_OP_XOR = 2
+
+# Frame phases of the iterative relational product.
+_AE_EXPAND = 0
+_AE_AFTER_LOW = 1
+_AE_AFTER_HIGH = 2
+_AE_AFTER_BOTH = 3
 
 
 class BDDManager:
@@ -66,7 +105,54 @@ class BDDManager:
         var_names: Optional[Iterable[str]] = None,
         policy: Optional[ResourcePolicy] = None,
     ):
-        self.backend: BDDBackend = DictBackend()
+        # Parallel node arrays; slots 0/1 are the terminals.  The terminal
+        # low/high fields are never read but keep the arrays aligned.
+        self._level: List[int] = [TERMINAL_LEVEL, TERMINAL_LEVEL]
+        self._low: List[int] = [FALSE, TRUE]
+        self._high: List[int] = [FALSE, TRUE]
+        # Hash-consing table: (level, low, high) -> node id.
+        self._unique: Dict[Tuple[int, int, int], int] = {}
+        # Recycled node slots (filled by garbage collection).
+        self._free: List[int] = []
+
+        # Operation caches.
+        self._ite_cache: Dict[Tuple[int, int, int], int] = {}
+        self._bin_cache: Dict[Tuple[int, int, int], int] = {}
+        self._not_cache: Dict[int, int] = {}
+        self._quant_cache: Dict[Tuple[int, int, int], int] = {}
+        self._relprod_cache: Dict[Tuple[int, int, int], int] = {}
+        self._compose_cache: Dict[Tuple[int, int], int] = {}
+        self._compose_token = 0
+        self._compose_purged_token = 0
+        # Registered quantification profiles: canonical tuple of levels -> id.
+        self._quant_profiles: Dict[Tuple[int, ...], int] = {}
+        self._quant_profile_sets: List[frozenset] = []
+        self._quant_profile_max: List[int] = []
+
+        # Kernel counters (see :meth:`resource_stats`).  All of them measure
+        # *work*, never results: deterministic for a given operation
+        # sequence, monotone, and cheap.
+        self._created_nodes = 2
+        self._ite_hits = 0
+        self._ite_misses = 0
+        self._bin_hits = [0, 0, 0]  # indexed by _OP_AND/_OP_OR/_OP_XOR
+        self._bin_misses = [0, 0, 0]
+        self._not_hits = 0
+        self._not_misses = 0
+        self._quant_hits = 0
+        self._quant_misses = 0
+        self._restrict_hits = 0
+        self._restrict_misses = 0
+        self._relprod_hits = 0
+        self._relprod_misses = 0
+        self._compose_hits = 0
+        self._compose_misses = 0
+        # Unique-table (hash-consing) pressure: probes are mk lookups that
+        # reached the table (the reduce rule short-circuits before
+        # probing); hits found an existing node, so probes - hits equals
+        # nodes created.
+        self._unique_probes = 0
+        self._unique_hits = 0
 
         # Variable bookkeeping.  A "variable" is a stable integer id; its
         # position in the order is a "level".  Initially id == level.
@@ -88,12 +174,11 @@ class BDDManager:
 
         # Resource management.
         self.policy: ResourcePolicy = policy if policy is not None else DEFAULT_POLICY
-        self.backend.compose_generations = self.policy.compose_generations
         self._gc_trigger = self.policy.gc_node_threshold
-        self._reorder_trigger = self.policy.reorder_node_threshold
+        self._reorder_trigger = REORDER_NODE_THRESHOLD
         self._in_checkpoint = False
 
-        # Manager-side statistics (kernel counters live in the backend).
+        # Resource-manager statistics.
         self._gc_runs = 0
         self._gc_seconds = 0.0
         self._gc_freed_total = 0
@@ -161,48 +246,78 @@ class BDDManager:
         var = self._name_to_var.get(name)
         if var is None:
             var = self.add_var(name)
-        return self.backend.mk(self._var2level[var], FALSE, TRUE)
+        return self._mk(self._var2level[var], FALSE, TRUE)
 
     def nvar(self, name: str) -> int:
         """Return the node for the negative literal of variable ``name``."""
         var = self._name_to_var.get(name)
         if var is None:
             var = self.add_var(name)
-        return self.backend.mk(self._var2level[var], TRUE, FALSE)
+        return self._mk(self._var2level[var], TRUE, FALSE)
 
     # ------------------------------------------------------------------
-    # Node primitives (delegated to the backend)
+    # Node store
     # ------------------------------------------------------------------
 
     def _mk(self, level: int, low: int, high: int) -> int:
         """Find-or-create the node ``(level, low, high)`` (the reduce rule)."""
-        return self.backend.mk(level, low, high)
+        if low == high:
+            return low
+        key = (level, low, high)
+        self._unique_probes += 1
+        node = self._unique.get(key)
+        if node is not None:
+            self._unique_hits += 1
+            return node
+        if self._free:
+            node = self._free.pop()
+            self._level[node] = level
+            self._low[node] = low
+            self._high[node] = high
+        else:
+            node = len(self._level)
+            self._level.append(level)
+            self._low.append(low)
+            self._high.append(high)
+        self._unique[key] = node
+        self._created_nodes += 1
+        return node
 
     def level_of(self, node: int) -> int:
         """Level of ``node`` (``TERMINAL_LEVEL`` for constants)."""
-        return self.backend.level_of(node)
+        return self._level[node]
 
     def low_of(self, node: int) -> int:
         """Low (else) child of ``node``."""
-        return self.backend.low_of(node)
+        return self._low[node]
 
     def high_of(self, node: int) -> int:
         """High (then) child of ``node``."""
-        return self.backend.high_of(node)
+        return self._high[node]
 
     def node_count(self) -> int:
         """Number of live (non-recycled) nodes including terminals."""
-        return self.backend.node_count()
+        return len(self._level) - len(self._free)
 
     @property
     def created_nodes(self) -> int:
         """Total number of nodes ever created (a work measure, akin to the
         paper's "BDD nodes" column in Table 2)."""
-        return self.backend.created_nodes
+        return self._created_nodes
 
     def size(self, node: int) -> int:
         """Number of DAG nodes reachable from ``node`` (including terminals)."""
-        return self.backend.size(node)
+        seen = set()
+        stack = [node]
+        while stack:
+            n = stack.pop()
+            if n in seen:
+                continue
+            seen.add(n)
+            if n > TRUE:
+                stack.append(self._low[n])
+                stack.append(self._high[n])
+        return len(seen)
 
     # ------------------------------------------------------------------
     # Core operators
@@ -210,23 +325,199 @@ class BDDManager:
 
     def ite(self, f: int, g: int, h: int) -> int:
         """If-then-else: ``(f & g) | (~f & h)``, the universal connective."""
-        return self.backend.ite(f, g, h)
+        level_arr = self._level
+        low_arr = self._low
+        high_arr = self._high
+        cache = self._ite_cache
+        hits = misses = 0
+        tasks: List[Tuple[int, int, int, bool]] = [(f, g, h, False)]
+        results: List[int] = []
+        while tasks:
+            f, g, h, combine = tasks.pop()
+            if combine:
+                high = results.pop()
+                low = results.pop()
+                level = min(level_arr[f], level_arr[g], level_arr[h])
+                result = self._mk(level, low, high)
+                cache[(f, g, h)] = result
+                results.append(result)
+                continue
+            if f == TRUE:
+                results.append(g)
+                continue
+            if f == FALSE:
+                results.append(h)
+                continue
+            if g == h:
+                results.append(g)
+                continue
+            if g == TRUE and h == FALSE:
+                results.append(f)
+                continue
+            cached = cache.get((f, g, h))
+            if cached is not None:
+                hits += 1
+                results.append(cached)
+                continue
+            misses += 1
+            level = min(level_arr[f], level_arr[g], level_arr[h])
+            if level_arr[f] == level:
+                f0, f1 = low_arr[f], high_arr[f]
+            else:
+                f0 = f1 = f
+            if level_arr[g] == level:
+                g0, g1 = low_arr[g], high_arr[g]
+            else:
+                g0 = g1 = g
+            if level_arr[h] == level:
+                h0, h1 = low_arr[h], high_arr[h]
+            else:
+                h0 = h1 = h
+            tasks.append((f, g, h, True))
+            tasks.append((f1, g1, h1, False))
+            tasks.append((f0, g0, h0, False))
+        self._ite_hits += hits
+        self._ite_misses += misses
+        return results[0]
 
     def apply_not(self, f: int) -> int:
         """Negation (O(size) without complement edges, memoised)."""
-        return self.backend.apply_not(f)
+        if f == FALSE:
+            return TRUE
+        if f == TRUE:
+            return FALSE
+        cache = self._not_cache
+        cached = cache.get(f)
+        if cached is not None:
+            self._not_hits += 1
+            return cached
+        level_arr = self._level
+        hits = misses = 0
+        tasks: List[Tuple[int, bool]] = [(f, False)]
+        results: List[int] = []
+        while tasks:
+            f, combine = tasks.pop()
+            if combine:
+                high = results.pop()
+                low = results.pop()
+                result = self._mk(level_arr[f], low, high)
+                cache[f] = result
+                # Negation is an involution: seed the reverse direction too.
+                cache[result] = f
+                results.append(result)
+                continue
+            if f == FALSE:
+                results.append(TRUE)
+                continue
+            if f == TRUE:
+                results.append(FALSE)
+                continue
+            cached = cache.get(f)
+            if cached is not None:
+                hits += 1
+                results.append(cached)
+                continue
+            misses += 1
+            tasks.append((f, True))
+            tasks.append((self._high[f], False))
+            tasks.append((self._low[f], False))
+        self._not_hits += hits
+        self._not_misses += misses
+        return results[0]
+
+    def _apply_bin(self, op: int, f: int, g: int) -> int:
+        """Iterative core shared by the three memoised binary operators."""
+        level_arr = self._level
+        low_arr = self._low
+        high_arr = self._high
+        cache = self._bin_cache
+        hits = misses = 0
+        tasks: List[Tuple[int, int, bool]] = [(f, g, False)]
+        results: List[int] = []
+        while tasks:
+            f, g, combine = tasks.pop()
+            if combine:
+                high = results.pop()
+                low = results.pop()
+                lf, lg = level_arr[f], level_arr[g]
+                result = self._mk(lf if lf < lg else lg, low, high)
+                cache[(op, f, g)] = result
+                results.append(result)
+                continue
+            # Operator-specific terminal cases (same rules as the classic
+            # recursive formulation).
+            if op == _OP_AND:
+                if f == FALSE or g == FALSE:
+                    results.append(FALSE)
+                    continue
+                if f == TRUE:
+                    results.append(g)
+                    continue
+                if g == TRUE or f == g:
+                    results.append(f)
+                    continue
+            elif op == _OP_OR:
+                if f == TRUE or g == TRUE:
+                    results.append(TRUE)
+                    continue
+                if f == FALSE:
+                    results.append(g)
+                    continue
+                if g == FALSE or f == g:
+                    results.append(f)
+                    continue
+            else:  # _OP_XOR
+                if f == g:
+                    results.append(FALSE)
+                    continue
+                if f == FALSE:
+                    results.append(g)
+                    continue
+                if g == FALSE:
+                    results.append(f)
+                    continue
+                if f == TRUE:
+                    results.append(self.apply_not(g))
+                    continue
+                if g == TRUE:
+                    results.append(self.apply_not(f))
+                    continue
+            if f > g:  # commutativity-normalised cache
+                f, g = g, f
+            cached = cache.get((op, f, g))
+            if cached is not None:
+                hits += 1
+                results.append(cached)
+                continue
+            misses += 1
+            lf, lg = level_arr[f], level_arr[g]
+            level = lf if lf < lg else lg
+            if lf == level:
+                f0, f1 = low_arr[f], high_arr[f]
+            else:
+                f0 = f1 = f
+            if lg == level:
+                g0, g1 = low_arr[g], high_arr[g]
+            else:
+                g0 = g1 = g
+            tasks.append((f, g, True))
+            tasks.append((f1, g1, False))
+            tasks.append((f0, g0, False))
+        self._bin_hits[op] += hits
+        self._bin_misses[op] += misses
+        return results[0]
 
     def apply_and(self, f: int, g: int) -> int:
         """Conjunction with a commutativity-normalised cache."""
-        return self.backend.apply_and(f, g)
+        return self._apply_bin(_OP_AND, f, g)
 
     def apply_or(self, f: int, g: int) -> int:
         """Disjunction with a commutativity-normalised cache."""
-        return self.backend.apply_or(f, g)
+        return self._apply_bin(_OP_OR, f, g)
 
     def apply_xor(self, f: int, g: int) -> int:
         """Exclusive or."""
-        return self.backend.apply_xor(f, g)
+        return self._apply_bin(_OP_XOR, f, g)
 
     def apply_iff(self, f: int, g: int) -> int:
         """Equivalence ``f <-> g``."""
@@ -244,21 +535,78 @@ class BDDManager:
     # Quantification
     # ------------------------------------------------------------------
 
-    def _levels_of(self, variables: Iterable[int]) -> List[int]:
-        """Sorted levels of the given variable ids (the backend currency)."""
-        return sorted(self._var2level[v] for v in variables)
+    def _quant_profile(self, variables: Iterable[int]) -> int:
+        """Intern the level set of ``variables`` (ids) as a small profile id.
+
+        Image computations quantify the same variable sets over and over;
+        interning keeps the quantification cache keys small and hashable.
+        Profiles are expressed in levels and therefore invalidated
+        (cleared) by reordering.
+        """
+        key = tuple(sorted(self._var2level[v] for v in variables))
+        profile = self._quant_profiles.get(key)
+        if profile is None:
+            profile = len(self._quant_profile_sets)
+            self._quant_profiles[key] = profile
+            self._quant_profile_sets.append(frozenset(key))
+            self._quant_profile_max.append(max(key) if key else -1)
+        return profile
+
+    def _quantify_profile(self, f: int, profile: int, disjunctive: bool) -> int:
+        """Iterative quantification core (``exists`` when ``disjunctive``)."""
+        level_arr = self._level
+        qset = self._quant_profile_sets[profile]
+        qmax = self._quant_profile_max[profile]
+        cache = self._quant_cache
+        tag = 0 if disjunctive else 1
+        hits = misses = 0
+        tasks: List[Tuple[int, bool]] = [(f, False)]
+        results: List[int] = []
+        while tasks:
+            f, combine = tasks.pop()
+            if combine:
+                high = results.pop()
+                low = results.pop()
+                level = level_arr[f]
+                if level in qset:
+                    if disjunctive:
+                        result = self.apply_or(low, high)
+                    else:
+                        result = self.apply_and(low, high)
+                else:
+                    result = self._mk(level, low, high)
+                cache[(tag, f, profile)] = result
+                results.append(result)
+                continue
+            if f <= TRUE or level_arr[f] > qmax:
+                results.append(f)
+                continue
+            cached = cache.get((tag, f, profile))
+            if cached is not None:
+                hits += 1
+                results.append(cached)
+                continue
+            misses += 1
+            tasks.append((f, True))
+            tasks.append((self._high[f], False))
+            tasks.append((self._low[f], False))
+        self._quant_hits += hits
+        self._quant_misses += misses
+        return results[0]
 
     def exists(self, f: int, variables: Sequence[int]) -> int:
         """Existential quantification of ``variables`` (ids) out of ``f``."""
         if not variables:
             return f
-        return self.backend.exists_levels(f, self._levels_of(variables))
+        profile = self._quant_profile(variables)
+        return self._quantify_profile(f, profile, disjunctive=True)
 
     def forall(self, f: int, variables: Sequence[int]) -> int:
         """Universal quantification of ``variables`` (ids) out of ``f``."""
         if not variables:
             return f
-        return self.backend.forall_levels(f, self._levels_of(variables))
+        profile = self._quant_profile(variables)
+        return self._quantify_profile(f, profile, disjunctive=False)
 
     def and_exists(self, f: int, g: int, variables: Sequence[int]) -> int:
         """Relational product ``exists variables . (f & g)`` in one pass.
@@ -269,7 +617,94 @@ class BDDManager:
         """
         if not variables:
             return self.apply_and(f, g)
-        return self.backend.and_exists_levels(f, g, self._levels_of(variables))
+        profile = self._quant_profile(variables)
+        level_arr = self._level
+        low_arr = self._low
+        high_arr = self._high
+        qset = self._quant_profile_sets[profile]
+        qmax = self._quant_profile_max[profile]
+        cache = self._relprod_cache
+        # Frames: (phase, a, b, c, d).  EXPAND carries (f, g); AFTER_LOW
+        # carries (f, g, f1, g1) — the pending high cofactors, expanded only
+        # when the low branch did not already decide the disjunction;
+        # AFTER_HIGH carries (f, g, low); AFTER_BOTH carries (f, g).
+        hits = misses = 0
+        tasks: List[Tuple[int, int, int, int, int]] = [
+            (_AE_EXPAND, f, g, 0, 0)
+        ]
+        results: List[int] = []
+        while tasks:
+            phase, f, g, c, d = tasks.pop()
+            if phase == _AE_EXPAND:
+                if f == FALSE or g == FALSE:
+                    results.append(FALSE)
+                    continue
+                if f == TRUE and g == TRUE:
+                    results.append(TRUE)
+                    continue
+                if f == TRUE:
+                    results.append(
+                        self._quantify_profile(g, profile, disjunctive=True)
+                    )
+                    continue
+                if g == TRUE or f == g:
+                    results.append(
+                        self._quantify_profile(f, profile, disjunctive=True)
+                    )
+                    continue
+                if level_arr[f] > qmax and level_arr[g] > qmax:
+                    results.append(self.apply_and(f, g))
+                    continue
+                if f > g:
+                    f, g = g, f
+                cached = cache.get((f, g, profile))
+                if cached is not None:
+                    hits += 1
+                    results.append(cached)
+                    continue
+                misses += 1
+                lf, lg = level_arr[f], level_arr[g]
+                level = lf if lf < lg else lg
+                if lf == level:
+                    f0, f1 = low_arr[f], high_arr[f]
+                else:
+                    f0 = f1 = f
+                if lg == level:
+                    g0, g1 = low_arr[g], high_arr[g]
+                else:
+                    g0 = g1 = g
+                if level in qset:
+                    # Quantified level: compute the low branch first and
+                    # short-circuit the high branch when it is already TRUE.
+                    tasks.append((_AE_AFTER_LOW, f, g, f1, g1))
+                    tasks.append((_AE_EXPAND, f0, g0, 0, 0))
+                else:
+                    tasks.append((_AE_AFTER_BOTH, f, g, 0, 0))
+                    tasks.append((_AE_EXPAND, f1, g1, 0, 0))
+                    tasks.append((_AE_EXPAND, f0, g0, 0, 0))
+            elif phase == _AE_AFTER_LOW:
+                low = results.pop()
+                if low == TRUE:
+                    cache[(f, g, profile)] = TRUE
+                    results.append(TRUE)
+                    continue
+                tasks.append((_AE_AFTER_HIGH, f, g, low, 0))
+                tasks.append((_AE_EXPAND, c, d, 0, 0))
+            elif phase == _AE_AFTER_HIGH:
+                high = results.pop()
+                result = self.apply_or(c, high)
+                cache[(f, g, profile)] = result
+                results.append(result)
+            else:  # _AE_AFTER_BOTH
+                high = results.pop()
+                low = results.pop()
+                lf, lg = level_arr[f], level_arr[g]
+                result = self._mk(lf if lf < lg else lg, low, high)
+                cache[(f, g, profile)] = result
+                results.append(result)
+        self._relprod_hits += hits
+        self._relprod_misses += misses
+        return results[0]
 
     def and_exists_chain(
         self,
@@ -317,9 +752,50 @@ class BDDManager:
     def cofactor(self, f: int, assignment: Dict[int, bool]) -> int:
         """Cofactor of ``f`` with each variable id in ``assignment`` fixed to
         its value — one pass over ``f``, however many variables are fixed."""
-        return self.backend.restrict_levels(
-            f, {self._var2level[var]: value for var, value in assignment.items()}
-        )
+        if not assignment:
+            return f
+        by_level = {self._var2level[var]: value for var, value in assignment.items()}
+        level_arr = self._level
+        low_arr = self._low
+        high_arr = self._high
+        bottom = max(by_level)
+        # The assignment is fixed for the whole call, so a node's result
+        # depends on the node alone: a per-call memo is exact, and no
+        # entry of it could be hit by a later call with another cube.
+        memo: Dict[int, int] = {}
+        hits = misses = 0
+        tasks: List[Tuple[int, bool]] = [(f, False)]
+        results: List[int] = []
+        while tasks:
+            f, combine = tasks.pop()
+            if combine:
+                high = results.pop()
+                low = results.pop()
+                result = self._mk(level_arr[f], low, high)
+                memo[f] = result
+                results.append(result)
+                continue
+            # A fixed variable is replaced by its chosen child, which
+            # needs no frame of its own.
+            value = by_level.get(level_arr[f])
+            while value is not None:
+                f = high_arr[f] if value else low_arr[f]
+                value = by_level.get(level_arr[f])
+            if f <= TRUE or level_arr[f] > bottom:
+                results.append(f)
+                continue
+            cached = memo.get(f)
+            if cached is not None:
+                hits += 1
+                results.append(cached)
+                continue
+            misses += 1
+            tasks.append((f, True))
+            tasks.append((high_arr[f], False))
+            tasks.append((low_arr[f], False))
+        self._restrict_hits += hits
+        self._restrict_misses += misses
+        return results[0]
 
     def compose(self, f: int, var: int, g: int) -> int:
         """Substitute function ``g`` for variable id ``var`` inside ``f``."""
@@ -334,7 +810,48 @@ class BDDManager:
         if not substitution:
             return f
         by_level = {self._var2level[v]: g for v, g in substitution.items()}
-        return self.backend.compose_levels(f, by_level)
+        # A fresh token keys this substitution in the (shared) compose
+        # cache.  Entries of previous tokens can never be hit again; purge
+        # them once COMPOSE_GENERATIONS generations have accumulated.
+        self._compose_token += 1
+        if self._compose_token - self._compose_purged_token >= COMPOSE_GENERATIONS:
+            self._compose_cache.clear()
+            self._compose_purged_token = self._compose_token
+        level_arr = self._level
+        max_level = max(by_level)
+        token = self._compose_token
+        cache = self._compose_cache
+        hits = misses = 0
+        tasks: List[Tuple[int, bool]] = [(f, False)]
+        results: List[int] = []
+        while tasks:
+            f, combine = tasks.pop()
+            if combine:
+                high = results.pop()
+                low = results.pop()
+                level = level_arr[f]
+                replacement = by_level.get(level)
+                if replacement is None:
+                    replacement = self._mk(level, FALSE, TRUE)
+                result = self.ite(replacement, high, low)
+                cache[(token, f)] = result
+                results.append(result)
+                continue
+            if f <= TRUE or level_arr[f] > max_level:
+                results.append(f)
+                continue
+            cached = cache.get((token, f))
+            if cached is not None:
+                hits += 1
+                results.append(cached)
+                continue
+            misses += 1
+            tasks.append((f, True))
+            tasks.append((self._high[f], False))
+            tasks.append((self._low[f], False))
+        self._compose_hits += hits
+        self._compose_misses += misses
+        return results[0]
 
     def rename(self, f: int, mapping: Dict[int, int]) -> int:
         """Rename variables of ``f`` according to ``{old var id -> new var id}``.
@@ -351,16 +868,38 @@ class BDDManager:
             self._var2level[old]: self._var2level[new]
             for old, new in mapping.items()
         }
-        support_levels = sorted(self._var2level[v] for v in self.support(f))
-        mapped = [level_map.get(level, level) for level in support_levels]
-        monotone = all(mapped[i] < mapped[i + 1] for i in range(len(mapped) - 1))
-        if monotone:
-            return self.backend.rename_monotone(f, level_map)
-        substitution = {
-            old: self.backend.mk(self._var2level[new], FALSE, TRUE)
-            for old, new in mapping.items()
-        }
-        return self.compose_many(f, substitution)
+        mapped = [level_map.get(level, level) for level in self._support_levels(f)]
+        if not all(mapped[i] < mapped[i + 1] for i in range(len(mapped) - 1)):
+            substitution = {
+                old: self._mk(self._var2level[new], FALSE, TRUE)
+                for old, new in mapping.items()
+            }
+            return self.compose_many(f, substitution)
+        level_arr = self._level
+        cache: Dict[int, int] = {}
+        tasks: List[Tuple[int, bool]] = [(f, False)]
+        results: List[int] = []
+        while tasks:
+            f, combine = tasks.pop()
+            if combine:
+                high = results.pop()
+                low = results.pop()
+                level = level_arr[f]
+                result = self._mk(level_map.get(level, level), low, high)
+                cache[f] = result
+                results.append(result)
+                continue
+            if f <= TRUE:
+                results.append(f)
+                continue
+            cached = cache.get(f)
+            if cached is not None:
+                results.append(cached)
+                continue
+            tasks.append((f, True))
+            tasks.append((self._high[f], False))
+            tasks.append((self._low[f], False))
+        return results[0]
 
     # ------------------------------------------------------------------
     # Satisfying assignments
@@ -377,42 +916,98 @@ class BDDManager:
         """
         if variables is None:
             variables = range(self.num_vars)
-        levels = self._levels_of(variables)
+        levels = sorted(self._var2level[v] for v in variables)
         if f == FALSE:
             return 0
         if f == TRUE:
             return 1 << len(levels)
-        level_set = set(levels)
-        for var in self.support(f):
-            if self._var2level[var] not in level_set:
+        rank = {lvl: i for i, lvl in enumerate(levels)}
+        for level in self._support_levels(f):
+            if level not in rank:
                 raise BDDError(
-                    f"satcount: function depends on {self._var_names[var]!r} "
+                    f"satcount: function depends on "
+                    f"{self._var_names[self._level2var[level]]!r} "
                     "which is outside the counting variables"
                 )
-        return self.backend.satcount_levels(f, levels)
+        n = len(rank)
+        level_arr = self._level
+        low_arr = self._low
+        high_arr = self._high
+        memo: Dict[int, int] = {FALSE: 0, TRUE: 1}
+        # Counts are over the counting-levels at ranks >= rank(level(node));
+        # a child skipping ranks contributes a factor of two per skipped rank.
+        tasks: List[Tuple[int, bool]] = [(f, False)]
+        while tasks:
+            node, combine = tasks.pop()
+            if combine:
+                r = rank[level_arr[node]]
+                low, high = low_arr[node], high_arr[node]
+                low_rank = rank[level_arr[low]] if low > TRUE else n
+                high_rank = rank[level_arr[high]] if high > TRUE else n
+                memo[node] = (memo[low] << (low_rank - r - 1)) + (
+                    memo[high] << (high_rank - r - 1)
+                )
+                continue
+            if node in memo:
+                continue
+            tasks.append((node, True))
+            tasks.append((high_arr[node], False))
+            tasks.append((low_arr[node], False))
+        return memo[f] << rank[level_arr[f]]
+
+    def _support_levels(self, f: int) -> List[int]:
+        """Sorted levels ``f`` structurally depends on."""
+        seen = set()
+        levels = set()
+        stack = [f]
+        while stack:
+            node = stack.pop()
+            if node <= TRUE or node in seen:
+                continue
+            seen.add(node)
+            levels.add(self._level[node])
+            stack.append(self._low[node])
+            stack.append(self._high[node])
+        return sorted(levels)
 
     def support(self, f: int) -> List[int]:
         """Variable ids (sorted by level) that ``f`` structurally depends on."""
-        return [
-            self._level2var[level] for level in self.backend.support_levels(f)
-        ]
+        return [self._level2var[level] for level in self._support_levels(f)]
 
     def iter_cubes(self, f: int) -> Iterator[Dict[int, bool]]:
         """Yield the cubes (partial assignments ``{var id: bool}``) of ``f``.
 
         Each cube corresponds to one path from the root to TRUE; variables
-        skipped on the path are omitted (don't-cares).  The root is pinned
-        against garbage collection for the iterator's lifetime, so consumers
-        may freely interleave other BDD work (which may hit GC safe points)
-        with the enumeration.
+        skipped on the path are omitted (don't-cares).  Cubes come in the
+        canonical low-first DFS order (trace rendering depends on it).  The
+        root is pinned against garbage collection for the iterator's
+        lifetime, so consumers may freely interleave other BDD work (which
+        may hit GC safe points) with the enumeration.
         """
         if f == FALSE:
             return
         self._pin(f)
         try:
             level2var = self._level2var
-            for path in self.backend.iter_cube_paths(f):
-                yield {level2var[level]: value for level, value in path}
+            path: List[Tuple[int, bool]] = []
+            # Each entry: (node, path length to truncate to, level of the
+            # literal to append first — or -1 for the root).  Low branches
+            # are pushed last so they are explored first.
+            stack: List[Tuple[int, int, int, bool]] = [(f, 0, -1, False)]
+            while stack:
+                node, plen, level, value = stack.pop()
+                del path[plen:]
+                if level >= 0:
+                    path.append((level, value))
+                if node == FALSE:
+                    continue
+                if node == TRUE:
+                    yield {level2var[lvl]: val for lvl, val in path}
+                    continue
+                lvl = self._level[node]
+                depth = len(path)
+                stack.append((self._high[node], depth, lvl, True))
+                stack.append((self._low[node], depth, lvl, False))
         finally:
             self._unpin(f)
 
@@ -452,24 +1047,28 @@ class BDDManager:
 
     def eval_node(self, f: int, assignment: Dict[int, bool]) -> bool:
         """Evaluate ``f`` under a complete assignment ``{var id: bool}``."""
-        backend = self.backend
         node = f
         while node > TRUE:
-            var = self._level2var[backend.level_of(node)]
+            var = self._level2var[self._level[node]]
             try:
                 value = assignment[var]
             except KeyError:
                 raise BDDError(
                     f"assignment missing variable {self._var_names[var]!r}"
                 ) from None
-            node = backend.high_of(node) if value else backend.low_of(node)
+            node = self._high[node] if value else self._low[node]
         return node == TRUE
 
     def cube(self, assignment: Dict[int, bool]) -> int:
         """Build the conjunction-of-literals node for ``{var id: bool}``."""
-        return self.backend.cube_levels(
-            {self._var2level[var]: value for var, value in assignment.items()}
-        )
+        by_level = {self._var2level[var]: value for var, value in assignment.items()}
+        result = TRUE
+        for level in sorted(by_level, reverse=True):
+            if by_level[level]:
+                result = self._mk(level, FALSE, result)
+            else:
+                result = self._mk(level, result, FALSE)
+        return result
 
     # ------------------------------------------------------------------
     # Cache & garbage management
@@ -499,13 +1098,19 @@ class BDDManager:
     def set_policy(self, policy: ResourcePolicy) -> None:
         """Install a new resource policy and re-arm its triggers."""
         self.policy = policy
-        self.backend.compose_generations = policy.compose_generations
         self._gc_trigger = policy.gc_node_threshold
-        self._reorder_trigger = policy.reorder_node_threshold
+        self._reorder_trigger = REORDER_NODE_THRESHOLD
 
     def cache_entry_count(self) -> int:
         """Combined entry count of all operation caches."""
-        return self.backend.cache_entry_count()
+        return (
+            len(self._ite_cache)
+            + len(self._bin_cache)
+            + len(self._not_cache)
+            + len(self._quant_cache)
+            + len(self._relprod_cache)
+            + len(self._compose_cache)
+        )
 
     def checkpoint(self) -> None:
         """Safe-point hook of the automatic resource manager.
@@ -533,12 +1138,11 @@ class BDDManager:
             ):
                 from .reorder import sift  # local import: reorder imports us
 
-                sift(self, max_vars=policy.reorder_max_vars or None)
+                sift(self, max_vars=REORDER_MAX_VARS)
                 self._reorder_runs += 1
                 live = self.node_count()
                 self._reorder_trigger = max(
-                    policy.reorder_node_threshold,
-                    int(live * policy.reorder_growth) + 1,
+                    REORDER_NODE_THRESHOLD, int(live * REORDER_GROWTH) + 1
                 )
                 count = live
             if policy.gc_enabled and count >= self._gc_trigger:
@@ -557,7 +1161,13 @@ class BDDManager:
 
     def clear_caches(self) -> None:
         """Drop all operation caches (automatically done by GC/reorder)."""
-        self.backend.clear_caches()
+        self._ite_cache.clear()
+        self._bin_cache.clear()
+        self._not_cache.clear()
+        self._quant_cache.clear()
+        self._relprod_cache.clear()
+        self._compose_cache.clear()
+        self._compose_purged_token = self._compose_token
 
     def _gc_roots(self, extra_roots: Iterable[int] = ()) -> set:
         """The root set: live wrappers, pins, literals, ``extra_roots``."""
@@ -567,12 +1177,24 @@ class BDDManager:
             if obj is not None:
                 roots.add(obj.node)
         roots.update(self._pinned)
-        backend = self.backend
-        for var in range(self.num_vars):
-            node = backend.find(self._var2level[var], FALSE, TRUE)
+        for level in self._var2level:
+            node = self._unique.get((level, FALSE, TRUE))
             if node is not None:
                 roots.add(node)
         return roots
+
+    def _mark(self, roots: Iterable[int]) -> set:
+        """Every node reachable from ``roots``, terminals included."""
+        marked = {FALSE, TRUE}
+        stack = [r for r in roots if r > TRUE]
+        while stack:
+            node = stack.pop()
+            if node in marked:
+                continue
+            marked.add(node)
+            stack.append(self._low[node])
+            stack.append(self._high[node])
+        return marked
 
     def collect_garbage(self, extra_roots: Iterable[int] = ()) -> int:
         """Mark-and-sweep: recycle nodes unreachable from live references.
@@ -585,7 +1207,21 @@ class BDDManager:
         """
         started = time.perf_counter()
         self._note_peak()
-        freed = self.backend.collect(self._gc_roots(extra_roots))
+        marked = self._mark(self._gc_roots(extra_roots))
+        dead_keys = [
+            key for key, node in self._unique.items() if node not in marked
+        ]
+        for key in dead_keys:
+            self._free.append(self._unique.pop(key))
+        freed = len(dead_keys)
+        if freed:
+            # Cache entries may reference recycled slots — drop them.  When
+            # the sweep freed nothing, every cached operand/result was just
+            # proven live, so the caches stay valid and are kept: this is
+            # what makes dense GC schedules (the stress suite collects at
+            # every safe point) affordable — repeated no-op collections do
+            # not forfeit memoisation.
+            self.clear_caches()
         self._gc_runs += 1
         self._gc_freed_total += freed
         self._gc_seconds += time.perf_counter() - started
@@ -599,7 +1235,98 @@ class BDDManager:
         unique-table size would count dead-but-uncollected nodes and skew
         placement decisions).
         """
-        return self.backend.live_count(self._gc_roots(extra_roots))
+        return len(self._mark(self._gc_roots(extra_roots)))
+
+    # ------------------------------------------------------------------
+    # Reordering support (driven by repro.bdd.reorder)
+    # ------------------------------------------------------------------
+
+    def _level_occupancy(self) -> Dict[int, int]:
+        """Live node count per level (reordering's placement signal)."""
+        occupancy: Dict[int, int] = {}
+        for (lvl, _low, _high) in self._unique:
+            occupancy[lvl] = occupancy.get(lvl, 0) + 1
+        return occupancy
+
+    def _swap_levels(self, upper: int) -> None:
+        """Swap levels ``upper`` and ``upper + 1`` in place.
+
+        The affected nodes are rewritten where they stand, so every node id
+        keeps denoting the same function; the variable<->level maps are
+        swapped to match, and every level-keyed structure (op caches,
+        interned quantification profiles) is dropped.
+        """
+        lower = upper + 1
+        level_arr = self._level
+        low_arr = self._low
+        high_arr = self._high
+        unique = self._unique
+
+        # Partition the two levels' nodes.  Everything is re-inserted below.
+        upper_nodes: List[int] = []
+        lower_nodes: List[int] = []
+        for (lvl, _low, _high), node in list(unique.items()):
+            if lvl == upper:
+                upper_nodes.append(node)
+                del unique[(lvl, _low, _high)]
+            elif lvl == lower:
+                lower_nodes.append(node)
+                del unique[(lvl, _low, _high)]
+
+        # Phase 1: old upper-level nodes that do NOT depend on the lower
+        # variable simply sink one level (same children, same function).
+        dependent: List[int] = []
+        for node in upper_nodes:
+            low, high = low_arr[node], high_arr[node]
+            if level_arr[low] == lower or level_arr[high] == lower:
+                dependent.append(node)
+            else:
+                level_arr[node] = lower
+                unique[(lower, low, high)] = node
+
+        # Phase 2: old lower-level nodes float up (their children are
+        # strictly below both levels, so they are well-formed at the upper
+        # level).
+        for node in lower_nodes:
+            level_arr[node] = upper
+            unique[(upper, low_arr[node], high_arr[node])] = node
+
+        # Phase 3: rewrite the dependent nodes.  With x the old upper
+        # variable and y the old lower one, f = x?(y?f11:f10):(y?f01:f00)
+        # becomes f = y?(x?f11:f01):(x?f10:f00) where x now lives at the
+        # lower level.  After phase 2, a child at level `upper` is
+        # necessarily an old lower-level node (original children of upper
+        # nodes were at levels >= lower, and only old lower nodes were
+        # floated up).
+        for node in dependent:
+            f0, f1 = low_arr[node], high_arr[node]
+            if level_arr[f0] == upper:
+                f00, f01 = low_arr[f0], high_arr[f0]
+            else:
+                f00 = f01 = f0
+            if level_arr[f1] == upper:
+                f10, f11 = low_arr[f1], high_arr[f1]
+            else:
+                f10 = f11 = f1
+            new_low = self._mk(lower, f00, f10)
+            new_high = self._mk(lower, f01, f11)
+            level_arr[node] = upper
+            low_arr[node] = new_low
+            high_arr[node] = new_high
+            unique[(upper, new_low, new_high)] = node
+
+        # Swap the variable <-> level bookkeeping.
+        var_upper = self._level2var[upper]
+        var_lower = self._level2var[lower]
+        self._level2var[upper], self._level2var[lower] = var_lower, var_upper
+        self._var2level[var_upper] = lower
+        self._var2level[var_lower] = upper
+
+        # Levels changed meaning: every cache and level-keyed profile is stale.
+        self.clear_caches()
+        self._quant_profiles.clear()
+        self._quant_profile_sets.clear()
+        self._quant_profile_max.clear()
 
     # ------------------------------------------------------------------
     # Resource statistics
@@ -621,7 +1348,7 @@ class BDDManager:
         Called at the manager's own observation points (safe points, GC
         entry).  Returns the current count so callers need not recompute it.
         """
-        count = self.backend.node_count()
+        count = self.node_count()
         if count > self._peak_nodes:
             self._peak_nodes = count
         return count
@@ -636,7 +1363,7 @@ class BDDManager:
         stored mark is advanced only at the manager's own observation
         points (:meth:`checkpoint`, :meth:`collect_garbage`).
         """
-        count = self.backend.node_count()
+        count = self.node_count()
         peak = self._peak_nodes
         return count if count > peak else peak
 
@@ -658,15 +1385,13 @@ class BDDManager:
         boundaries, and ``repro bench`` baselines persist it — the names
         below appear verbatim in suite JSON, trace exports, and
         ``BENCH_*.json`` files (see ``docs/observability.md``).  Reading it
-        never mutates manager state.  The kernel counters come from
-        :meth:`BDDBackend.counters`.
+        never mutates manager state.
         """
-        kernel = self.backend.counters()
         return {
             # Node-store gauges and totals.
             "nodes_live": self.node_count(),
             "peak_live_nodes": self.peak_nodes,
-            "nodes_created": kernel["nodes_created"],
+            "nodes_created": self._created_nodes,
             # Resource-manager activity.
             "gc_runs": self._gc_runs,
             "gc_freed": self._gc_freed_total,
@@ -674,27 +1399,27 @@ class BDDManager:
             "reorder_runs": self._reorder_runs,
             "cache_entries": self.cache_entry_count(),
             # Unique-table (hash-consing) pressure.
-            "unique_probes": kernel["unique_probes"],
-            "unique_hits": kernel["unique_hits"],
+            "unique_probes": self._unique_probes,
+            "unique_hits": self._unique_hits,
             # Op-cache hits/misses per operation kind.
-            "ite_hits": kernel["ite_hits"],
-            "ite_misses": kernel["ite_misses"],
-            "and_hits": kernel["and_hits"],
-            "and_misses": kernel["and_misses"],
-            "or_hits": kernel["or_hits"],
-            "or_misses": kernel["or_misses"],
-            "xor_hits": kernel["xor_hits"],
-            "xor_misses": kernel["xor_misses"],
-            "not_hits": kernel["not_hits"],
-            "not_misses": kernel["not_misses"],
-            "quant_hits": kernel["quant_hits"],
-            "quant_misses": kernel["quant_misses"],
-            "restrict_hits": kernel["restrict_hits"],
-            "restrict_misses": kernel["restrict_misses"],
-            "relprod_hits": kernel["relprod_hits"],
-            "relprod_misses": kernel["relprod_misses"],
-            "compose_hits": kernel["compose_hits"],
-            "compose_misses": kernel["compose_misses"],
+            "ite_hits": self._ite_hits,
+            "ite_misses": self._ite_misses,
+            "and_hits": self._bin_hits[_OP_AND],
+            "and_misses": self._bin_misses[_OP_AND],
+            "or_hits": self._bin_hits[_OP_OR],
+            "or_misses": self._bin_misses[_OP_OR],
+            "xor_hits": self._bin_hits[_OP_XOR],
+            "xor_misses": self._bin_misses[_OP_XOR],
+            "not_hits": self._not_hits,
+            "not_misses": self._not_misses,
+            "quant_hits": self._quant_hits,
+            "quant_misses": self._quant_misses,
+            "restrict_hits": self._restrict_hits,
+            "restrict_misses": self._restrict_misses,
+            "relprod_hits": self._relprod_hits,
+            "relprod_misses": self._relprod_misses,
+            "compose_hits": self._compose_hits,
+            "compose_misses": self._compose_misses,
             # Relational-product chain shape (and_exists_chain).
             "chain_runs": self._chain_runs,
             "chain_steps": self._chain_steps,
@@ -728,5 +1453,5 @@ class BDDManager:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"<BDDManager vars={self.num_vars} nodes={self.node_count()} "
-            f"backend={self.backend.name!r} created={self.created_nodes}>"
+            f"created={self.created_nodes}>"
         )

@@ -2,8 +2,9 @@
 
 A :class:`ResourcePolicy` bundles the knobs of the manager's automatic
 resource manager: when to garbage-collect, when to drop operation caches,
-how aggressively to evict the compose cache, and whether to trigger
-dynamic variable reordering.  The policy travels with the
+and whether to trigger dynamic variable reordering.  (The compose-cache
+purge period and the auto-sift trigger are constants of
+:mod:`repro.bdd.manager`.)  The policy travels with the
 :class:`~repro.bdd.manager.BDDManager` and is consulted only at *safe
 points* — moments when every live BDD is rooted in a
 :class:`~repro.bdd.function.Function` wrapper and no raw-node computation
@@ -44,36 +45,18 @@ class ResourcePolicy:
     cache_entry_threshold:
         Drop all operation caches (without a full GC) once their combined
         entry count reaches this value.  ``0`` disables the cache cap.
-    compose_generations:
-        The compose cache is keyed by a per-substitution token, so entries
-        from finished ``compose_many`` calls can never be hit again; the
-        cache is purged after this many substitution generations.  Must be
-        at least 1.
     auto_reorder:
         Opt-in hook: sift the variable order at a safe point once the live
-        node count reaches ``reorder_node_threshold``.  Off by default —
+        node count reaches
+        :data:`~repro.bdd.manager.REORDER_NODE_THRESHOLD`.  Off by default —
         reordering changes BDD shapes, hence cube enumeration order, and
         therefore the rendering of traces.
-    reorder_node_threshold:
-        Live-node trigger for the auto-sift hook.
-    reorder_growth:
-        Multiplier applied to the reorder trigger after each automatic
-        sift (sifting is far too expensive to run at a fixed threshold).
-    reorder_max_vars:
-        Automatic sifts move only this many variables (the most populated
-        ones) per invocation — a full Rudell pass is O(vars² · live) and
-        would stall wide managers for minutes; the heaviest few variables
-        capture most of the reduction.  ``0`` means sift every variable.
     """
 
     gc_node_threshold: int = 250_000
     gc_growth: float = 2.0
     cache_entry_threshold: int = 1_000_000
-    compose_generations: int = 8
     auto_reorder: bool = False
-    reorder_node_threshold: int = 100_000
-    reorder_growth: float = 2.0
-    reorder_max_vars: int = 12
 
     def __post_init__(self) -> None:
         if self.gc_node_threshold < 0:
@@ -82,14 +65,6 @@ class ResourcePolicy:
             raise ValueError("gc_growth must be >= 1.0")
         if self.cache_entry_threshold < 0:
             raise ValueError("cache_entry_threshold must be >= 0")
-        if self.compose_generations < 1:
-            raise ValueError("compose_generations must be >= 1")
-        if self.reorder_node_threshold < 1:
-            raise ValueError("reorder_node_threshold must be >= 1")
-        if self.reorder_growth < 1.0:
-            raise ValueError("reorder_growth must be >= 1.0")
-        if self.reorder_max_vars < 0:
-            raise ValueError("reorder_max_vars must be >= 0")
 
     @property
     def gc_enabled(self) -> bool:

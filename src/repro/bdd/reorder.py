@@ -21,29 +21,14 @@ from .manager import BDDManager
 def swap_adjacent(manager: BDDManager, level: int) -> None:
     """Swap the variables at ``level`` and ``level + 1`` in place.
 
-    All node ids keep denoting the same Boolean function.  The node-level
-    rewrite (the three-phase sink/float/rewrite sweep) is the backend's
-    :meth:`~repro.bdd.backends.base.BDDBackend.swap_adjacent_levels`; this
-    function owns the variable<->level bookkeeping and invalidates the
-    operation caches and quantification profiles afterwards.
+    All node ids keep denoting the same Boolean function.  The manager
+    rewrites the affected nodes (the three-phase sink/float/rewrite sweep),
+    swaps its variable<->level maps, and invalidates the operation caches
+    and quantification profiles.
     """
-    m = manager
-    upper = level
-    lower = level + 1
-    if lower >= len(m._level2var):
+    if level + 1 >= manager.num_vars:
         raise IndexError(f"cannot swap level {level}: no level below it")
-
-    m.backend.swap_adjacent_levels(upper)
-
-    # Swap the variable <-> level bookkeeping.
-    var_upper = m._level2var[upper]
-    var_lower = m._level2var[lower]
-    m._level2var[upper], m._level2var[lower] = var_lower, var_upper
-    m._var2level[var_upper] = lower
-    m._var2level[var_lower] = upper
-
-    # Levels changed meaning: every cache and level-keyed profile is stale.
-    m.backend.invalidate_level_structures()
+    manager._swap_levels(level)
 
 
 def move_var_to_level(manager: BDDManager, var: int, target_level: int) -> None:
@@ -96,9 +81,9 @@ def sift(
     # against) the real live structure, not historical leftovers.
     m.collect_garbage()
     start_size = m.live_node_count()
-    nlevels = len(m._level2var)
+    nlevels = m.num_vars
     # Order variables by how many nodes currently sit at their level.
-    occupancy = m.backend.level_occupancy()
+    occupancy = m._level_occupancy()
     todo = sorted(range(m.num_vars), key=lambda v: -occupancy.get(m.var_level(v), 0))
     if max_vars is not None:
         todo = todo[: max(0, max_vars)]
@@ -114,10 +99,11 @@ def sift(
         best_level = original_level
 
         def measure() -> int:
-            # Keep the table near the live size mid-sweep too — one long
+            # Keep the unique table (every allocated node but the two
+            # terminals) near the live size mid-sweep too — one long
             # sweep over a big level strands enough garbage to dominate
             # every later swap's table scan otherwise.
-            if m.backend.unique_size() > 2 * best_size + 256:
+            if m.node_count() - 2 > 2 * best_size + 256:
                 m.collect_garbage()
             return m.live_node_count()
 

@@ -23,10 +23,9 @@ methods below — no other layer changes.
 The config is deliberately higher-level than
 :class:`~repro.bdd.policy.ResourcePolicy`: it exposes the portable,
 result-preserving cost knobs a *user* sets, and compiles them to a policy
-via :meth:`EngineConfig.policy`.  Code that needs the policy's full knob
-set (growth factors per cache, compose-cache generations, ...) can still
-construct a ``ResourcePolicy`` directly and hand it to the low-level
-builders.
+via :meth:`EngineConfig.policy`.  Code that drives a
+:class:`~repro.bdd.manager.BDDManager` directly can still construct a
+``ResourcePolicy`` and pass it as ``policy=``.
 
     >>> cfg = EngineConfig(trans="mono", gc_threshold=50_000)
     >>> cfg.to_cli_args()

@@ -27,7 +27,7 @@ from ..errors import ModelError
 from ..expr.ast import Expr, Var
 from ..expr.bitvector import WordTable, int_to_bits, resolve_words
 from ..expr.parser import parse_expr
-from .fsm import FSM, NEXT_SUFFIX
+from .fsm import FSM, NEXT_SUFFIX, _symbolize
 from .partition import TRANS_MONO, TransitionPartition
 
 __all__ = ["CircuitBuilder"]
@@ -278,45 +278,3 @@ class CircuitBuilder:
             latch_next_exprs=dict(self._latch_next),
         )
 
-
-def _symbolize(manager: BDDManager, expr: Expr, signal_fn) -> Function:
-    """Translate a word-free expression using ``signal_fn`` for atoms."""
-    from ..expr.ast import (
-        And as EAnd,
-        Const,
-        Iff as EIff,
-        Implies as EImplies,
-        Not as ENot,
-        Or as EOr,
-        Xor as EXor,
-    )
-
-    if isinstance(expr, Const):
-        return Function.true(manager) if expr.value else Function.false(manager)
-    if isinstance(expr, Var):
-        return signal_fn(expr.name)
-    if isinstance(expr, ENot):
-        return ~_symbolize(manager, expr.operand, signal_fn)
-    if isinstance(expr, EAnd):
-        out = Function.true(manager)
-        for arg in expr.args:
-            out = out & _symbolize(manager, arg, signal_fn)
-        return out
-    if isinstance(expr, EOr):
-        out = Function.false(manager)
-        for arg in expr.args:
-            out = out | _symbolize(manager, arg, signal_fn)
-        return out
-    if isinstance(expr, EXor):
-        return _symbolize(manager, expr.lhs, signal_fn) ^ _symbolize(
-            manager, expr.rhs, signal_fn
-        )
-    if isinstance(expr, EIff):
-        return _symbolize(manager, expr.lhs, signal_fn).iff(
-            _symbolize(manager, expr.rhs, signal_fn)
-        )
-    if isinstance(expr, EImplies):
-        return _symbolize(manager, expr.lhs, signal_fn).implies(
-            _symbolize(manager, expr.rhs, signal_fn)
-        )
-    raise TypeError(f"unexpected expression node {type(expr).__name__}")

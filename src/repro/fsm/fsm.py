@@ -25,7 +25,7 @@ next-state logic.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
 from ..bdd import BDDManager, Function
 from ..errors import ModelError
@@ -38,7 +38,6 @@ from ..expr.ast import (
     Not as ENot,
     Or as EOr,
     Var,
-    WordCmp,
     Xor as EXor,
 )
 from ..expr.bitvector import WordTable, resolve_words
@@ -54,6 +53,42 @@ __all__ = ["FSM", "NEXT_SUFFIX"]
 
 #: Suffix appended to a state variable name to name its next-state copy.
 NEXT_SUFFIX = "#next"
+
+
+def _symbolize(
+    manager: BDDManager, expr: Expr, atom: Callable[[str], Function]
+) -> Function:
+    """Translate a word-free expression into a BDD, using ``atom`` for the
+    state set of each signal name."""
+    if isinstance(expr, Const):
+        return Function.true(manager) if expr.value else Function.false(manager)
+    if isinstance(expr, Var):
+        return atom(expr.name)
+    if isinstance(expr, ENot):
+        return ~_symbolize(manager, expr.operand, atom)
+    if isinstance(expr, EAnd):
+        out = Function.true(manager)
+        for arg in expr.args:
+            out = out & _symbolize(manager, arg, atom)
+        return out
+    if isinstance(expr, EOr):
+        out = Function.false(manager)
+        for arg in expr.args:
+            out = out | _symbolize(manager, arg, atom)
+        return out
+    if isinstance(expr, EXor):
+        return _symbolize(manager, expr.lhs, atom) ^ _symbolize(
+            manager, expr.rhs, atom
+        )
+    if isinstance(expr, EIff):
+        return _symbolize(manager, expr.lhs, atom).iff(
+            _symbolize(manager, expr.rhs, atom)
+        )
+    if isinstance(expr, EImplies):
+        return _symbolize(manager, expr.lhs, atom).implies(
+            _symbolize(manager, expr.rhs, atom)
+        )
+    raise TypeError(f"unknown expression node {type(expr).__name__}")
 
 
 class FSM:
@@ -234,41 +269,12 @@ class FSM:
         (Definition 2 changes exactly one labelling function).
         """
         lowered = resolve_words(expr, self.words, frozenset(self.signals))
-        return self._symbolize_rec(lowered, flip)
 
-    def _symbolize_rec(self, expr: Expr, flip: frozenset) -> Function:
-        if isinstance(expr, Const):
-            return Function.true(self.manager) if expr.value else Function.false(self.manager)
-        if isinstance(expr, Var):
-            base = self.signal(expr.name)
-            return ~base if expr.name in flip else base
-        if isinstance(expr, ENot):
-            return ~self._symbolize_rec(expr.operand, flip)
-        if isinstance(expr, EAnd):
-            out = Function.true(self.manager)
-            for arg in expr.args:
-                out = out & self._symbolize_rec(arg, flip)
-            return out
-        if isinstance(expr, EOr):
-            out = Function.false(self.manager)
-            for arg in expr.args:
-                out = out | self._symbolize_rec(arg, flip)
-            return out
-        if isinstance(expr, EXor):
-            return self._symbolize_rec(expr.lhs, flip) ^ self._symbolize_rec(
-                expr.rhs, flip
-            )
-        if isinstance(expr, EIff):
-            return self._symbolize_rec(expr.lhs, flip).iff(
-                self._symbolize_rec(expr.rhs, flip)
-            )
-        if isinstance(expr, EImplies):
-            return self._symbolize_rec(expr.lhs, flip).implies(
-                self._symbolize_rec(expr.rhs, flip)
-            )
-        if isinstance(expr, WordCmp):  # pragma: no cover - lowered above
-            raise ModelError(f"unresolved word comparison {expr}")
-        raise TypeError(f"unknown expression node {type(expr).__name__}")
+        def atom(name: str) -> Function:
+            base = self.signal(name)
+            return ~base if name in flip else base
+
+        return _symbolize(self.manager, lowered, atom)
 
     # ------------------------------------------------------------------
     # Image operators (paper: forward / reachable)

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..bdd import Function
+from ..engine import TRANS_MODES, TRANS_MONO, TRANS_PARTITIONED
 from ..errors import ModelError
 
 __all__ = [
@@ -46,13 +47,6 @@ __all__ = [
     "early_quantification_schedule",
     "TransitionPartition",
 ]
-
-#: Execute images through the monolithic transition relation.
-TRANS_MONO = "mono"
-#: Execute images through the scheduled conjunct chain (the default).
-TRANS_PARTITIONED = "partitioned"
-#: The valid transition-relation execution modes.
-TRANS_MODES = (TRANS_MONO, TRANS_PARTITIONED)
 
 
 def validate_trans_mode(trans: str) -> str:

@@ -1,10 +1,9 @@
-"""Backend conformance: the node store obeys the kernel contract.
+"""Kernel conformance: the node store obeys the ROBDD contract.
 
-The :class:`~repro.bdd.backends.base.BDDBackend` interface has exactly one
-specification — the ROBDD algebra plus the engine's memoisation contract —
-and this suite is that specification as code, run against the engine's
-node store (:class:`~repro.bdd.backends.dict_backend.DictBackend`) and
-checked against brute-force truth tables:
+:class:`~repro.bdd.manager.BDDManager` is the engine's node store and
+kernel set.  Its contract — the ROBDD algebra plus the engine's
+memoisation rules — has exactly one specification, and this suite is that
+specification as code, checked against brute-force truth tables:
 
 * **Node invariants** — ordered, reduced, hash-consed: children live on
   strictly deeper levels, no redundant tests (``low != high``), one node
@@ -34,8 +33,7 @@ import random
 import pytest
 
 from repro.bdd import BDDManager, Function, ResourcePolicy
-from repro.bdd.backends import FALSE, TRUE, DictBackend
-from repro.bdd.backends.base import TERMINAL_LEVEL
+from repro.bdd.manager import FALSE, TERMINAL_LEVEL, TRUE
 
 VARS = ["a", "b", "c", "d", "e"]
 
@@ -123,7 +121,7 @@ def _id_envs(mgr):
 
 class TestNodeInvariants:
     def test_terminals_are_canonical(self):
-        b = DictBackend()
+        b = BDDManager()
         assert (FALSE, TRUE) == (0, 1)
         assert b.level_of(FALSE) == TERMINAL_LEVEL
         assert b.level_of(TRUE) == TERMINAL_LEVEL
@@ -132,7 +130,6 @@ class TestNodeInvariants:
     def test_reachable_nodes_are_ordered_and_reduced(self):
         mgr = _manager()
         roots = [_build(mgr, e).node for e in _expr_pool(101, 30)]
-        b = mgr.backend
         seen = set()
         stack = [r for r in roots if r not in (FALSE, TRUE)]
         while stack:
@@ -140,28 +137,27 @@ class TestNodeInvariants:
             if node in seen:
                 continue
             seen.add(node)
-            level, low, high = b.level_of(node), b.low_of(node), b.high_of(node)
+            level, low, high = mgr.level_of(node), mgr.low_of(node), mgr.high_of(node)
             assert level < TERMINAL_LEVEL
             assert low != high, "redundant test survived mk()"
             for child in (low, high):
-                assert b.level_of(child) > level, "child above parent"
+                assert mgr.level_of(child) > level, "child above parent"
                 if child not in (FALSE, TRUE):
                     stack.append(child)
         # Hash-consing: every reachable triple maps back to its node id.
         for node in seen:
-            assert b.find(
-                b.level_of(node), b.low_of(node), b.high_of(node)
+            assert mgr._mk(
+                mgr.level_of(node), mgr.low_of(node), mgr.high_of(node)
             ) == node
 
     def test_mk_collapses_redundant_and_dedupes(self):
-        b = DictBackend()
-        assert b.mk(3, TRUE, TRUE) == TRUE
-        assert b.mk(3, FALSE, FALSE) == FALSE
-        n1 = b.mk(3, FALSE, TRUE)
-        n2 = b.mk(3, FALSE, TRUE)
+        b = _manager()
+        assert b._mk(3, TRUE, TRUE) == TRUE
+        assert b._mk(3, FALSE, FALSE) == FALSE
+        n1 = b._mk(3, FALSE, TRUE)
+        n2 = b._mk(3, FALSE, TRUE)
         assert n1 == n2
-        assert b.find(3, FALSE, TRUE) == n1
-        assert b.find(3, TRUE, FALSE) == -1 or b.find(3, TRUE, FALSE) != n1
+        assert b._mk(3, TRUE, FALSE) != n1
 
     def test_complement_laws_hold_on_ids(self):
         mgr = _manager()
@@ -203,11 +199,11 @@ class TestCanonicity:
             assert len(nodes) == 1, "one truth table, multiple node ids"
 
     def test_node_count_tracks_unique_table(self):
-        b = DictBackend()
-        assert b.node_count() == b.unique_size() + 2  # terminals
-        b.mk(0, FALSE, TRUE)
-        b.mk(1, FALSE, TRUE)
-        assert b.node_count() == b.unique_size() + 2
+        b = _manager()
+        assert b.node_count() == len(b._unique) + 2  # terminals
+        b._mk(0, FALSE, TRUE)
+        b._mk(1, FALSE, TRUE)
+        assert b.node_count() == len(b._unique) + 2
 
 
 # ----------------------------------------------------------------------
@@ -217,36 +213,36 @@ class TestCanonicity:
 
 class TestOpCacheSemantics:
     def test_repeat_operation_hits_cache(self):
-        b = DictBackend()
-        x = b.mk(0, FALSE, TRUE)
-        y = b.mk(1, FALSE, TRUE)
+        b = _manager()
+        x = b._mk(0, FALSE, TRUE)
+        y = b._mk(1, FALSE, TRUE)
         b.apply_and(x, y)
-        hits_before = b.counters()["and_hits"]
+        hits_before = b.resource_stats()["and_hits"]
         assert b.apply_and(x, y) == b.apply_and(x, y)
-        assert b.counters()["and_hits"] > hits_before
+        assert b.resource_stats()["and_hits"] > hits_before
 
     def test_clear_caches_forgets(self):
-        b = DictBackend()
-        x = b.mk(0, FALSE, TRUE)
-        y = b.mk(1, FALSE, TRUE)
+        b = _manager()
+        x = b._mk(0, FALSE, TRUE)
+        y = b._mk(1, FALSE, TRUE)
         b.apply_and(x, y)
         b.clear_caches()
         assert b.cache_entry_count() == 0
-        misses_before = b.counters()["and_misses"]
+        misses_before = b.resource_stats()["and_misses"]
         b.apply_and(x, y)
-        assert b.counters()["and_misses"] > misses_before
+        assert b.resource_stats()["and_misses"] > misses_before
 
     def test_collect_that_frees_nothing_keeps_caches(self):
         mgr = _manager()
         a, b_ = Function.var(mgr, "a"), Function.var(mgr, "b")
         f = a & b_
-        entries = mgr.backend.cache_entry_count()
+        entries = mgr.cache_entry_count()
         assert entries > 0
         assert mgr.collect_garbage() == 0
-        assert mgr.backend.cache_entry_count() == entries
-        hits_before = mgr.backend.counters()["and_hits"]
+        assert mgr.cache_entry_count() == entries
+        hits_before = mgr.resource_stats()["and_hits"]
         assert (a & b_).node == f.node
-        assert mgr.backend.counters()["and_hits"] > hits_before
+        assert mgr.resource_stats()["and_hits"] > hits_before
 
     def test_collect_that_frees_drops_caches(self):
         mgr = _manager()
@@ -254,7 +250,7 @@ class TestOpCacheSemantics:
         f = a & b_
         del f
         assert mgr.collect_garbage() > 0
-        assert mgr.backend.cache_entry_count() == 0
+        assert mgr.cache_entry_count() == 0
 
 
 # ----------------------------------------------------------------------

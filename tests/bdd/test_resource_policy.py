@@ -11,7 +11,7 @@ import itertools
 
 import pytest
 
-from repro.bdd import BDDManager, Function, ResourcePolicy
+from repro.bdd import BDDManager, Function, ResourcePolicy, manager as manager_module
 from repro.mc.stats import WorkMeter
 
 
@@ -37,10 +37,6 @@ class TestPolicyValidation:
             ResourcePolicy(gc_node_threshold=-1)
         with pytest.raises(ValueError):
             ResourcePolicy(gc_growth=0.5)
-        with pytest.raises(ValueError):
-            ResourcePolicy(compose_generations=0)
-        with pytest.raises(ValueError):
-            ResourcePolicy(reorder_growth=0.9)
 
     def test_presets(self):
         assert ResourcePolicy.aggressive().gc_growth == 1.0
@@ -121,25 +117,24 @@ class TestCacheEviction:
         # points, so a single large operation may briefly exceed it).
         assert mgr.cache_entry_count() <= 200
 
-    def test_compose_cache_generation_purge(self):
+    def test_compose_cache_generation_purge(self, monkeypatch):
+        monkeypatch.setattr(manager_module, "COMPOSE_GENERATIONS", 3)
         mgr = BDDManager(
-            ["a", "b", "c"],
-            policy=ResourcePolicy(gc_node_threshold=0, compose_generations=3),
+            ["a", "b", "c"], policy=ResourcePolicy(gc_node_threshold=0)
         )
         f = mgr.apply_and(mgr.var("a"), mgr.var("b"))
         for _ in range(10):
             mgr.compose(f, mgr.var_id("b"), mgr.var("c"))
         # Stale generations were purged: the cache holds at most the last
-        # `compose_generations` substitutions' entries.
-        backend = mgr.backend
-        assert len(backend._compose_cache) <= 3 * mgr.node_count()
-        assert backend._compose_token == 10
-        assert backend._compose_purged_token >= 10 - 3
+        # COMPOSE_GENERATIONS substitutions' entries.
+        assert len(mgr._compose_cache) <= 3 * mgr.node_count()
+        assert mgr._compose_token == 10
+        assert mgr._compose_purged_token >= 10 - 3
 
-    def test_compose_still_correct_across_purges(self):
+    def test_compose_still_correct_across_purges(self, monkeypatch):
+        monkeypatch.setattr(manager_module, "COMPOSE_GENERATIONS", 1)
         mgr = BDDManager(
-            ["a", "b", "c"],
-            policy=ResourcePolicy(gc_node_threshold=0, compose_generations=1),
+            ["a", "b", "c"], policy=ResourcePolicy(gc_node_threshold=0)
         )
         f = mgr.apply_and(mgr.var("a"), mgr.var("b"))
         expected = mgr.apply_and(mgr.var("a"), mgr.var("c"))
@@ -148,17 +143,14 @@ class TestCacheEviction:
 
 
 class TestAutoSift:
-    def test_auto_reorder_hook_fires(self):
+    def test_auto_reorder_hook_fires(self, monkeypatch):
         # The x0..x2/y0..y2 blocked order is exponential; interleaving is
         # linear — the classic sifting win.
+        monkeypatch.setattr(manager_module, "REORDER_NODE_THRESHOLD", 10)
         names = [f"x{i}" for i in range(3)] + [f"y{i}" for i in range(3)]
         mgr = BDDManager(
             names,
-            policy=ResourcePolicy(
-                gc_node_threshold=0,
-                auto_reorder=True,
-                reorder_node_threshold=10,
-            ),
+            policy=ResourcePolicy(gc_node_threshold=0, auto_reorder=True),
         )
         f = Function.false(mgr)
         for i in range(3):
@@ -281,9 +273,8 @@ class TestSiftUsesLiveSizes:
                 mgr,
                 mgr.apply_xor(mgr.var(f"x{i}"), mgr.var(f"y{(i + 1) % 3}")),
             )
-        table_size_before = mgr.backend.unique_size()
         live_before = mgr.live_node_count()
-        assert table_size_before > live_before - 2  # garbage present
+        assert mgr.node_count() > live_before  # garbage present
         improvement = sift(mgr)
         # Sifting measured live sizes: the blocked->interleaved win shows.
         assert improvement <= 0

@@ -51,9 +51,36 @@ def test_self_recursion_detected_via_self_and_bare_name():
     assert any("bad_countdown()" in m for m in messages)
 
 
+def test_tree_scan_applies_kernel_rule_to_the_kernels(monkeypatch):
+    """The file defining ``_apply_bin`` (the BDD kernels) is inside the
+    kernel-recursion scope, so a tree scan really checks it."""
+    checker = _load_checker()
+    kernel_files = [
+        path for path in sorted((ROOT / "src").rglob("*.py"))
+        if "def _apply_bin(" in path.read_text()
+    ]
+    assert len(kernel_files) == 1
+    checked = []
+    original = checker.check_kernel_recursion
+
+    def spy(tree, path):
+        checked.append(path)
+        return original(tree, path)
+
+    monkeypatch.setattr(
+        checker, "RULES",
+        tuple(
+            (name, spy if name == "kernel-recursion" else rule, applies)
+            for name, rule, applies in checker.RULES
+        ),
+    )
+    assert checker.check_tree(ROOT / "src") == []
+    assert kernel_files[0] in checked
+
+
 def test_scoped_scan_skips_out_of_scope_files(tmp_path):
     """On a tree scan, rules only apply inside their scoped paths — a
-    recursive helper outside the backend dir is fine."""
+    recursive helper outside the BDD package is fine."""
     checker = _load_checker()
     outside = tmp_path / "helper.py"
     outside.write_text(

@@ -5,11 +5,11 @@ Two guarantees earlier PRs established are enforceable by AST
 inspection, so this tool enforces them:
 
 ``kernel-recursion``
-    No function in ``src/repro/bdd/backends/`` calls itself (directly,
-    or via ``self.``/``cls.``).  PR 3 rewrote every BDD traversal as
-    explicit-stack iteration so depth is memory-bound, and PR 7 moved
-    those kernels behind the ``BDDBackend`` interface; a reintroduced
-    recursive kernel would silently restore the recursion-limit ceiling.
+    No function in ``src/repro/bdd/`` calls itself (directly, or via
+    ``self.``/``cls.``).  Every BDD traversal — the kernels in
+    ``manager.py`` and the walks in ``reorder.py``/``dot.py`` — runs on an
+    explicit stack so depth is memory-bound; a reintroduced recursive
+    kernel would silently restore the recursion-limit ceiling.
 
 ``set-iteration``
     No ``for`` loop or comprehension in a report/serialization module
@@ -50,7 +50,7 @@ ORDERED_OUTPUT_MODULES = (
 )
 
 #: Path fragment the kernel-recursion rule covers.
-BACKEND_DIR = "src/repro/bdd/backends/"
+KERNEL_DIR = "src/repro/bdd/"
 
 
 class Violation(NamedTuple):
@@ -96,8 +96,7 @@ def check_kernel_recursion(tree: ast.AST, path: Path) -> List[Violation]:
                 Violation(
                     path, sub.lineno, "kernel-recursion",
                     f"function {node.name!r} calls itself ({how}); "
-                    f"backend kernels must stay iterative "
-                    f"(explicit stack), see PR 3/7",
+                    f"BDD kernels must stay iterative (explicit stack)",
                 )
             )
     return out
@@ -152,7 +151,7 @@ RULES: Tuple[Tuple[str, Callable, Callable], ...] = (
     (
         "kernel-recursion",
         check_kernel_recursion,
-        lambda rel: rel.startswith(BACKEND_DIR),
+        lambda rel: rel.startswith(KERNEL_DIR),
     ),
     (
         "set-iteration",
