@@ -7,13 +7,24 @@ quantification, relational products (``and_exists``), functional composition,
 variable renaming, satisfying-assignment counting and enumeration.
 
 :class:`BDDManager` is the node store: parallel Python lists for the node
-fields, a ``(level, low, high) -> node`` dict as the unique table, one dict
-per operation cache, and the kernels that work on them.  Around the store
-it keeps variable naming and the variable<->level maps, external root
-tracking for the :class:`~repro.bdd.function.Function` wrappers, pinning
-for in-flight enumerations, the :class:`~repro.bdd.policy.ResourcePolicy`
-safe points (:meth:`BDDManager.checkpoint`), and the
-:meth:`BDDManager.resource_stats` schema.
+fields, one unique-table dict per level, one dict per operation cache, and
+the kernels that work on them.  Around the store it keeps variable naming
+and the variable<->level maps, external root tracking for the
+:class:`~repro.bdd.function.Function` wrappers, pinning for in-flight
+enumerations, the :class:`~repro.bdd.policy.ResourcePolicy` safe points
+(:meth:`BDDManager.checkpoint`), and the :meth:`BDDManager.resource_stats`
+schema.
+
+Every unique-table and op-cache key is one int of 32-bit fields:
+``(low << 32) | high`` in the table of the node's level, ``(f << 32) | g``
+in the and, or and xor caches, three fields in the ite, quantification,
+relational-product and compose caches (layouts in ``__init__``).  Node ids
+and profile ids are list indices, far below 2**32; the topmost field of a
+key may be any size (the compose token only ever grows), so every packing
+is injective.  CPython's cyclic garbage collector never tracks an int, nor
+a dict holding only ints, so its collections never walk the tables — a
+tuple key would be a GC-tracked 64-byte object per entry.  Only this
+module knows the layout.
 
 Nodes are integers; the two terminals are the reserved node ids ``0``
 (FALSE) and ``1`` (TRUE).  Nodes store *levels* rather than variable ids so
@@ -70,7 +81,7 @@ REORDER_GROWTH = 2.0
 #: minutes; the heaviest few variables capture most of the reduction.
 REORDER_MAX_VARS = 12
 
-# Tags used to keep the shared binary-op cache collision free.
+# Binary operators; each indexes its own cache and hit/miss counters.
 _OP_AND = 0
 _OP_OR = 1
 _OP_XOR = 2
@@ -110,18 +121,25 @@ class BDDManager:
         self._level: List[int] = [TERMINAL_LEVEL, TERMINAL_LEVEL]
         self._low: List[int] = [FALSE, TRUE]
         self._high: List[int] = [FALSE, TRUE]
-        # Hash-consing table: (level, low, high) -> node id.
-        self._unique: Dict[Tuple[int, int, int], int] = {}
+        # Hash-consing tables, one per level (appended by add_var):
+        # (low << 32) | high -> node id.
+        self._unique: List[Dict[int, int]] = []
         # Recycled node slots (filled by garbage collection).
         self._free: List[int] = []
 
-        # Operation caches.
-        self._ite_cache: Dict[Tuple[int, int, int], int] = {}
-        self._bin_cache: Dict[Tuple[int, int, int], int] = {}
+        # Operation caches, keyed by packed ints (see the module docstring):
+        #   ite         (f << 64) | (g << 32) | h
+        #   and/or/xor  one dict per _OP_* index: (f << 32) | g, f <= g
+        #   not         f
+        #   quant       (tag << 64) | (profile << 32) | f, tag 1 for forall
+        #   relprod     (profile << 64) | (f << 32) | g, f <= g
+        #   compose     (token << 32) | f
+        self._ite_cache: Dict[int, int] = {}
+        self._bin_caches: List[Dict[int, int]] = [{}, {}, {}]
         self._not_cache: Dict[int, int] = {}
-        self._quant_cache: Dict[Tuple[int, int, int], int] = {}
-        self._relprod_cache: Dict[Tuple[int, int, int], int] = {}
-        self._compose_cache: Dict[Tuple[int, int], int] = {}
+        self._quant_cache: Dict[int, int] = {}
+        self._relprod_cache: Dict[int, int] = {}
+        self._compose_cache: Dict[int, int] = {}
         self._compose_token = 0
         self._compose_purged_token = 0
         # Registered quantification profiles: canonical tuple of levels -> id.
@@ -206,6 +224,7 @@ class BDDManager:
         self._name_to_var[name] = var
         self._var2level.append(len(self._level2var))
         self._level2var.append(var)
+        self._unique.append({})
         return var
 
     def var_id(self, name: str) -> int:
@@ -263,9 +282,10 @@ class BDDManager:
         """Find-or-create the node ``(level, low, high)`` (the reduce rule)."""
         if low == high:
             return low
-        key = (level, low, high)
+        key = (low << 32) | high
+        table = self._unique[level]
         self._unique_probes += 1
-        node = self._unique.get(key)
+        node = table.get(key)
         if node is not None:
             self._unique_hits += 1
             return node
@@ -279,7 +299,7 @@ class BDDManager:
             self._level.append(level)
             self._low.append(low)
             self._high.append(high)
-        self._unique[key] = node
+        table[key] = node
         self._created_nodes += 1
         return node
 
@@ -339,7 +359,7 @@ class BDDManager:
                 low = results.pop()
                 level = min(level_arr[f], level_arr[g], level_arr[h])
                 result = self._mk(level, low, high)
-                cache[(f, g, h)] = result
+                cache[(f << 64) | (g << 32) | h] = result
                 results.append(result)
                 continue
             if f == TRUE:
@@ -354,7 +374,7 @@ class BDDManager:
             if g == TRUE and h == FALSE:
                 results.append(f)
                 continue
-            cached = cache.get((f, g, h))
+            cached = cache.get((f << 64) | (g << 32) | h)
             if cached is not None:
                 hits += 1
                 results.append(cached)
@@ -430,7 +450,7 @@ class BDDManager:
         level_arr = self._level
         low_arr = self._low
         high_arr = self._high
-        cache = self._bin_cache
+        cache = self._bin_caches[op]
         hits = misses = 0
         tasks: List[Tuple[int, int, bool]] = [(f, g, False)]
         results: List[int] = []
@@ -441,7 +461,7 @@ class BDDManager:
                 low = results.pop()
                 lf, lg = level_arr[f], level_arr[g]
                 result = self._mk(lf if lf < lg else lg, low, high)
-                cache[(op, f, g)] = result
+                cache[(f << 32) | g] = result
                 results.append(result)
                 continue
             # Operator-specific terminal cases (same rules as the classic
@@ -484,7 +504,7 @@ class BDDManager:
                     continue
             if f > g:  # commutativity-normalised cache
                 f, g = g, f
-            cached = cache.get((op, f, g))
+            cached = cache.get((f << 32) | g)
             if cached is not None:
                 hits += 1
                 results.append(cached)
@@ -558,7 +578,8 @@ class BDDManager:
         qset = self._quant_profile_sets[profile]
         qmax = self._quant_profile_max[profile]
         cache = self._quant_cache
-        tag = 0 if disjunctive else 1
+        # The key's upper fields are fixed for the whole call.
+        base = ((0 if disjunctive else 1) << 64) | (profile << 32)
         hits = misses = 0
         tasks: List[Tuple[int, bool]] = [(f, False)]
         results: List[int] = []
@@ -575,13 +596,13 @@ class BDDManager:
                         result = self.apply_and(low, high)
                 else:
                     result = self._mk(level, low, high)
-                cache[(tag, f, profile)] = result
+                cache[base | f] = result
                 results.append(result)
                 continue
             if f <= TRUE or level_arr[f] > qmax:
                 results.append(f)
                 continue
-            cached = cache.get((tag, f, profile))
+            cached = cache.get(base | f)
             if cached is not None:
                 hits += 1
                 results.append(cached)
@@ -624,6 +645,7 @@ class BDDManager:
         qset = self._quant_profile_sets[profile]
         qmax = self._quant_profile_max[profile]
         cache = self._relprod_cache
+        base = profile << 64
         # Frames: (phase, a, b, c, d).  EXPAND carries (f, g); AFTER_LOW
         # carries (f, g, f1, g1) — the pending high cofactors, expanded only
         # when the low branch did not already decide the disjunction;
@@ -657,7 +679,7 @@ class BDDManager:
                     continue
                 if f > g:
                     f, g = g, f
-                cached = cache.get((f, g, profile))
+                cached = cache.get(base | (f << 32) | g)
                 if cached is not None:
                     hits += 1
                     results.append(cached)
@@ -685,7 +707,7 @@ class BDDManager:
             elif phase == _AE_AFTER_LOW:
                 low = results.pop()
                 if low == TRUE:
-                    cache[(f, g, profile)] = TRUE
+                    cache[base | (f << 32) | g] = TRUE
                     results.append(TRUE)
                     continue
                 tasks.append((_AE_AFTER_HIGH, f, g, low, 0))
@@ -693,14 +715,14 @@ class BDDManager:
             elif phase == _AE_AFTER_HIGH:
                 high = results.pop()
                 result = self.apply_or(c, high)
-                cache[(f, g, profile)] = result
+                cache[base | (f << 32) | g] = result
                 results.append(result)
             else:  # _AE_AFTER_BOTH
                 high = results.pop()
                 low = results.pop()
                 lf, lg = level_arr[f], level_arr[g]
                 result = self._mk(lf if lf < lg else lg, low, high)
-                cache[(f, g, profile)] = result
+                cache[base | (f << 32) | g] = result
                 results.append(result)
         self._relprod_hits += hits
         self._relprod_misses += misses
@@ -819,7 +841,7 @@ class BDDManager:
             self._compose_purged_token = self._compose_token
         level_arr = self._level
         max_level = max(by_level)
-        token = self._compose_token
+        base = self._compose_token << 32
         cache = self._compose_cache
         hits = misses = 0
         tasks: List[Tuple[int, bool]] = [(f, False)]
@@ -834,13 +856,13 @@ class BDDManager:
                 if replacement is None:
                     replacement = self._mk(level, FALSE, TRUE)
                 result = self.ite(replacement, high, low)
-                cache[(token, f)] = result
+                cache[base | f] = result
                 results.append(result)
                 continue
             if f <= TRUE or level_arr[f] > max_level:
                 results.append(f)
                 continue
-            cached = cache.get((token, f))
+            cached = cache.get(base | f)
             if cached is not None:
                 hits += 1
                 results.append(cached)
@@ -1105,7 +1127,7 @@ class BDDManager:
         """Combined entry count of all operation caches."""
         return (
             len(self._ite_cache)
-            + len(self._bin_cache)
+            + sum(len(cache) for cache in self._bin_caches)
             + len(self._not_cache)
             + len(self._quant_cache)
             + len(self._relprod_cache)
@@ -1162,7 +1184,8 @@ class BDDManager:
     def clear_caches(self) -> None:
         """Drop all operation caches (automatically done by GC/reorder)."""
         self._ite_cache.clear()
-        self._bin_cache.clear()
+        for cache in self._bin_caches:
+            cache.clear()
         self._not_cache.clear()
         self._quant_cache.clear()
         self._relprod_cache.clear()
@@ -1177,8 +1200,8 @@ class BDDManager:
             if obj is not None:
                 roots.add(obj.node)
         roots.update(self._pinned)
-        for level in self._var2level:
-            node = self._unique.get((level, FALSE, TRUE))
+        for table in self._unique:
+            node = table.get((FALSE << 32) | TRUE)
             if node is not None:
                 roots.add(node)
         return roots
@@ -1208,12 +1231,17 @@ class BDDManager:
         started = time.perf_counter()
         self._note_peak()
         marked = self._mark(self._gc_roots(extra_roots))
-        dead_keys = [
-            key for key, node in self._unique.items() if node not in marked
-        ]
-        for key in dead_keys:
-            self._free.append(self._unique.pop(key))
-        freed = len(dead_keys)
+        free = self._free
+        freed = 0
+        for table in self._unique:
+            # A dense GC schedule frees few nodes: skip the levels that lost
+            # none with one scan in C instead of a comprehension.
+            if marked.issuperset(table.values()):
+                continue
+            dead_keys = [key for key, node in table.items() if node not in marked]
+            for key in dead_keys:
+                free.append(table.pop(key))
+            freed += len(dead_keys)
         if freed:
             # Cache entries may reference recycled slots — drop them.  When
             # the sweep freed nothing, every cached operand/result was just
@@ -1243,10 +1271,7 @@ class BDDManager:
 
     def _level_occupancy(self) -> Dict[int, int]:
         """Live node count per level (reordering's placement signal)."""
-        occupancy: Dict[int, int] = {}
-        for (lvl, _low, _high) in self._unique:
-            occupancy[lvl] = occupancy.get(lvl, 0) + 1
-        return occupancy
+        return {level: len(table) for level, table in enumerate(self._unique) if table}
 
     def _swap_levels(self, upper: int) -> None:
         """Swap levels ``upper`` and ``upper + 1`` in place.
@@ -1262,16 +1287,13 @@ class BDDManager:
         high_arr = self._high
         unique = self._unique
 
-        # Partition the two levels' nodes.  Everything is re-inserted below.
-        upper_nodes: List[int] = []
-        lower_nodes: List[int] = []
-        for (lvl, _low, _high), node in list(unique.items()):
-            if lvl == upper:
-                upper_nodes.append(node)
-                del unique[(lvl, _low, _high)]
-            elif lvl == lower:
-                lower_nodes.append(node)
-                del unique[(lvl, _low, _high)]
+        # Only these two levels' tables change; both are rebuilt below.
+        upper_nodes = unique[upper].values()
+        lower_nodes = unique[lower].values()
+        new_upper: Dict[int, int] = {}
+        new_lower: Dict[int, int] = {}
+        unique[upper] = new_upper
+        unique[lower] = new_lower
 
         # Phase 1: old upper-level nodes that do NOT depend on the lower
         # variable simply sink one level (same children, same function).
@@ -1282,14 +1304,14 @@ class BDDManager:
                 dependent.append(node)
             else:
                 level_arr[node] = lower
-                unique[(lower, low, high)] = node
+                new_lower[(low << 32) | high] = node
 
         # Phase 2: old lower-level nodes float up (their children are
         # strictly below both levels, so they are well-formed at the upper
         # level).
         for node in lower_nodes:
             level_arr[node] = upper
-            unique[(upper, low_arr[node], high_arr[node])] = node
+            new_upper[(low_arr[node] << 32) | high_arr[node]] = node
 
         # Phase 3: rewrite the dependent nodes.  With x the old upper
         # variable and y the old lower one, f = x?(y?f11:f10):(y?f01:f00)
@@ -1313,7 +1335,7 @@ class BDDManager:
             level_arr[node] = upper
             low_arr[node] = new_low
             high_arr[node] = new_high
-            unique[(upper, new_low, new_high)] = node
+            new_upper[(new_low << 32) | new_high] = node
 
         # Swap the variable <-> level bookkeeping.
         var_upper = self._level2var[upper]

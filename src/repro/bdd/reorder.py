@@ -90,8 +90,9 @@ def sift(
 
     for var in todo:
         # Reclaim the previous variable's sweep garbage: swap_adjacent
-        # scans the whole unique table per swap, so letting dead nodes
-        # accumulate across sweeps turns sifting quadratic in practice.
+        # rewrites every node of the two levels it swaps, dead ones
+        # included, so letting dead nodes accumulate across sweeps turns
+        # sifting quadratic in practice.
         m.collect_garbage()
         best_size = m.live_node_count()
         sweep_limit = best_size * max_growth
@@ -99,10 +100,10 @@ def sift(
         best_level = original_level
 
         def measure() -> int:
-            # Keep the unique table (every allocated node but the two
+            # Keep the unique tables (every allocated node but the two
             # terminals) near the live size mid-sweep too — one long
             # sweep over a big level strands enough garbage to dominate
-            # every later swap's table scan otherwise.
+            # the later swaps through it otherwise.
             if m.node_count() - 2 > 2 * best_size + 256:
                 m.collect_garbage()
             return m.live_node_count()

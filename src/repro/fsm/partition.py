@@ -219,6 +219,9 @@ class TransitionPartition:
             frozenset(conjunct.support()) for conjunct in self.conjuncts
         ]
         self._schedules: Dict[FrozenSet[int], Schedule] = {}
+        # Cofactors already computed: (conjunct index, fixed (var, value)
+        # pairs of its support) -> cofactor.
+        self._cofactors: Dict[Tuple[int, Tuple[Tuple[int, bool], ...]], Function] = {}
         self._mono: Optional[Function] = None
 
     def __len__(self) -> int:
@@ -258,14 +261,21 @@ class TransitionPartition:
 
         Their conjunction is the whole relation's cofactor at
         ``assignment``; a conjunct that mentions none of the variables is
-        returned unchanged.
+        returned unchanged.  Cofactors are memoised per conjunct and fixed
+        values: a trace fixes the next-state variables at every step, and
+        a per-latch conjunct mentions one of them, so it has at most two
+        cofactors however long the trace.
         """
-        return [
-            conjunct.cofactor(
-                {var: assignment[var] for var in support if var in assignment}
-            )
-            for conjunct, support in zip(self.conjuncts, self._supports)
-        ]
+        memo = self._cofactors
+        out: List[Function] = []
+        for index, (conjunct, support) in enumerate(zip(self.conjuncts, self._supports)):
+            fixed = tuple((var, assignment[var]) for var in support if var in assignment)
+            cofactor = memo.get((index, fixed))
+            if cofactor is None:
+                cofactor = conjunct.cofactor(dict(fixed))
+                memo[(index, fixed)] = cofactor
+            out.append(cofactor)
+        return out
 
     def monolithic(self) -> Function:
         """The conjunction of all conjuncts (cached).

@@ -200,10 +200,11 @@ class TestCanonicity:
 
     def test_node_count_tracks_unique_table(self):
         b = _manager()
-        assert b.node_count() == len(b._unique) + 2  # terminals
+        # One unique table per level; the terminals live in none of them.
+        assert b.node_count() == sum(map(len, b._unique)) + 2
         b._mk(0, FALSE, TRUE)
         b._mk(1, FALSE, TRUE)
-        assert b.node_count() == len(b._unique) + 2
+        assert b.node_count() == sum(map(len, b._unique)) + 2
 
 
 # ----------------------------------------------------------------------

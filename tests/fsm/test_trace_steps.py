@@ -6,7 +6,8 @@ instead of a relational product.  The result must be the same BDD as
 ``preimage(state_cube(s)) & ring`` — the reference kept here — or traces
 would pick different states.  Checked for up to four states of every ring
 of every shipped model (examples, corpus, builtins), in both transition
-modes.
+modes.  In partitioned mode the per-conjunct cofactors are memoised, so a
+repeated trace does no cofactor work at all.
 """
 
 from itertools import islice
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.engine import TRANS_MODES, EngineConfig
+from repro.engine import TRANS_MODES, TRANS_PARTITIONED, EngineConfig
 from repro.lang import elaborate, load_module
 from repro.suite import BUILTIN_TARGETS, build_builtin
 
@@ -58,3 +59,15 @@ def test_builtin_predecessors_match_preimage(name, stage, trans):
     fsm = build_builtin(name, stage=stage, config=EngineConfig(trans=trans))[0]
     assert fsm.trans_mode == trans
     _assert_predecessors_match_preimage(fsm)
+
+
+def test_repeat_trace_reuses_partition_cofactors():
+    config = EngineConfig(trans=TRANS_PARTITIONED)
+    fsm = build_builtin("pipeline", stage="initial", config=config)[0]
+    target = fsm.state_cube(next(fsm.iter_states(fsm.rings()[-1])))
+    first = fsm.shortest_trace(target)
+    assert len(first) > 2
+    misses = fsm.manager.resource_stats()["restrict_misses"]
+    assert misses > 0
+    assert fsm.shortest_trace(target) == first
+    assert fsm.manager.resource_stats()["restrict_misses"] == misses
