@@ -19,12 +19,12 @@ Example::
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..bdd import BDDManager, Function
 from ..engine import DEFAULT_CONFIG, EngineConfig
 from ..errors import ModelError
-from ..expr.ast import Expr, Var
+from ..expr.ast import And, Expr, Iff, Implies, Not, Or, Var, Xor
 from ..expr.bitvector import WordTable, int_to_bits, resolve_words
 from ..expr.parser import parse_expr
 from .fsm import FSM, NEXT_SUFFIX, _symbolize
@@ -43,6 +43,121 @@ def _to_expr(value: ExprLike) -> Expr:
     raise TypeError(f"expected expression or string, got {type(value).__name__}")
 
 
+def _leaves(expr: Expr) -> Iterator[str]:
+    """The signal names of a word-free expression, depth first and left to
+    right, repeats included."""
+    if isinstance(expr, Var):
+        yield expr.name
+    elif isinstance(expr, Not):
+        yield from _leaves(expr.operand)
+    elif isinstance(expr, (And, Or)):
+        for arg in expr.args:
+            yield from _leaves(arg)
+    elif isinstance(expr, (Xor, Iff, Implies)):
+        yield from _leaves(expr.lhs)
+        yield from _leaves(expr.rhs)
+
+
+def _variable_order(
+    state_vars: Sequence[str],
+    latch_next: Dict[str, Expr],
+    defines: Dict[str, Expr],
+    fairness: Sequence[Expr],
+    words: WordTable,
+) -> List[str]:
+    """The BDD order of ``state_vars``, top to bottom, derived from the logic.
+
+    ``latch_next`` (in latch declaration order), ``defines`` and
+    ``fairness`` hold word-free expressions.
+
+    * Each latch's next-state expression is walked depth first, left to
+      right, resolving DEFINEs through.  A state variable is placed at its
+      first visit and the latch after its fan-in, so shared controls sit
+      above the stages they steer and each conjunct's support stays close.
+    * Words that meet in one next-state function (with the latch's own
+      word), DEFINE or FAIRNESS expression form a group.  The first visit
+      of any of its bits places the whole group, bits interleaved by index
+      (``a0, b0, a1, b1, ...``): ``a = b`` is linear in the width that way
+      and exponential with the words blocked (McMillan, *Symbolic Model
+      Checking*, 1993).
+    * Variables the walk never reaches follow in declaration order.
+
+    Only ordered collections decide placement, so the order is a pure
+    function of the model, whatever the hash seed.
+    """
+    state = set(state_vars)
+    # Bit -> (word, index); the first word declaring a bit owns it.
+    bit_word: Dict[str, Tuple[str, int]] = {}
+    for word, bits in words.items():
+        for index, bit in enumerate(bits):
+            if bit in state:
+                bit_word.setdefault(bit, (word, index))
+
+    cone_words: Dict[str, List[str]] = {}
+
+    def words_in(expr: Expr) -> List[str]:
+        found: Dict[str, None] = {}
+        for name in _leaves(expr):
+            if name in bit_word:
+                found[bit_word[name][0]] = None
+            elif name in defines:
+                if name not in cone_words:
+                    cone_words[name] = []  # cuts a cycle; build() reports it
+                    cone_words[name] = words_in(defines[name])
+                found.update(dict.fromkeys(cone_words[name]))
+        return list(found)
+
+    parent: Dict[str, str] = {}
+
+    def find(word: str) -> str:
+        while word in parent:
+            word = parent[word]
+        return word
+
+    def join(met: List[str]) -> None:
+        for other in met[1:]:
+            root, other_root = find(met[0]), find(other)
+            if root != other_root:
+                parent[other_root] = root
+
+    for latch, expr in latch_next.items():
+        own = [bit_word[latch][0]] if latch in bit_word else []
+        join(own + words_in(expr))
+    for expr in [*defines.values(), *fairness]:
+        join(words_in(expr))
+
+    rank = {word: position for position, word in enumerate(words)}
+    group_bits: Dict[str, List[str]] = {}
+    for bit, (word, index) in sorted(
+        bit_word.items(), key=lambda item: (item[1][1], rank[item[1][0]])
+    ):
+        group_bits.setdefault(find(word), []).append(bit)
+
+    placed: Dict[str, None] = {}
+    walked = set()
+
+    def place(var: str) -> None:
+        owner = bit_word.get(var)
+        for bit in group_bits[find(owner[0])] if owner else [var]:
+            placed.setdefault(bit)
+
+    def walk(expr: Expr) -> None:
+        for name in _leaves(expr):
+            if name in defines:
+                if name not in walked:
+                    walked.add(name)
+                    walk(defines[name])
+            elif name in state and name not in placed:
+                place(name)
+
+    for latch, expr in latch_next.items():
+        walk(expr)
+        place(latch)
+    for var in state_vars:
+        place(var)
+    return list(placed)
+
+
 class CircuitBuilder:
     """Accumulates a circuit description and compiles it to an :class:`FSM`."""
 
@@ -53,7 +168,6 @@ class CircuitBuilder:
         self._latch_init: Dict[str, bool] = {}
         self._latch_next: Dict[str, Expr] = {}
         self._defines: Dict[str, Expr] = {}
-        self._define_order: List[str] = []
         self._words: WordTable = {}
         self._fairness: List[Expr] = []
 
@@ -127,7 +241,6 @@ class CircuitBuilder:
         """Declare a combinational signal (a named proposition)."""
         self._check_fresh(name)
         self._defines[name] = _to_expr(expr)
-        self._define_order.append(name)
         return Var(name)
 
     def fairness(self, expr: ExprLike) -> None:
@@ -172,9 +285,13 @@ class CircuitBuilder:
     ) -> FSM:
         """Compile the accumulated description into an :class:`FSM`.
 
-        Declares variables in interleaved current/next order, resolves
-        ``define`` chains (rejecting cycles), builds one transition-relation
-        conjunct per latch, and symbolises fairness.
+        Declares the BDD variables in an order derived from the logic
+        (see :func:`_variable_order`: shared controls above the latches
+        they steer, the bits of words that meet interleaved by index),
+        each ``v#next`` right below its ``v``; ``FSM.state_vars`` keeps
+        declaration order.  Then resolves ``define`` chains (rejecting
+        cycles), builds one transition-relation conjunct per latch and
+        the initial set as one cube, and symbolises fairness.
 
         ``config`` (an :class:`~repro.engine.EngineConfig`) carries every
         engine knob: its ``trans`` mode selects the image-execution mode of
@@ -197,11 +314,19 @@ class CircuitBuilder:
         state_vars = self._latches + self._inputs
         if not state_vars:
             raise ModelError(f"circuit {self.name!r} has no state variables")
-        for var in state_vars:
+        known = frozenset(state_vars) | frozenset(self._defines)
+
+        def lower(expr: Expr) -> Expr:
+            return resolve_words(expr, self._words, known)
+
+        defines = {name: lower(expr) for name, expr in self._defines.items()}
+        latch_next = {latch: lower(expr) for latch, expr in self._latch_next.items()}
+        fairness_exprs = [lower(e) for e in self._fairness]
+        for var in _variable_order(
+            state_vars, latch_next, defines, fairness_exprs, self._words
+        ):
             manager.add_var(var)
             manager.add_var(var + NEXT_SUFFIX)
-
-        known = frozenset(state_vars) | frozenset(self._defines)
 
         # Resolve define chains to functions of state variables only.
         signals: Dict[str, Function] = {}
@@ -223,16 +348,15 @@ class CircuitBuilder:
                     f"circuit {self.name!r}: combinational cycle through {name!r}"
                 )
             resolving.add(name)
-            fn = symbolize(self._defines[name])
+            fn = symbolize(defines[name])
             resolving.discard(name)
             signals[name] = fn
             return fn
 
-        def symbolize(expr: Expr) -> Function:
-            lowered = resolve_words(expr, self._words, known)
+        def symbolize(lowered: Expr) -> Function:
             return _symbolize(manager, lowered, signal_fn)
 
-        for name in self._define_order:
+        for name in self._defines:
             signal_fn(name)
             signal_exprs[name] = self._defines[name]
 
@@ -241,9 +365,9 @@ class CircuitBuilder:
         # unconstrained).  The partition keeps the conjuncts separate;
         # mono mode conjoins them here, eagerly.
         conjuncts: List[Function] = []
-        for latch in self._latches:
+        for latch, expr in latch_next.items():
             next_var = Function.var(manager, latch + NEXT_SUFFIX)
-            conjuncts.append(next_var.iff(symbolize(self._latch_next[latch])))
+            conjuncts.append(next_var.iff(symbolize(expr)))
         partition = (
             TransitionPartition(conjuncts, labels=list(self._latches))
             if conjuncts
@@ -255,12 +379,13 @@ class CircuitBuilder:
         elif trans == TRANS_MONO:
             transition = partition.monolithic()
 
-        init = Function.true(manager)
-        for latch in self._latches:
-            var_fn = Function.var(manager, latch)
-            init = init & (var_fn if self._latch_init[latch] else ~var_fn)
+        # One cube, not a fold of literals: conjoining each latch's literal
+        # into the running product rebuilds it per latch (~n²/2 nodes).
+        init = Function(manager, manager.cube(
+            {manager.var_id(latch): self._latch_init[latch] for latch in self._latches}
+        ))
 
-        fairness = [symbolize(e) for e in self._fairness]
+        fairness = [symbolize(e) for e in fairness_exprs]
 
         return FSM(
             manager=manager,

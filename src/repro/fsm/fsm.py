@@ -481,10 +481,9 @@ def _conjoin_balanced(parts: List[Function]) -> Function:
     """Conjoin ``parts`` as a balanced pairwise tree, keeping their order.
 
     Each conjunct of a pipeline mentions its own stage's variables and the
-    shared hold counter and stall input, which sit at the other end of the
-    variable order, so a left fold rebuilds the whole accumulator at every
-    conjunct; pairing keeps each product small until the last few levels
-    of the tree.
+    shared hold counter and stall input, which sit above every stage, so a
+    left fold re-walks the accumulator down to each new stage; pairing
+    keeps each product small until the last few levels of the tree.
     """
     while len(parts) > 1:
         paired = [a & b for a, b in zip(parts[0::2], parts[1::2])]

@@ -105,6 +105,38 @@ def _builtin(target: str, stage: Optional[str] = None,
     return build
 
 
+def _rml(text: str) -> Callable[[], "object"]:
+    def build():
+        from ..analysis import Analysis
+
+        return Analysis.from_rml(text)
+
+    return build
+
+
+#: Three 12-bit words that meet in two next-state functions and one
+#: comparison.  With their bits interleaved by index the check is linear
+#: in the width; with the words blocked it is exponential.
+WORD_COMPARE_RML = """MODULE word_compare
+
+VAR
+  x : word[12];
+  a : word[12];
+  b : word[12];
+
+DEFINE
+  same := a = b;
+
+ASSIGN
+  next(a) := x;
+  next(b) := x;
+
+SPEC AG same;
+
+OBSERVED same;
+"""
+
+
 class _SummedManager:
     """Duck-typed BDD manager whose ``resource_stats`` is the sum over
     every real manager a workload actually built."""
@@ -175,8 +207,9 @@ class _ServeCacheRun:
 
 #: The registered workloads, mirroring the ``benchmarks/test_bench_*``
 #: suites: Table-2 circuits under the default engine, the same circuits
-#: under a forced-GC policy (resource-manager trajectory), and the
-#: monolithic transition relation (partitioning trajectory).
+#: under a forced-GC policy (resource-manager trajectory), the
+#: monolithic transition relation (partitioning trajectory), and a word
+#: comparison whose cost rests on the variable order.
 BENCH_WORKLOADS: Dict[str, BenchWorkload] = {
     w.name: w
     for w in (
@@ -216,6 +249,12 @@ BENCH_WORKLOADS: Dict[str, BenchWorkload] = {
             "decode pipeline under the monolithic transition relation "
             "(partitioning cost trajectory)",
             _builtin("pipeline", stage="initial", trans="mono"),
+        ),
+        BenchWorkload(
+            "word-compare",
+            "three 12-bit words compared and copied (variable-order "
+            "trajectory: the bits of words that meet are interleaved)",
+            _rml(WORD_COMPARE_RML),
         ),
         BenchWorkload(
             "serve_cache",

@@ -1,11 +1,23 @@
 """Tests for CircuitBuilder compilation."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from repro.bdd import Function
+from repro.circuits import build_pipeline
 from repro.errors import ModelError
 from repro.expr import parse_expr
 from repro.expr.arith import increment_mod_bits
-from repro.fsm import CircuitBuilder
+from repro.fsm import NEXT_SUFFIX, CircuitBuilder
+from repro.lang import elaborate, parse_module
+from repro.obs.bench import WORD_COMPARE_RML
+
+ROOT = Path(__file__).resolve().parents[2]
 
 
 def build_toggle():
@@ -135,3 +147,73 @@ class TestFairness:
         fsm = b.build()
         assert len(fsm.fairness) == 1
         assert fsm.fairness[0] == ~fsm.signal("stall")
+
+
+#: Prints the derived order of every builtin target and every shipped
+#: ``.rml`` example as one JSON document.
+ORDERS_SCRIPT = """
+import json, sys
+from pathlib import Path
+from repro.lang import elaborate, load_module
+from repro.suite import BUILTIN_TARGETS, build_builtin
+orders = {}
+for name in BUILTIN_TARGETS:
+    orders[name] = build_builtin(name)[0].manager.current_order()
+orders["buffer-lo --buggy"] = build_builtin(
+    "buffer-lo", buggy=True)[0].manager.current_order()
+for path in sorted(Path(sys.argv[1]).glob("*.rml")):
+    orders[path.name] = elaborate(load_module(path)).fsm.manager.current_order()
+print(json.dumps(orders))
+"""
+
+
+class TestDerivedOrder:
+    """The BDD order follows the next-state dependencies, not declaration."""
+
+    def test_pipeline_controls_sit_above_the_stages(self):
+        fsm = build_pipeline(stages=3)
+        order = fsm.manager.current_order()
+        level = {name: position for position, name in enumerate(order)}
+        for control in ("stall", "h0", "h1"):
+            assert level[control] < level["v1"]
+        for var in fsm.state_vars:
+            assert level[var + NEXT_SUFFIX] == level[var] + 1
+        assert fsm.state_vars == [
+            "v1", "d1", "v2", "d2", "v3", "d3", "h0", "h1",
+            "in_valid", "in_data", "stall",
+        ]
+
+    def test_words_that_meet_are_interleaved_by_index(self):
+        # The bench registry's word-compare model (``next(a) := x``,
+        # ``next(b) := x``, ``same := a = b``) narrowed to 4 bits.
+        fsm = elaborate(parse_module(WORD_COMPARE_RML.replace("[12]", "[4]"))).fsm
+        current = [
+            name for name in fsm.manager.current_order()
+            if not name.endswith(NEXT_SUFFIX)
+        ]
+        assert [name[1:] for name in current] == [
+            str(index) for index in range(4) for _word in "xab"
+        ]
+
+    def test_initial_set_is_one_cube(self):
+        fsm = build_pipeline(stages=90)
+        # Folding the 182 latch literals one by one creates ~19k nodes.
+        assert fsm.manager.created_nodes < 5000
+        fold = Function.true(fsm.manager)
+        for latch in fsm.latches:
+            fold = fold & ~fsm.signal(latch)
+        assert fsm.init == fold
+
+    def test_order_ignores_the_hash_seed(self):
+        outputs = []
+        for hash_seed in ("0", "424242"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=str(ROOT / "src"))
+            proc = subprocess.run(
+                [sys.executable, "-c", ORDERS_SCRIPT, str(ROOT / "examples")],
+                capture_output=True, text=True, env=env, check=True,
+            )
+            outputs.append(json.loads(proc.stdout))
+        assert outputs[0] == outputs[1]
+        examples = [path.name for path in (ROOT / "examples").glob("*.rml")]
+        assert examples and set(examples) <= set(outputs[0])

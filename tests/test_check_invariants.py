@@ -78,6 +78,35 @@ def test_tree_scan_applies_kernel_rule_to_the_kernels(monkeypatch):
     assert kernel_files[0] in checked
 
 
+def test_tree_scan_applies_set_rule_to_the_variable_order(monkeypatch):
+    """The file deriving the BDD variable order (``_variable_order``) is
+    inside the set-iteration scope: the order feeds every engine counter
+    and trace pick, so hash-ordered iteration there would leak into
+    reports."""
+    checker = _load_checker()
+    order_files = [
+        path for path in sorted((ROOT / "src").rglob("*.py"))
+        if "def _variable_order(" in path.read_text()
+    ]
+    assert len(order_files) == 1
+    checked = []
+    original = checker.check_set_iteration
+
+    def spy(tree, path):
+        checked.append(path)
+        return original(tree, path)
+
+    monkeypatch.setattr(
+        checker, "RULES",
+        tuple(
+            (name, spy if name == "set-iteration" else rule, applies)
+            for name, rule, applies in checker.RULES
+        ),
+    )
+    assert checker.check_tree(ROOT / "src") == []
+    assert order_files[0] in checked
+
+
 def test_scoped_scan_skips_out_of_scope_files(tmp_path):
     """On a tree scan, rules only apply inside their scoped paths — a
     recursive helper outside the BDD package is fine."""

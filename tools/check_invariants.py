@@ -13,11 +13,13 @@ inspection, so this tool enforces them:
 
 ``set-iteration``
     No ``for`` loop or comprehension in a report/serialization module
-    (``coverage/report.py``, ``suite/runner.py``, ``obs/*``) iterates
-    directly over a ``set``/``frozenset`` constructor, set literal, or
-    set comprehension.  Set order is not deterministic across runs, and
-    these modules feed byte-compared JSON reports (the PR 5 oracle
-    contract) — wrap the set in ``sorted(...)`` instead.
+    (``coverage/report.py``, ``suite/runner.py``, ``obs/*``) or in the
+    BDD variable-order derivation (``fsm/builder.py``) iterates directly
+    over a ``set``/``frozenset`` constructor, set literal, or set
+    comprehension.  Set order is not deterministic across runs; the
+    report modules feed byte-compared JSON reports (the differential
+    oracle's contract), and the variable order feeds every engine
+    counter and trace pick — wrap the set in ``sorted(...)`` instead.
 
 When scanning a directory each rule applies only to its scoped paths;
 explicitly-listed files get every rule (which is how the deliberately
@@ -47,6 +49,7 @@ ORDERED_OUTPUT_MODULES = (
     "src/repro/coverage/report.py",
     "src/repro/suite/runner.py",
     "src/repro/obs/",
+    "src/repro/fsm/builder.py",
 )
 
 #: Path fragment the kernel-recursion rule covers.
