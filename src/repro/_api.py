@@ -6,9 +6,6 @@ from .bdd import (
     BDDManager,
     Function,
     ResourcePolicy,
-    set_order,
-    sift,
-    swap_adjacent,
     to_dot,
 )
 from .circuits import (
@@ -155,8 +152,7 @@ __all__ = [
     # facade + engine configuration
     "Analysis", "AnalysisResult", "EngineConfig", "DEFAULT_CONFIG",
     # bdd
-    "BDDManager", "Function", "ResourcePolicy", "to_dot", "sift",
-    "set_order", "swap_adjacent",
+    "BDDManager", "Function", "ResourcePolicy", "to_dot",
     # expr / ctl
     "Expr", "parse_expr", "expr_to_str", "evaluate",
     "CtlFormula", "parse_ctl", "ctl_to_str", "normalize_for_coverage",

@@ -100,8 +100,6 @@ class AnalysisResult:
     gc_seconds: float = 0.0
     #: Node slots those collections recycled.
     gc_freed: int = 0
-    #: Automatic reordering passes completed during the analysis.
-    reorder_runs: int = 0
     #: Combined operation-cache entry count when the analysis ended.
     cache_entries: int = 0
     #: The manager's live-node high-water mark — the analysis' memory bound.
@@ -146,7 +144,6 @@ class AnalysisResult:
             "gc_runs": self.gc_runs,
             "gc_seconds": round(self.gc_seconds, 6),
             "gc_freed": self.gc_freed,
-            "reorder_runs": self.reorder_runs,
             "cache_entries": self.cache_entries,
             "peak_live_nodes": self.peak_live_nodes,
         }
@@ -604,7 +601,6 @@ class Analysis:
             gc_runs=stats.gc_runs,
             gc_seconds=stats.gc_seconds,
             gc_freed=stats.gc_freed,
-            reorder_runs=stats.reorder_runs,
             cache_entries=stats.cache_entries,
             peak_live_nodes=stats.peak_live_nodes,
             metrics=(

@@ -43,8 +43,7 @@ def to_dot(
         if node in seen:
             continue
         seen.add(node)
-        var = manager.level_var(manager.level_of(node))
-        name = manager.var_name(var)
+        name = manager.var_name(manager.level_of(node))
         low = manager.low_of(node)
         high = manager.high_of(node)
         lines.append(f'  {node} [label="{name}"];')

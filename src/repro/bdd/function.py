@@ -32,7 +32,7 @@ class Function:
         manager.register_external(self)
         # Wrapper creation is the engine's *safe point*: the freshly wrapped
         # result is now GC-rooted and no raw-node traversal is in flight, so
-        # the resource manager may collect / evict / reorder here.
+        # the resource manager may collect / evict here.
         manager.checkpoint()
 
     # -- constructors ---------------------------------------------------

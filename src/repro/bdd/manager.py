@@ -8,8 +8,8 @@ variable renaming, satisfying-assignment counting and enumeration.
 
 :class:`BDDManager` is the node store: parallel Python lists for the node
 fields, one unique-table dict per level, one dict per operation cache, and
-the kernels that work on them.  Around the store it keeps variable naming
-and the variable<->level maps, external root tracking for the
+the kernels that work on them.  Around the store it keeps variable naming,
+external root tracking for the
 :class:`~repro.bdd.function.Function` wrappers, pinning for in-flight
 enumerations, the :class:`~repro.bdd.policy.ResourcePolicy` safe points
 (:meth:`BDDManager.checkpoint`), and the :meth:`BDDManager.resource_stats`
@@ -27,10 +27,11 @@ tuple key would be a GC-tracked 64-byte object per entry.  Only this
 module knows the layout.
 
 Nodes are integers; the two terminals are the reserved node ids ``0``
-(FALSE) and ``1`` (TRUE).  Nodes store *levels* rather than variable ids so
-that variable reordering can swap adjacent levels in place without
-invalidating outstanding node references (see :mod:`repro.bdd.reorder`);
-the public API takes variable ids and translates them on entry.  Every
+(FALSE) and ``1`` (TRUE).  The variable order is fixed when the variables
+are declared: a variable's id is its level (the first declared is topmost),
+so each node stores its variable's id and the kernels compare ids to find
+the top variable.  Callers choose the order by declaring in it
+(``CircuitBuilder.build`` derives it from the next-state logic).  Every
 kernel is **iterative** (explicit work stacks), so the engine's depth limit
 is available memory, not Python's recursion limit: a 1400-level BDD chain
 is as routine as a 14-level one.
@@ -71,15 +72,6 @@ TRUE = 1
 #: finished ``compose_many`` calls can never be hit again; it is purged
 #: after this many substitution generations.
 COMPOSE_GENERATIONS = 8
-#: Live-node trigger of the opt-in auto-sift hook (``policy.auto_reorder``).
-REORDER_NODE_THRESHOLD = 100_000
-#: Multiplier applied to the auto-sift trigger after each automatic sift
-#: (sifting is far too expensive to run at a fixed threshold).
-REORDER_GROWTH = 2.0
-#: Automatic sifts move only this many variables (the most populated ones):
-#: a full Rudell pass is O(vars² · live) and would stall wide managers for
-#: minutes; the heaviest few variables capture most of the reduction.
-REORDER_MAX_VARS = 12
 
 # Binary operators; each indexes its own cache and hit/miss counters.
 _OP_AND = 0
@@ -106,8 +98,8 @@ class BDDManager:
         Optional initial variable names, declared in order (first name gets
         the topmost level).
     policy:
-        Resource-management thresholds (automatic GC, cache caps, the
-        auto-sift hook).  Defaults to
+        Resource-management thresholds (automatic GC, cache caps).
+        Defaults to
         :data:`~repro.bdd.policy.DEFAULT_POLICY`.
     """
 
@@ -172,12 +164,9 @@ class BDDManager:
         self._unique_probes = 0
         self._unique_hits = 0
 
-        # Variable bookkeeping.  A "variable" is a stable integer id; its
-        # position in the order is a "level".  Initially id == level.
+        # Variable bookkeeping.  A variable's id is its level in the order.
         self._var_names: List[str] = []
         self._name_to_var: Dict[str, int] = {}
-        self._var2level: List[int] = []
-        self._level2var: List[int] = []
 
         # Live external references (Function wrappers), for garbage marking.
         # Keyed by wrapper *identity*: Function equality is structural (two
@@ -193,14 +182,12 @@ class BDDManager:
         # Resource management.
         self.policy: ResourcePolicy = policy if policy is not None else DEFAULT_POLICY
         self._gc_trigger = self.policy.gc_node_threshold
-        self._reorder_trigger = REORDER_NODE_THRESHOLD
         self._in_checkpoint = False
 
         # Resource-manager statistics.
         self._gc_runs = 0
         self._gc_seconds = 0.0
         self._gc_freed_total = 0
-        self._reorder_runs = 0
         self._peak_nodes = 2
         # Relational-product chain shape (and_exists_chain schedules).
         self._chain_runs = 0
@@ -222,8 +209,6 @@ class BDDManager:
         var = len(self._var_names)
         self._var_names.append(name)
         self._name_to_var[name] = var
-        self._var2level.append(len(self._level2var))
-        self._level2var.append(var)
         self._unique.append({})
         return var
 
@@ -238,14 +223,6 @@ class BDDManager:
         """Return the declared name of variable id ``var``."""
         return self._var_names[var]
 
-    def var_level(self, var: int) -> int:
-        """Current level (order position) of variable id ``var``."""
-        return self._var2level[var]
-
-    def level_var(self, level: int) -> int:
-        """Variable id currently sitting at ``level``."""
-        return self._level2var[level]
-
     @property
     def num_vars(self) -> int:
         """Number of declared variables."""
@@ -253,26 +230,22 @@ class BDDManager:
 
     @property
     def var_names(self) -> List[str]:
-        """Names of all declared variables in declaration order."""
+        """Names of all declared variables, from the top level down."""
         return list(self._var_names)
-
-    def current_order(self) -> List[str]:
-        """Variable names from top level to bottom level."""
-        return [self._var_names[v] for v in self._level2var]
 
     def var(self, name: str) -> int:
         """Return the node for the positive literal of variable ``name``."""
         var = self._name_to_var.get(name)
         if var is None:
             var = self.add_var(name)
-        return self._mk(self._var2level[var], FALSE, TRUE)
+        return self._mk(var, FALSE, TRUE)
 
     def nvar(self, name: str) -> int:
         """Return the node for the negative literal of variable ``name``."""
         var = self._name_to_var.get(name)
         if var is None:
             var = self.add_var(name)
-        return self._mk(self._var2level[var], TRUE, FALSE)
+        return self._mk(var, TRUE, FALSE)
 
     # ------------------------------------------------------------------
     # Node store
@@ -304,7 +277,8 @@ class BDDManager:
         return node
 
     def level_of(self, node: int) -> int:
-        """Level of ``node`` (``TERMINAL_LEVEL`` for constants)."""
+        """Level of ``node``, which is its variable's id
+        (``TERMINAL_LEVEL`` for constants)."""
         return self._level[node]
 
     def low_of(self, node: int) -> int:
@@ -556,14 +530,12 @@ class BDDManager:
     # ------------------------------------------------------------------
 
     def _quant_profile(self, variables: Iterable[int]) -> int:
-        """Intern the level set of ``variables`` (ids) as a small profile id.
+        """Intern the set of ``variables`` (ids) as a small profile id.
 
         Image computations quantify the same variable sets over and over;
         interning keeps the quantification cache keys small and hashable.
-        Profiles are expressed in levels and therefore invalidated
-        (cleared) by reordering.
         """
-        key = tuple(sorted(self._var2level[v] for v in variables))
+        key = tuple(sorted(variables))
         profile = self._quant_profiles.get(key)
         if profile is None:
             profile = len(self._quant_profile_sets)
@@ -776,11 +748,10 @@ class BDDManager:
         its value — one pass over ``f``, however many variables are fixed."""
         if not assignment:
             return f
-        by_level = {self._var2level[var]: value for var, value in assignment.items()}
         level_arr = self._level
         low_arr = self._low
         high_arr = self._high
-        bottom = max(by_level)
+        bottom = max(assignment)
         # The assignment is fixed for the whole call, so a node's result
         # depends on the node alone: a per-call memo is exact, and no
         # entry of it could be hit by a later call with another cube.
@@ -799,10 +770,10 @@ class BDDManager:
                 continue
             # A fixed variable is replaced by its chosen child, which
             # needs no frame of its own.
-            value = by_level.get(level_arr[f])
+            value = assignment.get(level_arr[f])
             while value is not None:
                 f = high_arr[f] if value else low_arr[f]
-                value = by_level.get(level_arr[f])
+                value = assignment.get(level_arr[f])
             if f <= TRUE or level_arr[f] > bottom:
                 results.append(f)
                 continue
@@ -831,7 +802,6 @@ class BDDManager:
         """
         if not substitution:
             return f
-        by_level = {self._var2level[v]: g for v, g in substitution.items()}
         # A fresh token keys this substitution in the (shared) compose
         # cache.  Entries of previous tokens can never be hit again; purge
         # them once COMPOSE_GENERATIONS generations have accumulated.
@@ -840,7 +810,7 @@ class BDDManager:
             self._compose_cache.clear()
             self._compose_purged_token = self._compose_token
         level_arr = self._level
-        max_level = max(by_level)
+        max_level = max(substitution)
         base = self._compose_token << 32
         cache = self._compose_cache
         hits = misses = 0
@@ -852,7 +822,7 @@ class BDDManager:
                 high = results.pop()
                 low = results.pop()
                 level = level_arr[f]
-                replacement = by_level.get(level)
+                replacement = substitution.get(level)
                 if replacement is None:
                     replacement = self._mk(level, FALSE, TRUE)
                 result = self.ite(replacement, high, low)
@@ -878,7 +848,7 @@ class BDDManager:
     def rename(self, f: int, mapping: Dict[int, int]) -> int:
         """Rename variables of ``f`` according to ``{old var id -> new var id}``.
 
-        Only the *support* of ``f`` matters: when the level map restricted to
+        Only the *support* of ``f`` matters: when the mapping restricted to
         the support is strictly order-preserving (true for the interleaved
         current<->next FSM encoding), a fast direct rebuild is used;
         otherwise this falls back to simultaneous composition, which is
@@ -886,15 +856,10 @@ class BDDManager:
         """
         if not mapping or f <= TRUE:
             return f
-        level_map = {
-            self._var2level[old]: self._var2level[new]
-            for old, new in mapping.items()
-        }
-        mapped = [level_map.get(level, level) for level in self._support_levels(f)]
+        mapped = [mapping.get(var, var) for var in self.support(f)]
         if not all(mapped[i] < mapped[i + 1] for i in range(len(mapped) - 1)):
             substitution = {
-                old: self._mk(self._var2level[new], FALSE, TRUE)
-                for old, new in mapping.items()
+                old: self._mk(new, FALSE, TRUE) for old, new in mapping.items()
             }
             return self.compose_many(f, substitution)
         level_arr = self._level
@@ -907,7 +872,7 @@ class BDDManager:
                 high = results.pop()
                 low = results.pop()
                 level = level_arr[f]
-                result = self._mk(level_map.get(level, level), low, high)
+                result = self._mk(mapping.get(level, level), low, high)
                 cache[f] = result
                 results.append(result)
                 continue
@@ -938,17 +903,16 @@ class BDDManager:
         """
         if variables is None:
             variables = range(self.num_vars)
-        levels = sorted(self._var2level[v] for v in variables)
+        levels = sorted(variables)
         if f == FALSE:
             return 0
         if f == TRUE:
             return 1 << len(levels)
         rank = {lvl: i for i, lvl in enumerate(levels)}
-        for level in self._support_levels(f):
+        for level in self.support(f):
             if level not in rank:
                 raise BDDError(
-                    f"satcount: function depends on "
-                    f"{self._var_names[self._level2var[level]]!r} "
+                    f"satcount: function depends on {self._var_names[level]!r} "
                     "which is outside the counting variables"
                 )
         n = len(rank)
@@ -977,8 +941,9 @@ class BDDManager:
             tasks.append((low_arr[node], False))
         return memo[f] << rank[level_arr[f]]
 
-    def _support_levels(self, f: int) -> List[int]:
-        """Sorted levels ``f`` structurally depends on."""
+    def support(self, f: int) -> List[int]:
+        """Variable ids (sorted, i.e. by level) that ``f`` structurally
+        depends on."""
         seen = set()
         levels = set()
         stack = [f]
@@ -991,10 +956,6 @@ class BDDManager:
             stack.append(self._low[node])
             stack.append(self._high[node])
         return sorted(levels)
-
-    def support(self, f: int) -> List[int]:
-        """Variable ids (sorted by level) that ``f`` structurally depends on."""
-        return [self._level2var[level] for level in self._support_levels(f)]
 
     def iter_cubes(self, f: int) -> Iterator[Dict[int, bool]]:
         """Yield the cubes (partial assignments ``{var id: bool}``) of ``f``.
@@ -1010,7 +971,6 @@ class BDDManager:
             return
         self._pin(f)
         try:
-            level2var = self._level2var
             path: List[Tuple[int, bool]] = []
             # Each entry: (node, path length to truncate to, level of the
             # literal to append first — or -1 for the root).  Low branches
@@ -1024,7 +984,7 @@ class BDDManager:
                 if node == FALSE:
                     continue
                 if node == TRUE:
-                    yield {level2var[lvl]: val for lvl, val in path}
+                    yield dict(path)
                     continue
                 lvl = self._level[node]
                 depth = len(path)
@@ -1045,7 +1005,7 @@ class BDDManager:
                     f"function depends on {self._var_names[var]!r} which is "
                     "not among the enumeration variables"
                 )
-        ordered = sorted(variables, key=lambda v: self._var2level[v])
+        ordered = sorted(variables)
         for cube in self.iter_cubes(f):
             free = [v for v in ordered if v not in cube]
             for bits in range(1 << len(free)):
@@ -1071,7 +1031,7 @@ class BDDManager:
         """Evaluate ``f`` under a complete assignment ``{var id: bool}``."""
         node = f
         while node > TRUE:
-            var = self._level2var[self._level[node]]
+            var = self._level[node]
             try:
                 value = assignment[var]
             except KeyError:
@@ -1083,10 +1043,9 @@ class BDDManager:
 
     def cube(self, assignment: Dict[int, bool]) -> int:
         """Build the conjunction-of-literals node for ``{var id: bool}``."""
-        by_level = {self._var2level[var]: value for var, value in assignment.items()}
         result = TRUE
-        for level in sorted(by_level, reverse=True):
-            if by_level[level]:
+        for level in sorted(assignment, reverse=True):
+            if assignment[level]:
                 result = self._mk(level, FALSE, result)
             else:
                 result = self._mk(level, result, FALSE)
@@ -1121,7 +1080,6 @@ class BDDManager:
         """Install a new resource policy and re-arm its triggers."""
         self.policy = policy
         self._gc_trigger = policy.gc_node_threshold
-        self._reorder_trigger = REORDER_NODE_THRESHOLD
 
     def cache_entry_count(self) -> int:
         """Combined entry count of all operation caches."""
@@ -1141,9 +1099,8 @@ class BDDManager:
         created — the one moment when every intermediate the caller still
         needs is wrapper-rooted and no raw-node traversal is in flight (the
         manager's own operators never create wrappers mid-computation).
-        Runs auto-GC / cache eviction / the opt-in auto-sift hook when the
-        policy's thresholds are crossed; cheap (a few integer compares)
-        otherwise.
+        Runs auto-GC / cache eviction when the policy's thresholds are
+        crossed; cheap (a few integer compares) otherwise.
         """
         if self._in_checkpoint:
             return
@@ -1151,22 +1108,6 @@ class BDDManager:
         policy = self.policy
         self._in_checkpoint = True
         try:
-            if (
-                policy.auto_reorder
-                and count >= self._reorder_trigger
-                # Reordering rewrites nodes in place; never do it while a
-                # cube iterator is walking the graph.
-                and not self._pinned
-            ):
-                from .reorder import sift  # local import: reorder imports us
-
-                sift(self, max_vars=REORDER_MAX_VARS)
-                self._reorder_runs += 1
-                live = self.node_count()
-                self._reorder_trigger = max(
-                    REORDER_NODE_THRESHOLD, int(live * REORDER_GROWTH) + 1
-                )
-                count = live
             if policy.gc_enabled and count >= self._gc_trigger:
                 self.collect_garbage()
                 live = self.node_count()
@@ -1182,7 +1123,7 @@ class BDDManager:
             self._in_checkpoint = False
 
     def clear_caches(self) -> None:
-        """Drop all operation caches (automatically done by GC/reorder)."""
+        """Drop all operation caches (automatically done by GC)."""
         self._ite_cache.clear()
         for cache in self._bin_caches:
             cache.clear()
@@ -1191,33 +1132,6 @@ class BDDManager:
         self._relprod_cache.clear()
         self._compose_cache.clear()
         self._compose_purged_token = self._compose_token
-
-    def _gc_roots(self, extra_roots: Iterable[int] = ()) -> set:
-        """The root set: live wrappers, pins, literals, ``extra_roots``."""
-        roots = set(extra_roots)
-        for ref in list(self._external.values()):
-            obj = ref()
-            if obj is not None:
-                roots.add(obj.node)
-        roots.update(self._pinned)
-        for table in self._unique:
-            node = table.get((FALSE << 32) | TRUE)
-            if node is not None:
-                roots.add(node)
-        return roots
-
-    def _mark(self, roots: Iterable[int]) -> set:
-        """Every node reachable from ``roots``, terminals included."""
-        marked = {FALSE, TRUE}
-        stack = [r for r in roots if r > TRUE]
-        while stack:
-            node = stack.pop()
-            if node in marked:
-                continue
-            marked.add(node)
-            stack.append(self._low[node])
-            stack.append(self._high[node])
-        return marked
 
     def collect_garbage(self, extra_roots: Iterable[int] = ()) -> int:
         """Mark-and-sweep: recycle nodes unreachable from live references.
@@ -1230,7 +1144,25 @@ class BDDManager:
         """
         started = time.perf_counter()
         self._note_peak()
-        marked = self._mark(self._gc_roots(extra_roots))
+        roots = set(extra_roots)
+        for ref in list(self._external.values()):
+            obj = ref()
+            if obj is not None:
+                roots.add(obj.node)
+        roots.update(self._pinned)
+        for table in self._unique:
+            node = table.get((FALSE << 32) | TRUE)
+            if node is not None:
+                roots.add(node)
+        marked = {FALSE, TRUE}
+        stack = [r for r in roots if r > TRUE]
+        while stack:
+            node = stack.pop()
+            if node in marked:
+                continue
+            marked.add(node)
+            stack.append(self._low[node])
+            stack.append(self._high[node])
         free = self._free
         freed = 0
         for table in self._unique:
@@ -1254,101 +1186,6 @@ class BDDManager:
         self._gc_freed_total += freed
         self._gc_seconds += time.perf_counter() - started
         return freed
-
-    def live_node_count(self, extra_roots: Iterable[int] = ()) -> int:
-        """Nodes reachable from live references (terminals included).
-
-        Marks from the same root set as :meth:`collect_garbage` without
-        sweeping — the size measure dynamic reordering optimises (the raw
-        unique-table size would count dead-but-uncollected nodes and skew
-        placement decisions).
-        """
-        return len(self._mark(self._gc_roots(extra_roots)))
-
-    # ------------------------------------------------------------------
-    # Reordering support (driven by repro.bdd.reorder)
-    # ------------------------------------------------------------------
-
-    def _level_occupancy(self) -> Dict[int, int]:
-        """Live node count per level (reordering's placement signal)."""
-        return {level: len(table) for level, table in enumerate(self._unique) if table}
-
-    def _swap_levels(self, upper: int) -> None:
-        """Swap levels ``upper`` and ``upper + 1`` in place.
-
-        The affected nodes are rewritten where they stand, so every node id
-        keeps denoting the same function; the variable<->level maps are
-        swapped to match, and every level-keyed structure (op caches,
-        interned quantification profiles) is dropped.
-        """
-        lower = upper + 1
-        level_arr = self._level
-        low_arr = self._low
-        high_arr = self._high
-        unique = self._unique
-
-        # Only these two levels' tables change; both are rebuilt below.
-        upper_nodes = unique[upper].values()
-        lower_nodes = unique[lower].values()
-        new_upper: Dict[int, int] = {}
-        new_lower: Dict[int, int] = {}
-        unique[upper] = new_upper
-        unique[lower] = new_lower
-
-        # Phase 1: old upper-level nodes that do NOT depend on the lower
-        # variable simply sink one level (same children, same function).
-        dependent: List[int] = []
-        for node in upper_nodes:
-            low, high = low_arr[node], high_arr[node]
-            if level_arr[low] == lower or level_arr[high] == lower:
-                dependent.append(node)
-            else:
-                level_arr[node] = lower
-                new_lower[(low << 32) | high] = node
-
-        # Phase 2: old lower-level nodes float up (their children are
-        # strictly below both levels, so they are well-formed at the upper
-        # level).
-        for node in lower_nodes:
-            level_arr[node] = upper
-            new_upper[(low_arr[node] << 32) | high_arr[node]] = node
-
-        # Phase 3: rewrite the dependent nodes.  With x the old upper
-        # variable and y the old lower one, f = x?(y?f11:f10):(y?f01:f00)
-        # becomes f = y?(x?f11:f01):(x?f10:f00) where x now lives at the
-        # lower level.  After phase 2, a child at level `upper` is
-        # necessarily an old lower-level node (original children of upper
-        # nodes were at levels >= lower, and only old lower nodes were
-        # floated up).
-        for node in dependent:
-            f0, f1 = low_arr[node], high_arr[node]
-            if level_arr[f0] == upper:
-                f00, f01 = low_arr[f0], high_arr[f0]
-            else:
-                f00 = f01 = f0
-            if level_arr[f1] == upper:
-                f10, f11 = low_arr[f1], high_arr[f1]
-            else:
-                f10 = f11 = f1
-            new_low = self._mk(lower, f00, f10)
-            new_high = self._mk(lower, f01, f11)
-            level_arr[node] = upper
-            low_arr[node] = new_low
-            high_arr[node] = new_high
-            new_upper[(new_low << 32) | new_high] = node
-
-        # Swap the variable <-> level bookkeeping.
-        var_upper = self._level2var[upper]
-        var_lower = self._level2var[lower]
-        self._level2var[upper], self._level2var[lower] = var_lower, var_upper
-        self._var2level[var_upper] = lower
-        self._var2level[var_lower] = upper
-
-        # Levels changed meaning: every cache and level-keyed profile is stale.
-        self.clear_caches()
-        self._quant_profiles.clear()
-        self._quant_profile_sets.clear()
-        self._quant_profile_max.clear()
 
     # ------------------------------------------------------------------
     # Resource statistics
@@ -1390,11 +1227,6 @@ class BDDManager:
         return count if count > peak else peak
 
     @property
-    def reorder_runs(self) -> int:
-        """Number of completed automatic reordering passes."""
-        return self._reorder_runs
-
-    @property
     def gc_freed(self) -> int:
         """Total node slots recycled across all collections."""
         return self._gc_freed_total
@@ -1418,7 +1250,6 @@ class BDDManager:
             "gc_runs": self._gc_runs,
             "gc_freed": self._gc_freed_total,
             "gc_seconds": self._gc_seconds,
-            "reorder_runs": self._reorder_runs,
             "cache_entries": self.cache_entry_count(),
             # Unique-table (hash-consing) pressure.
             "unique_probes": self._unique_probes,
@@ -1465,9 +1296,7 @@ class BDDManager:
                 break
             literals = [
                 self._var_names[var] if value else f"!{self._var_names[var]}"
-                for var, value in sorted(
-                    cube.items(), key=lambda kv: self._var2level[kv[0]]
-                )
+                for var, value in sorted(cube.items())
             ]
             terms.append(" & ".join(literals) if literals else "TRUE")
         return " | ".join(terms)

@@ -1,9 +1,8 @@
 """Resource-management policy for the BDD engine.
 
 A :class:`ResourcePolicy` bundles the knobs of the manager's automatic
-resource manager: when to garbage-collect, when to drop operation caches,
-and whether to trigger dynamic variable reordering.  (The compose-cache
-purge period and the auto-sift trigger are constants of
+resource manager: when to garbage-collect and when to drop operation
+caches.  (The compose-cache purge period is a constant of
 :mod:`repro.bdd.manager`.)  The policy travels with the
 :class:`~repro.bdd.manager.BDDManager` and is consulted only at *safe
 points* — moments when every live BDD is rooted in a
@@ -28,7 +27,7 @@ __all__ = ["ResourcePolicy", "DEFAULT_POLICY"]
 
 @dataclass(frozen=True)
 class ResourcePolicy:
-    """Thresholds and switches of the automatic resource manager.
+    """Thresholds of the automatic resource manager.
 
     Attributes
     ----------
@@ -45,18 +44,11 @@ class ResourcePolicy:
     cache_entry_threshold:
         Drop all operation caches (without a full GC) once their combined
         entry count reaches this value.  ``0`` disables the cache cap.
-    auto_reorder:
-        Opt-in hook: sift the variable order at a safe point once the live
-        node count reaches
-        :data:`~repro.bdd.manager.REORDER_NODE_THRESHOLD`.  Off by default —
-        reordering changes BDD shapes, hence cube enumeration order, and
-        therefore the rendering of traces.
     """
 
     gc_node_threshold: int = 250_000
     gc_growth: float = 2.0
     cache_entry_threshold: int = 1_000_000
-    auto_reorder: bool = False
 
     def __post_init__(self) -> None:
         if self.gc_node_threshold < 0:
@@ -87,5 +79,5 @@ class ResourcePolicy:
 
 
 #: The policy a manager gets when none is supplied: auto-GC on with a
-#: generous threshold, auto-reorder off.
+#: generous threshold.
 DEFAULT_POLICY = ResourcePolicy()

@@ -1,11 +1,11 @@
 """`EngineConfig` — every engine knob in one frozen, serialisable object.
 
-Before this module existed, each engine knob (the transition-relation mode
-of PR 2, the GC threshold and auto-reorder switch of PR 3) was threaded by
-hand through six layers: CLI flag → ``CoverageJob`` field → job factories →
-``build_builtin`` → circuit builder → ``CircuitBuilder.build`` →
-``ResourcePolicy``.  Adding a knob meant editing all of them, and none of
-the values travelled with the results they shaped.
+Before this module existed, each engine knob (the transition-relation mode,
+the GC threshold) was threaded by hand through six layers: CLI flag →
+``CoverageJob`` field → job factories → ``build_builtin`` → circuit builder
+→ ``CircuitBuilder.build`` → ``ResourcePolicy``.  Adding a knob meant
+editing all of them, and none of the values travelled with the results
+they shaped.
 
 :class:`EngineConfig` collapses that thread: it is *the* value that moves
 through the pipeline, and every transport the pipeline uses has a matching
@@ -83,8 +83,6 @@ class EngineConfig:
     cache_threshold:
         Combined operation-cache entry cap; ``0`` disables the cap,
         ``None`` keeps the default.
-    auto_reorder:
-        Enable the automatic variable-sifting hook (off by default).
     telemetry:
         Telemetry level: ``"off"`` (default), ``"counters"`` (cumulative
         engine counters in reports), or ``"spans"`` (full phase spans and
@@ -96,7 +94,6 @@ class EngineConfig:
     gc_threshold: Optional[int] = None
     gc_growth: Optional[float] = None
     cache_threshold: Optional[int] = None
-    auto_reorder: bool = False
     telemetry: str = "off"
 
     def __post_init__(self) -> None:
@@ -120,8 +117,6 @@ class EngineConfig:
             raise ConfigError("--gc-growth must be >= 1.0")
         if self.cache_threshold is not None and self.cache_threshold < 0:
             raise ConfigError("--cache-threshold must be >= 0")
-        if not isinstance(self.auto_reorder, bool):
-            raise ConfigError("auto_reorder must be a bool")
         if self.telemetry not in TELEMETRY_LEVELS:
             raise ConfigError(
                 f"unknown telemetry level {self.telemetry!r} "
@@ -145,12 +140,11 @@ class EngineConfig:
             self.gc_threshold is None
             and self.gc_growth is None
             and self.cache_threshold is None
-            and not self.auto_reorder
         ):
             return None
         from .bdd.policy import ResourcePolicy
 
-        kwargs: Dict[str, object] = {"auto_reorder": self.auto_reorder}
+        kwargs: Dict[str, object] = {}
         if self.gc_threshold is not None:
             kwargs["gc_node_threshold"] = self.gc_threshold
         if self.gc_growth is not None:
@@ -201,14 +195,6 @@ class EngineConfig:
             ),
         )
         parser.add_argument(
-            "--auto-reorder", action="store_true",
-            help=(
-                "enable automatic variable reordering (Rudell sifting) when "
-                "the live BDD outgrows its threshold; off by default because "
-                "reordering may change the rendering order of --traces output"
-            ),
-        )
-        parser.add_argument(
             "--telemetry", choices=list(TELEMETRY_LEVELS),
             default=TELEMETRY_OFF, metavar="LEVEL",
             help=(
@@ -227,7 +213,6 @@ class EngineConfig:
             gc_threshold=getattr(args, "gc_threshold", None),
             gc_growth=getattr(args, "gc_growth", None),
             cache_threshold=getattr(args, "cache_threshold", None),
-            auto_reorder=bool(getattr(args, "auto_reorder", False)),
             telemetry=getattr(args, "telemetry", TELEMETRY_OFF),
         )
 
@@ -247,8 +232,6 @@ class EngineConfig:
             args += ["--gc-growth", repr(self.gc_growth)]
         if self.cache_threshold is not None:
             args += ["--cache-threshold", str(self.cache_threshold)]
-        if self.auto_reorder:
-            args += ["--auto-reorder"]
         if self.telemetry != TELEMETRY_OFF:
             args += ["--telemetry", self.telemetry]
         return args
@@ -265,7 +248,6 @@ class EngineConfig:
             "gc_threshold": self.gc_threshold,
             "gc_growth": self.gc_growth,
             "cache_threshold": self.cache_threshold,
-            "auto_reorder": self.auto_reorder,
             "telemetry": self.telemetry,
         }
 

@@ -24,9 +24,6 @@ Two pieces live here:
   carries in partitioned mode, with schedules cached per quantification
   set.  :meth:`TransitionPartition.relprod` executes the chain via
   :meth:`repro.bdd.manager.BDDManager.and_exists_chain`.
-
-Schedules are expressed in *variable ids* (stable across dynamic
-reordering), so a partition built once stays valid after sifting.
 """
 
 from __future__ import annotations

@@ -90,8 +90,7 @@ AXIS_CONFIGS: Dict[str, EngineConfig] = {
 #: (two engines may of course spend different effort on the same answer).
 COST_FIELDS = (
     "config", "seconds", "nodes_created", "gc_runs", "gc_seconds",
-    "gc_freed", "reorder_runs", "cache_entries", "peak_live_nodes",
-    "metrics",
+    "gc_freed", "cache_entries", "peak_live_nodes", "metrics",
 )
 
 #: Explicit-state enumeration cap; generated models are far below this.

@@ -9,9 +9,8 @@ measure), plus the manager's live node count at the end.
 Since the engine gained an automatic resource manager
 (:class:`~repro.bdd.policy.ResourcePolicy`), the meter also records its
 footprint: garbage collections that ran during the phase, the wall-clock
-time they cost, the nodes they recycled, reordering passes, and the
-manager's peak live-node count — the number that actually bounds memory on
-large designs.
+time they cost, the nodes they recycled, and the manager's peak live-node
+count — the number that actually bounds memory on large designs.
 
 The meter deltas :meth:`~repro.bdd.manager.BDDManager.resource_stats`
 between its enter and exit snapshots, so its field names *are* the
@@ -47,8 +46,6 @@ class WorkStats:
     gc_seconds: float = 0.0
     #: Node slots those collections recycled.
     gc_freed: int = 0
-    #: Automatic reordering passes completed during the phase.
-    reorder_runs: int = 0
     #: Combined operation-cache entry count when the phase ended (a gauge,
     #: not a delta: caches persist across phases and evictions can shrink
     #: them mid-phase).
@@ -67,7 +64,6 @@ class WorkStats:
             gc_runs=self.gc_runs + other.gc_runs,
             gc_seconds=self.gc_seconds + other.gc_seconds,
             gc_freed=self.gc_freed + other.gc_freed,
-            reorder_runs=self.reorder_runs + other.reorder_runs,
             cache_entries=max(self.cache_entries, other.cache_entries),
             peak_live_nodes=max(self.peak_live_nodes, other.peak_live_nodes),
         )
@@ -115,7 +111,6 @@ class WorkMeter:
             gc_runs=end["gc_runs"] - start["gc_runs"],
             gc_seconds=end["gc_seconds"] - start["gc_seconds"],
             gc_freed=end["gc_freed"] - start["gc_freed"],
-            reorder_runs=end["reorder_runs"] - start["reorder_runs"],
             cache_entries=end["cache_entries"],
             peak_live_nodes=end["peak_live_nodes"],
         )

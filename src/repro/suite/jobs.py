@@ -38,7 +38,7 @@ class CoverageJob:
     file name for error messages).  Observed signals and don't-cares come
     from the target definition or the module text respectively.  ``config``
     carries every engine knob (transition-relation mode, GC thresholds,
-    auto-reorder); all knobs are cost knobs — coverage results are
+    cache cap, telemetry); all knobs are cost knobs — coverage results are
     identical under any config.
     """
 

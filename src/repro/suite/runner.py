@@ -249,7 +249,6 @@ def suite_report(
             "gc_runs": sum(r.gc_runs for r in results),
             "gc_seconds": round(sum(r.gc_seconds for r in results), 6),
             "gc_freed": sum(r.gc_freed for r in results),
-            "reorder_runs": sum(r.reorder_runs for r in results),
             "peak_live_nodes": max(
                 (r.peak_live_nodes for r in results), default=0
             ),

@@ -5,8 +5,8 @@ id, so CPython never tracks those dicts and its collector never traverses
 them.  One tuple key (or any other container) stored in a table makes that
 dict GC-tracked again, and a deep run then spends a large share of its time
 in collections that walk hundreds of thousands of entries.  Checked in both
-transition modes after a full analysis, a forced collection, a sift, and
-traces rendered under the sifted order.
+transition modes after a full analysis, a forced collection, and traces
+rendered after it.
 """
 
 import gc
@@ -14,7 +14,6 @@ import gc
 import pytest
 
 from repro.analysis import Analysis
-from repro.bdd import reorder
 from repro.engine import TRANS_MODES, EngineConfig
 
 
@@ -46,8 +45,7 @@ def test_tables_are_not_gc_tracked(trans):
     assert manager.collect_garbage() > 0
     _assert_untracked(manager, "after a freeing collection")
 
-    reorder.sift(manager)
     analysis.uncovered_traces(3)
-    # The sift dropped the caches; the traces refilled them.
+    # The collection dropped the caches; the traces refilled them.
     assert manager.cache_entry_count() > 0
-    _assert_untracked(manager, "after sift and traces")
+    _assert_untracked(manager, "after traces")

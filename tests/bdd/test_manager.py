@@ -1,5 +1,7 @@
 """Unit tests for the core BDD manager operations."""
 
+import itertools
+
 import pytest
 
 from repro.bdd import FALSE, TRUE, BDDManager
@@ -13,9 +15,11 @@ def mgr():
 
 class TestVariables:
     def test_declaration_order_is_level_order(self, mgr):
-        assert mgr.current_order() == ["a", "b", "c", "d"]
-        assert mgr.var_level(mgr.var_id("a")) == 0
-        assert mgr.var_level(mgr.var_id("d")) == 3
+        assert mgr.var_names == ["a", "b", "c", "d"]
+        # A variable's level is its id, and ids follow declaration order.
+        levels = [mgr.level_of(mgr.var(name)) for name in mgr.var_names]
+        assert levels == [mgr.var_id(name) for name in mgr.var_names]
+        assert levels == [0, 1, 2, 3]
 
     def test_duplicate_declaration_rejected(self, mgr):
         with pytest.raises(BDDError):
@@ -230,6 +234,13 @@ class TestEnumeration:
             f, {ids["a"]: False, ids["b"]: False, ids["c"]: True, ids["d"]: True}
         )
 
+    def test_to_expr_str_renders_cubes(self):
+        mgr = BDDManager(["a", "b"])
+        f = mgr.apply_and(mgr.var("a"), mgr.apply_not(mgr.var("b")))
+        assert mgr.to_expr_str(f) == "a & !b"
+        assert mgr.to_expr_str(0) == "FALSE"
+        assert mgr.to_expr_str(1) == "TRUE"
+
     def test_cube_roundtrip(self, mgr):
         ids = {n: mgr.var_id(n) for n in "ab"}
         assignment = {ids["a"]: True, ids["b"]: False}
@@ -284,3 +295,89 @@ class TestGarbageCollection:
         assert m.eval_node(
             g2, {m.var_id("a"): True, m.var_id("b"): True}
         )
+
+    def test_gc_keeps_canonicity(self):
+        from repro.bdd import Function
+
+        mgr = BDDManager(["a", "b"])
+        f = Function(mgr, mgr.apply_implies(mgr.var("a"), mgr.var("b")))
+        mgr.collect_garbage()
+        g = Function(mgr, mgr.apply_implies(mgr.var("a"), mgr.var("b")))
+        assert f == g
+
+    def test_created_nodes_is_monotone(self):
+        mgr = BDDManager(["a", "b", "c"])
+        checkpoints = [mgr.created_nodes]
+        mgr.apply_and(mgr.var("a"), mgr.var("b"))
+        checkpoints.append(mgr.created_nodes)
+        mgr.collect_garbage()
+        checkpoints.append(mgr.created_nodes)
+        mgr.apply_or(mgr.var("a"), mgr.var("c"))
+        checkpoints.append(mgr.created_nodes)
+        assert checkpoints == sorted(checkpoints)
+
+    def test_repeated_gc_keeps_live_function(self):
+        from repro.bdd import Function
+
+        names = ["a", "b", "c", "d"]
+        mgr = BDDManager(names)
+        keep = Function(
+            mgr,
+            mgr.apply_or(
+                mgr.apply_and(mgr.var("a"), mgr.var("d")),
+                mgr.apply_and(mgr.var("b"), mgr.apply_not(mgr.var("c"))),
+            ),
+        )
+        for i in range(4):
+            mgr.apply_xor(mgr.var(names[i]), mgr.var(names[(i + 1) % 4]))
+        ids = [mgr.var_id(v) for v in names]
+
+        def table():
+            return [
+                keep.evaluate(dict(zip(ids, bits)))
+                for bits in itertools.product([False, True], repeat=4)
+            ]
+
+        before = table()
+        assert mgr.collect_garbage() > 0
+        # Nothing died since the first sweep, so the second frees nothing.
+        assert mgr.collect_garbage() == 0
+        assert table() == before
+
+    def test_satcount_stable_across_gc(self):
+        from repro.bdd import Function
+
+        mgr = BDDManager(["x", "y", "z", "w"])
+        f = Function(
+            mgr,
+            mgr.apply_or(
+                mgr.apply_and(mgr.var("x"), mgr.var("w")),
+                mgr.apply_xor(mgr.var("y"), mgr.var("z")),
+            ),
+        )
+        before = f.satcount()
+        mgr.apply_and(mgr.var("y"), mgr.apply_not(mgr.var("w")))
+        assert mgr.collect_garbage() > 0
+        # New nodes reuse the freed slots; no cached count may leak.
+        g = Function(mgr, mgr.apply_or(mgr.var("x"), mgr.var("z")))
+        assert f.satcount() == before
+        assert g.satcount() == 12
+
+    def test_cubes_valid_after_gc(self):
+        from repro.bdd import Function
+
+        names = ["x", "y", "z"]
+        mgr = BDDManager(names)
+        f = Function(
+            mgr, mgr.apply_or(mgr.var("x"), mgr.apply_and(mgr.var("y"), mgr.var("z")))
+        )
+        mgr.apply_xor(mgr.var("x"), mgr.var("z"))
+        assert mgr.collect_garbage() > 0
+        mgr.apply_and(mgr.var("y"), mgr.apply_not(mgr.var("x")))
+        cubes = list(f.iter_cubes())
+        assert cubes
+        for cube in cubes:
+            # Each cube, with its free variables set to False, satisfies f.
+            env = {mgr.var_id(v): False for v in names}
+            env.update(cube)
+            assert f.evaluate(env)

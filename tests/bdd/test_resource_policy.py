@@ -1,10 +1,9 @@
-"""The automatic resource manager: policies, safe points, eviction, sifting.
+"""The automatic resource manager: policies, safe points, eviction.
 
 Covers the :class:`~repro.bdd.policy.ResourcePolicy` knobs end to end:
 auto-GC triggering and trigger growth, the compose-cache generation purge,
-the cache-entry cap, the opt-in auto-sift hook, pin protection for
-in-flight cube iterators, and the resource counters surfaced through
-:class:`~repro.mc.stats.WorkMeter`.
+the cache-entry cap, pin protection for in-flight cube iterators, and the
+resource counters surfaced through :class:`~repro.mc.stats.WorkMeter`.
 """
 
 import itertools
@@ -42,7 +41,9 @@ class TestPolicyValidation:
         assert ResourcePolicy.aggressive().gc_growth == 1.0
         assert not ResourcePolicy.disabled().gc_enabled
         assert ResourcePolicy().gc_enabled
-        assert ResourcePolicy().with_(auto_reorder=True).auto_reorder
+        assert ResourcePolicy().with_(
+            cache_entry_threshold=7
+        ).cache_entry_threshold == 7
 
 
 class TestAutoGC:
@@ -142,30 +143,6 @@ class TestCacheEviction:
             assert mgr.compose(f, mgr.var_id("b"), mgr.var("c")) == expected
 
 
-class TestAutoSift:
-    def test_auto_reorder_hook_fires(self, monkeypatch):
-        # The x0..x2/y0..y2 blocked order is exponential; interleaving is
-        # linear — the classic sifting win.
-        monkeypatch.setattr(manager_module, "REORDER_NODE_THRESHOLD", 10)
-        names = [f"x{i}" for i in range(3)] + [f"y{i}" for i in range(3)]
-        mgr = BDDManager(
-            names,
-            policy=ResourcePolicy(gc_node_threshold=0, auto_reorder=True),
-        )
-        f = Function.false(mgr)
-        for i in range(3):
-            f = f | (Function.var(mgr, f"x{i}") & Function.var(mgr, f"y{i}"))
-        assert mgr._reorder_runs >= 1
-        # Sifting moved variables but the function did not change:
-        # |(x0&y0) | (x1&y1) | (x2&y2)| = 2^6 - 3^3 (no pair fully true).
-        assert f.satcount() == 2 ** 6 - 3 ** 3
-
-    def test_auto_reorder_off_by_default(self, names):
-        mgr = BDDManager(names)
-        _burn(mgr)
-        assert mgr._reorder_runs == 0
-
-
 class TestExternalRootIdentity:
     def test_equal_wrappers_are_independent_roots(self):
         """Function equality is structural, so the external-root registry
@@ -256,29 +233,3 @@ class TestCounters:
         assert stats["gc_runs"] == mgr.gc_runs
         assert stats["peak_live_nodes"] >= stats["nodes_live"]
         assert stats["gc_freed"] > 0
-
-
-class TestSiftUsesLiveSizes:
-    def test_sift_ignores_dead_nodes(self):
-        from repro.bdd import sift
-
-        names = [f"x{i}" for i in range(3)] + [f"y{i}" for i in range(3)]
-        mgr = BDDManager(names, policy=ResourcePolicy.disabled())
-        f = Function.false(mgr)
-        for i in range(3):
-            f = f | (Function.var(mgr, f"x{i}") & Function.var(mgr, f"y{i}"))
-        # Pile up garbage so the unique table badly misrepresents live size.
-        for i in range(3):
-            Function(
-                mgr,
-                mgr.apply_xor(mgr.var(f"x{i}"), mgr.var(f"y{(i + 1) % 3}")),
-            )
-        live_before = mgr.live_node_count()
-        assert mgr.node_count() > live_before  # garbage present
-        improvement = sift(mgr)
-        # Sifting measured live sizes: the blocked->interleaved win shows.
-        assert improvement <= 0
-        assert mgr.live_node_count() <= live_before
-        # Placement used live counts, not the garbage-skewed table: the
-        # interleaved optimum keeps the function linear-sized.
-        assert f.size() <= 2 * 3 * 2 + 2

@@ -85,7 +85,7 @@ class TestDeclarations:
 class TestCompiledStructure:
     def test_interleaved_variable_order(self):
         fsm = build_toggle()
-        order = fsm.manager.current_order()
+        order = fsm.manager.var_names
         assert order == ["t", "t#next", "en", "en#next"]
 
     def test_state_vars_latches_inputs(self):
@@ -158,11 +158,11 @@ from repro.lang import elaborate, load_module
 from repro.suite import BUILTIN_TARGETS, build_builtin
 orders = {}
 for name in BUILTIN_TARGETS:
-    orders[name] = build_builtin(name)[0].manager.current_order()
+    orders[name] = build_builtin(name)[0].manager.var_names
 orders["buffer-lo --buggy"] = build_builtin(
-    "buffer-lo", buggy=True)[0].manager.current_order()
+    "buffer-lo", buggy=True)[0].manager.var_names
 for path in sorted(Path(sys.argv[1]).glob("*.rml")):
-    orders[path.name] = elaborate(load_module(path)).fsm.manager.current_order()
+    orders[path.name] = elaborate(load_module(path)).fsm.manager.var_names
 print(json.dumps(orders))
 """
 
@@ -172,7 +172,7 @@ class TestDerivedOrder:
 
     def test_pipeline_controls_sit_above_the_stages(self):
         fsm = build_pipeline(stages=3)
-        order = fsm.manager.current_order()
+        order = fsm.manager.var_names
         level = {name: position for position, name in enumerate(order)}
         for control in ("stall", "h0", "h1"):
             assert level[control] < level["v1"]
@@ -188,7 +188,7 @@ class TestDerivedOrder:
         # ``next(b) := x``, ``same := a = b``) narrowed to 4 bits.
         fsm = elaborate(parse_module(WORD_COMPARE_RML.replace("[12]", "[4]"))).fsm
         current = [
-            name for name in fsm.manager.current_order()
+            name for name in fsm.manager.var_names
             if not name.endswith(NEXT_SUFFIX)
         ]
         assert [name[1:] for name in current] == [

@@ -1,10 +1,8 @@
 """CoverageJob: config field, describe() regeneration, round-trips.
 
-``describe()`` used to hand-accumulate ``--gc-threshold``/``--auto-reorder``
-into a variable misleadingly named ``trans``; it is now regenerated from
-``EngineConfig.to_cli_args()``, and the round-trip tests here pin the
-contract: parsing a description's flags back through the CLI parser yields
-the job's exact config.
+``describe()`` is regenerated from ``EngineConfig.to_cli_args()``, and the
+round-trip tests here pin the contract: parsing a description's flags back
+through the CLI parser yields the job's exact config.
 """
 
 import argparse
@@ -27,7 +25,7 @@ CONFIGS = [
     EngineConfig(),
     EngineConfig(trans="mono"),
     EngineConfig(gc_threshold=0),
-    EngineConfig(gc_threshold=12345, auto_reorder=True),
+    EngineConfig(gc_threshold=12345, telemetry="counters"),
     EngineConfig(trans="mono", gc_growth=1.5, cache_threshold=77),
 ]
 

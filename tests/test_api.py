@@ -205,6 +205,10 @@ def _removed_keyword_calls():
          lambda **kw: AnalysisResult("r", "builtin", "ok", **kw), "trans"),
         ("EngineConfig", EngineConfig, "backend"),
         ("BDDManager", lambda **kw: BDDManager(["a"], **kw), "backend"),
+        # Dynamic reordering is gone; the variable order is fixed when the
+        # variables are declared.
+        ("EngineConfig", EngineConfig, "auto_reorder"),
+        ("ResourcePolicy", ResourcePolicy, "auto_reorder"),
     ]
     # Former policy fields, now constants of repro.bdd.manager.
     constants = {
@@ -245,7 +249,7 @@ def _removed_attribute_reads():
     # Spelled in two pieces so a repo-wide grep for the removed
     # interface's name stays empty.
     seam = "BDD" + "Backend"
-    return [
+    params = [
         pytest.param(job, "trans", id="CoverageJob.trans"),
         pytest.param(job, "gc_threshold", id="CoverageJob.gc_threshold"),
         pytest.param(job, "auto_reorder", id="CoverageJob.auto_reorder"),
@@ -257,7 +261,17 @@ def _removed_attribute_reads():
         # The manager is the node store; there is no backend behind it.
         pytest.param(BDDManager(["a"]), "backend", id="BDDManager.backend"),
         pytest.param(repro.bdd, seam, id=f"repro.bdd.{seam}"),
+        pytest.param(EngineConfig(), "auto_reorder",
+                     id="EngineConfig.auto_reorder"),
     ]
+    # Dynamic reordering and the variable<->level maps behind it.
+    for name in ("sift", "set_order", "swap_adjacent", "reorder"):
+        params.append(pytest.param(repro.bdd, name, id=f"repro.bdd.{name}"))
+    for name in ("reorder_runs", "var_level", "level_var", "current_order"):
+        params.append(
+            pytest.param(BDDManager(["a"]), name, id=f"BDDManager.{name}")
+        )
+    return params
 
 
 @pytest.mark.parametrize("obj,attr", _removed_attribute_reads())

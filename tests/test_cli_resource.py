@@ -1,4 +1,4 @@
-"""The CLI's resource-management surface: --gc-threshold / --auto-reorder.
+"""The CLI's resource-management surface: --gc-threshold / --gc-growth.
 
 The flags are cost knobs, never result knobs: every combination must
 produce the same coverage numbers as the default policy, while the suite
@@ -8,6 +8,7 @@ JSON exposes the GC/peak counters the policy controls.
 import json
 from pathlib import Path
 
+import pytest
 
 from repro.cli import main
 from repro.engine import EngineConfig
@@ -47,9 +48,13 @@ class TestTargetMode:
         assert main(["counter", "--gc-growth", "0.5"]) == 2
         assert "--gc-growth must be >= 1.0" in capsys.readouterr().err
 
-    def test_auto_reorder_accepted(self, capsys):
-        assert main(["counter", "--auto-reorder"]) == 0
-        assert "100.00%" in capsys.readouterr().out
+    def test_auto_reorder_rejected(self, capsys):
+        # Dynamic reordering is gone: the variable order is fixed when the
+        # model is built, and the old flag is a usage error.
+        with pytest.raises(SystemExit) as exc:
+            main(["counter", "--auto-reorder"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --auto-reorder" in capsys.readouterr().err
 
 
 class TestRunMode:
@@ -65,12 +70,12 @@ class TestRunMode:
 
 class TestSuiteMode:
     def test_flags_reach_jobs(self):
-        config = EngineConfig(gc_threshold=12345, auto_reorder=True)
+        config = EngineConfig(gc_threshold=12345, cache_threshold=77)
         jobs = default_jobs(config=config)
         assert jobs
         assert all(j.config == config for j in jobs)
         assert "--gc-threshold 12345" in jobs[0].describe()
-        assert "--auto-reorder" in jobs[0].describe()
+        assert "--cache-threshold 77" in jobs[0].describe()
 
     def test_json_report_carries_gc_counters(self, capsys, tmp_path):
         out = tmp_path / "suite.json"
@@ -140,7 +145,7 @@ class TestJobExecution:
 
         job = CoverageJob(
             name="x", kind="builtin", target="counter",
-            config=EngineConfig(gc_threshold=7, auto_reorder=True),
+            config=EngineConfig(gc_threshold=7, cache_threshold=77),
         )
         clone = pickle.loads(pickle.dumps(job))
         assert clone == job

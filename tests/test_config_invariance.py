@@ -15,11 +15,9 @@ telemetry (off, counters, spans): any setting of one knob meets every
 setting of any other knob in at least one row.  On these models the
 default GC trigger and cache cap never fire, so each non-default setting
 changes what the engine actually does.
-
-``auto_reorder`` is left out: sifting changes the variable order, and with
-it the enumeration order of trace output (see ``--auto-reorder``'s help).
 """
 
+import dataclasses
 import functools
 from pathlib import Path
 
@@ -102,6 +100,21 @@ def test_rows_cover_every_pair_of_settings():
         for j in range(i + 1, len(levels)):
             met = {(row[i], row[j]) for row in rows}
             assert met == {(a, b) for a in levels[i] for b in levels[j]}
+
+
+def test_rows_set_every_knob():
+    """A new :class:`EngineConfig` field must join the covering array, so
+    that no knob skips the byte-identity check."""
+    default = EngineConfig()
+    never_set = [
+        field.name
+        for field in dataclasses.fields(EngineConfig)
+        if all(
+            getattr(param.values[0], field.name) == getattr(default, field.name)
+            for param in CONFIGS
+        )
+    ]
+    assert never_set == []
 
 
 @pytest.mark.parametrize("config", CONFIGS)

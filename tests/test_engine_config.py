@@ -62,7 +62,7 @@ class TestJsonCodec:
     def test_round_trip(self):
         cfg = EngineConfig(
             trans="mono", gc_threshold=1234, gc_growth=1.5,
-            cache_threshold=0, auto_reorder=True, telemetry="spans",
+            cache_threshold=0, telemetry="spans",
         )
         assert EngineConfig.from_json(cfg.to_json()) == cfg
 
@@ -73,7 +73,7 @@ class TestJsonCodec:
         payload = EngineConfig().to_json()
         assert set(payload) == {
             "trans", "gc_threshold", "gc_growth", "cache_threshold",
-            "auto_reorder", "telemetry",
+            "telemetry",
         }
 
     @pytest.mark.parametrize("payload,key", [
@@ -81,6 +81,8 @@ class TestJsonCodec:
         # The BDD backend knob is gone: a config recorded before its
         # removal fails loudly, naming the stale key.
         ({"backend": "dict"}, "backend"),
+        # So is the dynamic-reordering switch.
+        ({"auto_reorder": False}, "auto_reorder"),
     ])
     def test_unknown_key_rejected(self, payload, key):
         with pytest.raises(
@@ -103,12 +105,11 @@ class TestCliCodec:
         EngineConfig(),
         EngineConfig(trans="mono"),
         EngineConfig(gc_threshold=0),
-        EngineConfig(gc_threshold=500, auto_reorder=True),
+        EngineConfig(gc_threshold=500, gc_growth=1.5),
         EngineConfig(gc_growth=1.0, cache_threshold=10_000),
         EngineConfig(telemetry="spans"),
         EngineConfig(trans="mono", gc_threshold=1, gc_growth=2.5,
-                     cache_threshold=0, auto_reorder=True,
-                     telemetry="counters"),
+                     cache_threshold=0, telemetry="counters"),
     ])
     def test_to_cli_args_round_trips(self, cfg):
         args = self._parser().parse_args(cfg.to_cli_args())
@@ -146,13 +147,13 @@ class TestPolicyCompilation:
         cfg = EngineConfig(gc_threshold=1, gc_growth=1.0)
         assert cfg.policy() == ResourcePolicy.aggressive()
 
-    def test_cache_threshold_and_auto_reorder(self):
-        policy = EngineConfig(cache_threshold=7, auto_reorder=True).policy()
+    def test_cache_threshold_and_gc_growth(self):
+        policy = EngineConfig(cache_threshold=7, gc_growth=3.0).policy()
         assert policy.cache_entry_threshold == 7
-        assert policy.auto_reorder
+        assert policy.gc_growth == 3.0
 
 
 class TestPickle:
     def test_round_trip(self):
-        cfg = EngineConfig(trans="mono", gc_threshold=9, auto_reorder=True)
+        cfg = EngineConfig(trans="mono", gc_threshold=9, telemetry="counters")
         assert pickle.loads(pickle.dumps(cfg)) == cfg

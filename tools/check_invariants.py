@@ -7,7 +7,7 @@ inspection, so this tool enforces them:
 ``kernel-recursion``
     No function in ``src/repro/bdd/`` calls itself (directly, or via
     ``self.``/``cls.``).  Every BDD traversal — the kernels in
-    ``manager.py`` and the walks in ``reorder.py``/``dot.py`` — runs on an
+    ``manager.py`` and the walk in ``dot.py`` — runs on an
     explicit stack so depth is memory-bound; a reintroduced recursive
     kernel would silently restore the recursion-limit ceiling.
 
