@@ -15,7 +15,8 @@ from repro.circuits import (
     priority_buffer_hi_properties,
 )
 from repro.coverage import CoverageEstimator
-from repro.mc import ModelChecker, WorkMeter
+from repro.mc import ModelChecker
+from repro.obs import Telemetry
 
 from .conftest import emit
 
@@ -30,9 +31,9 @@ def _estimation_cost(build, props_for, observed, share):
         estimator = CoverageEstimator(fsm, checker=checker)
     else:
         estimator = CoverageEstimator(fsm, checker=ModelChecker(fsm))
-    with WorkMeter(fsm.manager) as meter:
+    with Telemetry("off", fsm.manager).span("estimate") as span:
         estimator.estimate(props, observed=observed)
-    return meter.stats
+    return span.stats
 
 
 class TestMemoization:

@@ -26,7 +26,8 @@ from repro.circuits import build_pipeline
 from repro.coverage import CoverageEstimator
 from repro.ctl.parser import parse_ctl
 from repro.engine import EngineConfig
-from repro.mc import ModelChecker, WorkMeter
+from repro.mc import ModelChecker
+from repro.obs import Telemetry
 
 from .conftest import emit
 
@@ -52,14 +53,15 @@ def test_deep_pipeline_reachability_and_coverage():
         assert levels >= 1400
 
     manager = fsm.manager
-    with WorkMeter(manager) as reach_meter:
+    meter = Telemetry("off", manager)
+    with meter.span("reachability") as reach:
         reachable = fsm.reachable()
     # Fairness off: the bench measures the engine substrate, not the
     # Emerson-Lei fixpoint (which multiplies the image count).
     checker = ModelChecker(fsm, use_fairness=False)
     estimator = CoverageEstimator(fsm, checker=checker)
     prop = parse_ctl("AG (output | !output)")
-    with WorkMeter(manager) as cover_meter:
+    with meter.span("coverage") as cover:
         report = estimator.estimate([prop], observed="output")
 
     # Depth: the whole run completed without touching the recursion limit.
@@ -74,15 +76,15 @@ def test_deep_pipeline_reachability_and_coverage():
     manager.collect_garbage()
     assert manager.node_count() <= GC_THRESHOLD
 
-    stats = reach_meter.stats + cover_meter.stats
+    stats = reach.stats + cover.stats
     emit(
         f"Deep pipeline (stages={DEEP_STAGES}, latches={len(fsm.latches)}, "
         f"levels={levels})",
         [
             f"build:          {build_seconds:.2f}s",
-            f"reachability:   {reach_meter.stats.seconds:.2f}s "
-            f"({reach_meter.stats.nodes_created} nodes created)",
-            f"coverage:       {cover_meter.stats.seconds:.2f}s "
+            f"reachability:   {reach.stats.seconds:.2f}s "
+            f"({reach.stats.nodes_created} nodes created)",
+            f"coverage:       {cover.stats.seconds:.2f}s "
             f"({report.percentage:.2f}% of a ~2^"
             f"{report.space_count.bit_length() - 1}-state space)",
             f"peak live:      {stats.peak_live_nodes} nodes "
@@ -131,9 +133,9 @@ def test_gc_overhead_is_bounded():
     intentionally tight threshold."""
     stages = max(8, min(60, DEEP_STAGES // 6))
     fsm = build_pipeline(stages=stages, config=EngineConfig(gc_threshold=20_000))
-    with WorkMeter(fsm.manager) as meter:
+    with Telemetry("off", fsm.manager).span("reachability") as span:
         fsm.reachable()
-    stats = meter.stats
+    stats = span.stats
     assert stats.gc_runs >= 1
     assert stats.gc_seconds < stats.seconds  # overhead, not the workload
     emit(

@@ -23,7 +23,8 @@ from repro.circuits import build_circular_queue, circular_queue_wrap_properties
 from repro.circuits.circular_queue import circular_queue_wrap_stall_property
 from repro.coverage import CoverageEstimator
 from repro.engine import EngineConfig
-from repro.mc import ModelChecker, WorkMeter
+from repro.mc import ModelChecker
+from repro.obs import Telemetry
 
 from .conftest import emit
 
@@ -44,17 +45,18 @@ def _measure(depth):
 
     fsm = build_circular_queue(depth=depth, config=MONO)
     checker = ModelChecker(fsm)
-    with WorkMeter(fsm.manager) as verify_meter:
+    meter = Telemetry("off", fsm.manager)
+    with meter.span("verify") as verify:
         for prop in props:
             assert checker.holds(prop)
     estimator = CoverageEstimator(fsm, checker=checker)
-    with WorkMeter(fsm.manager) as cover_meter:
+    with meter.span("coverage") as cover:
         report = estimator.estimate(props, observed="wrap", verify=False)
     return {
         "depth": depth,
         "states": fsm.count_states(fsm.reachable()),
-        "verify": verify_meter.stats,
-        "cover": cover_meter.stats,
+        "verify": verify.stats,
+        "cover": cover.stats,
         "percent": report.percentage,
     }
 
@@ -90,9 +92,9 @@ def test_scaling_reachability_dominates_extra_cost(benchmark):
 
     def run():
         fsm = build_circular_queue(depth=8)
-        with WorkMeter(fsm.manager) as reach_meter:
+        with Telemetry("off", fsm.manager).span("reachability") as span:
             fsm.reachable()
-        return reach_meter.stats
+        return span.stats
 
     stats = benchmark(run)
     assert stats.nodes_created > 0

@@ -30,9 +30,14 @@ from repro.circuits import (
     priority_buffer_lo_properties,
 )
 from repro.expr import parse_expr
-from repro.mc import WorkMeter
+from repro.obs import Telemetry
 
 from .conftest import emit
+
+#: Runs per row in the cost-parity check, each on a fresh FSM.  A phase
+#: takes a few milliseconds, so one sample is at the mercy of the
+#: scheduler; the per-phase minimum over the runs is not.
+PARITY_REPEATS = 5
 
 
 def _run_row(fsm, props, observed, dont_care=None):
@@ -41,13 +46,30 @@ def _run_row(fsm, props, observed, dont_care=None):
     the verification checker's sat sets, as the paper's implementation
     memoised results from verification."""
     analysis = Analysis.from_fsm(fsm, props, observed, dont_care)
-    with WorkMeter(fsm.manager) as verify_meter:
+    meter = Telemetry("off", fsm.manager)
+    with meter.span("verify") as verify:
         assert analysis.holds(), (
             f"properties failed: {[str(r.formula) for r in analysis.failing()]}"
         )
-    with WorkMeter(fsm.manager) as cover_meter:
+    with meter.span("coverage") as cover:
         report = analysis.coverage()
-    return report, verify_meter.stats, cover_meter.stats
+    return report, verify.stats, cover.stats
+
+
+def _fastest_row(build, props_for, observed, dont_care=None):
+    """``(name, v_stats, c_stats)`` holding each phase's fastest of
+    :data:`PARITY_REPEATS` runs, each on a fresh FSM."""
+    verify, cover = [], []
+    for _ in range(PARITY_REPEATS):
+        fsm = build()
+        _, v_stats, c_stats = _run_row(fsm, props_for(), observed, dont_care)
+        verify.append(v_stats)
+        cover.append(c_stats)
+    return (
+        fsm.name,
+        min(verify, key=lambda stats: stats.seconds),
+        min(cover, key=lambda stats: stats.seconds),
+    )
 
 
 class TestCircuit1PriorityBuffer:
@@ -142,23 +164,24 @@ class TestCostParity:
         """The paper's headline cost claim: per row, coverage estimation
         costs about the same as verification ("runtimes and memory
         requirements are similar to those required by the actual
-        verification")."""
+        verification").
+
+        Each phase's time is its minimum over :data:`PARITY_REPEATS`
+        fresh runs, so the benchmark runs the whole comparison once."""
 
         def run():
-            rows = []
-            for fsm, props, observed, dc in (
-                (build_priority_buffer(), priority_buffer_hi_properties(),
-                 "hi", None),
-                (build_circular_queue(),
-                 circular_queue_wrap_properties(stage="initial"), "wrap", None),
-                (build_pipeline(), pipeline_output_properties(), "output",
-                 "!out_valid"),
-            ):
-                _, v_stats, c_stats = _run_row(fsm, props, observed, dc)
-                rows.append((fsm.name, v_stats, c_stats))
-            return rows
+            return [
+                _fastest_row(build_priority_buffer,
+                             priority_buffer_hi_properties, "hi"),
+                _fastest_row(build_circular_queue,
+                             lambda: circular_queue_wrap_properties(
+                                 stage="initial"),
+                             "wrap"),
+                _fastest_row(build_pipeline, pipeline_output_properties,
+                             "output", "!out_valid"),
+            ]
 
-        rows = benchmark(run)
+        rows = benchmark.pedantic(run, rounds=1, iterations=1)
         lines = []
         for name, v_stats, c_stats in rows:
             ratio = (c_stats.seconds / v_stats.seconds) if v_stats.seconds else 0

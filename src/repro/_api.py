@@ -98,18 +98,16 @@ from .mc import (
     CheckResult,
     ExplicitModelChecker,
     ModelChecker,
-    WorkMeter,
-    WorkStats,
     format_trace,
     input_sequence,
 )
 from .obs import (
     BENCH_WORKLOADS,
-    NULL_TELEMETRY,
     BenchResult,
     BenchWorkload,
     Span,
     Telemetry,
+    WorkStats,
     chrome_trace_events,
     compare_result,
     format_profile,
@@ -131,7 +129,6 @@ from .suite import (
     BUILTIN_TARGETS,
     BuiltinTarget,
     CoverageJob,
-    JobResult,
     ShardStats,
     build_builtin,
     builtin_jobs,
@@ -162,9 +159,9 @@ __all__ = [
     "enumerate_model",
     # mc
     "ModelChecker", "CheckResult", "ExplicitModelChecker",
-    "WorkMeter", "WorkStats", "format_trace", "input_sequence",
+    "format_trace", "input_sequence",
     # obs (telemetry + bench)
-    "Telemetry", "Span", "NULL_TELEMETRY", "format_profile",
+    "Telemetry", "Span", "WorkStats", "format_profile",
     "chrome_trace_events", "write_chrome_trace",
     "BENCH_WORKLOADS", "BenchWorkload", "BenchResult",
     "run_bench", "run_workload", "write_baseline", "compare_result",
@@ -195,7 +192,7 @@ __all__ = [
     "check_module", "Disagreement", "shrink_module", "run_fuzz",
     "FuzzResult",
     # suite
-    "CoverageJob", "JobResult", "BuiltinTarget", "BUILTIN_TARGETS",
+    "CoverageJob", "BuiltinTarget", "BUILTIN_TARGETS",
     "build_builtin", "builtin_jobs", "default_jobs", "discover_rml",
     "rml_job", "execute_job", "run_jobs", "run_jobs_sharded",
     "run_jobs_via_server", "run_sharded", "ShardStats",

@@ -51,12 +51,13 @@ from .ctl.ast import CtlFormula
 from .engine import EngineConfig
 from .errors import ModelError, ReportError, VerificationError
 from .fsm.fsm import FSM
-from .mc import CheckResult, ModelChecker, WorkMeter, WorkStats
-from .obs.telemetry import Telemetry
+from .mc import CheckResult, ModelChecker
+from .obs.telemetry import Telemetry, WorkStats
 
 __all__ = ["Analysis", "AnalysisResult"]
 
-#: Analysis kinds (mirrored by the suite's job kinds).
+#: Analysis kinds.  A suite job (:class:`~repro.suite.jobs.CoverageJob`)
+#: is of one of the first two.
 KIND_BUILTIN = "builtin"
 KIND_RML = "rml"
 KIND_CUSTOM = "custom"
@@ -67,9 +68,8 @@ class AnalysisResult:
     """JSON-safe outcome of one analysis — primitives only, so it survives
     both pickling back from a worker process and JSON serialisation.
 
-    This absorbs the former ``repro.suite.JobResult`` (which remains as an
-    alias): the per-job objects of the ``repro-coverage-suite/v2`` report
-    are exactly ``AnalysisResult.to_json()`` documents, now including the
+    The per-job objects of the ``repro-coverage-suite/v2`` report are
+    exactly ``AnalysisResult.to_json()`` documents, including the
     :class:`~repro.engine.EngineConfig` the analysis ran under.
 
     ``status`` is ``"ok"`` (verified, coverage estimated), ``"fail"``
@@ -262,14 +262,15 @@ class Analysis:
         self.kind = kind
         self.stage = stage
         self.path = path
-        #: The run's telemetry recorder (``NULL_TELEMETRY`` when the
-        #: config's level is "off").  Constructors that record pre-build
-        #: phases (parse, elaborate) pass theirs in; otherwise one is
-        #: created from the config.  The FSM reports through it too.
+        #: The run's telemetry: the meter of every phase at every level,
+        #: keeping spans only at level "spans".  Constructors that record
+        #: pre-build phases (parse, elaborate) pass theirs in; otherwise
+        #: one is created from the config.  It replaces the FSM's own
+        #: recorder, so the FSM reports through it too.
         self.telemetry = (
             telemetry
             if telemetry is not None
-            else Telemetry.from_level(self.config.telemetry)
+            else Telemetry(self.config.telemetry)
         )
         self.telemetry.attach(fsm.manager)
         self.fsm.telemetry = self.telemetry
@@ -285,9 +286,10 @@ class Analysis:
         self._estimator: Optional[CoverageEstimator] = None
         self._check_results: Optional[List[CheckResult]] = None
         self._report: Optional[CoverageReport] = None
-        #: Work accumulated across the pipeline phases, metered where the
-        #: computation actually happens — result() reports the same
-        #: numbers whether or not verify()/coverage() ran first.
+        #: Work accumulated across the pipeline phases, read off the
+        #: ``verify-suite`` and ``coverage-suite`` spans — result()
+        #: reports the same numbers whether or not verify()/coverage()
+        #: ran first.
         self._stats = WorkStats()
 
     # ------------------------------------------------------------------
@@ -310,7 +312,7 @@ class Analysis:
         from .suite.registry import build_builtin
 
         config = config if config is not None else EngineConfig()
-        telemetry = Telemetry.from_level(config.telemetry)
+        telemetry = Telemetry(config.telemetry)
         with telemetry.span("build", target=target):
             fsm, props, observed, dont_care = build_builtin(
                 target, stage=stage, buggy=buggy, config=config
@@ -355,7 +357,7 @@ class Analysis:
         from .lang.ast import Module
 
         config = config if config is not None else EngineConfig()
-        telemetry = Telemetry.from_level(config.telemetry)
+        telemetry = Telemetry(config.telemetry)
         if isinstance(source, Module):
             return cls._from_module(
                 source, config, path=None, filename=filename,
@@ -391,7 +393,7 @@ class Analysis:
         from .lang import elaborate
 
         if telemetry is None:
-            telemetry = Telemetry.from_level(config.telemetry)
+            telemetry = Telemetry(config.telemetry)
         with telemetry.span("elaborate"):
             model = elaborate(module, config=config)
             # Attach before the span closes: the fresh manager's counters
@@ -448,17 +450,15 @@ class Analysis:
         job's source text still travels along for lint anchors.
         """
         from .lang import parse_module
-        from .suite.jobs import KIND_BUILTIN as JOB_BUILTIN
-        from .suite.jobs import KIND_RML as JOB_RML
 
-        if job.kind == JOB_BUILTIN:
+        if job.kind == KIND_BUILTIN:
             if job.target is None:
                 raise ValueError(f"builtin job {job.name!r} has no target")
             analysis = cls.builtin(
                 job.target, stage=job.stage, buggy=job.buggy,
                 config=job.config,
             )
-        elif job.kind == JOB_RML:
+        elif job.kind == KIND_RML:
             if job.source is None:
                 raise ValueError(f"rml job {job.name!r} has no source")
             if module is None:
@@ -499,11 +499,13 @@ class Analysis:
         """Model-check every property (cached); failing results carry
         counterexample traces where one can be derived."""
         if self._check_results is None:
-            with WorkMeter(self.fsm.manager) as meter:
+            with self.telemetry.span(
+                "verify-suite", properties=len(self.properties)
+            ) as span:
                 self._check_results = [
                     self.checker.check(p) for p in self.properties
                 ]
-            self._stats = self._stats + meter.stats
+            self._stats = self._stats + span.stats
         return self._check_results
 
     def failing(self) -> List[CheckResult]:
@@ -529,12 +531,14 @@ class Analysis:
                     f"{self.fsm.name!r}; coverage is only defined for "
                     f"verified properties"
                 )
-            with WorkMeter(self.fsm.manager) as meter:
+            with self.telemetry.span(
+                "coverage-suite", properties=len(self.properties)
+            ) as span:
                 self._report = self.estimator.estimate(
                     self.properties, observed=self.observed,
                     dont_care=self.dont_care,
                 )
-            self._stats = self._stats + meter.stats
+            self._stats = self._stats + span.stats
         return self._report
 
     def uncovered_traces(self, count: int = 3) -> str:

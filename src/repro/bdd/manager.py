@@ -1234,9 +1234,9 @@ class BDDManager:
     def resource_stats(self) -> Dict[str, float]:
         """Every resource and op-level counter as one JSON-friendly dict.
 
-        This is *the* counter schema: :class:`~repro.mc.stats.WorkMeter`
-        deltas it across phases, ``repro.obs`` spans snapshot it at span
-        boundaries, and ``repro bench`` baselines persist it — the names
+        This is *the* counter schema: ``repro.obs`` spans snapshot it at
+        span boundaries (the one place phase costs are metered), and
+        ``repro bench`` baselines persist it — the names
         below appear verbatim in suite JSON, trace exports, and
         ``BENCH_*.json`` files (see ``docs/observability.md``).  Reading it
         never mutates manager state.

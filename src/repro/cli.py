@@ -66,7 +66,7 @@ import argparse
 import sys
 import time
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import List, Optional
 
 from ._version import __version__
 from .analysis import Analysis
@@ -75,36 +75,13 @@ from .errors import ConfigError, ModelError, ParseError, ReproError
 from .suite import (
     BUILTIN_TARGETS,
     DEFAULT_MAX_SHARD_RETRIES,
-    build_builtin,
     default_jobs,
     format_results,
     run_jobs_sharded,
     write_report,
 )
 
-__all__ = ["main", "TARGETS"]
-
-
-def _legacy_builder(name: str) -> Callable:
-    def build(args):
-        return build_builtin(
-            name, stage=args.stage, buggy=args.buggy,
-            config=EngineConfig.from_args(args),
-        )
-
-    return build
-
-
-#: target name -> (builder, valid stages, description) — kept in the shape
-#: the original CLI exposed, now derived from the suite registry.
-TARGETS: Dict[str, Tuple[Callable, List[str], str]] = {
-    target.name: (
-        _legacy_builder(target.name),
-        list(target.stages),
-        target.description,
-    )
-    for target in BUILTIN_TARGETS.values()
-}
+__all__ = ["main"]
 
 
 # ----------------------------------------------------------------------
@@ -530,9 +507,10 @@ def _main_target(argv: List[str]) -> int:
     args = build_parser().parse_args(argv)
     if args.list or not args.target:
         print("available targets:")
-        for name, (_, stages, description) in TARGETS.items():
-            stage_note = f" (stages: {', '.join(stages)})" if stages else ""
-            print(f"  {name:12s} {description}{stage_note}")
+        for target in BUILTIN_TARGETS.values():
+            stages = ", ".join(target.stages)
+            stage_note = f" (stages: {stages})" if stages else ""
+            print(f"  {target.name:12s} {target.description}{stage_note}")
         print("subcommands:")
         print("  run <file.rml>     estimate coverage for a model file")
         print("  suite [dir]        run every registered job (see --help)")

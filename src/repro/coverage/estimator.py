@@ -56,7 +56,6 @@ from ..expr.ast import Expr
 from ..expr.parser import parse_expr
 from ..fsm.fsm import FSM
 from ..mc.checker import ModelChecker
-from ..mc.stats import WorkMeter
 from .functions import depend, firstreached, restricted_forward, traverse
 from .report import CoverageReport, PropertyCoverage
 
@@ -292,12 +291,11 @@ class CoverageEstimator:
         per_property: List[PropertyCoverage] = []
         total = self.fsm.empty_set()
         for formula in properties:
-            span = self.fsm.telemetry.span("coverage", property=str(formula))
-            with span, WorkMeter(self.fsm.manager) as meter:
+            with self.fsm.telemetry.span("coverage", property=str(formula)) as span:
                 covered = self.covered_set(formula, observed_list, verify=verify)
                 covered = covered & space
             per_property.append(
-                PropertyCoverage(formula=formula, covered=covered, stats=meter.stats)
+                PropertyCoverage(formula=formula, covered=covered, stats=span.stats)
             )
             total = total | covered
         return CoverageReport(

@@ -14,7 +14,7 @@ from typing import Dict, List
 from ..bdd import Function
 from ..ctl.ast import CtlFormula
 from ..fsm.fsm import FSM
-from ..mc.stats import WorkStats
+from ..obs.telemetry import WorkStats
 
 __all__ = ["PropertyCoverage", "CoverageReport"]
 

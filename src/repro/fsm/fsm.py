@@ -41,7 +41,7 @@ from ..expr.ast import (
     Xor as EXor,
 )
 from ..expr.bitvector import WordTable, resolve_words
-from ..obs.telemetry import NULL_TELEMETRY
+from ..obs.telemetry import Telemetry
 from .partition import (
     TRANS_MONO,
     TRANS_PARTITIONED,
@@ -137,12 +137,6 @@ class FSM:
         (enables explicit enumeration; relation-built FSMs leave it None).
     """
 
-    #: The telemetry this machine reports phase spans to.  A class-level
-    #: default so every FSM (including hand-built test fixtures) has one;
-    #: :class:`~repro.analysis.Analysis` installs a live recorder when the
-    #: config asks for it.  Never affects results — spans only read state.
-    telemetry = NULL_TELEMETRY
-
     def __init__(
         self,
         manager: BDDManager,
@@ -161,6 +155,12 @@ class FSM:
         trans_mode: Optional[str] = None,
     ):
         self.manager = manager
+        #: The telemetry this machine meters its phases with.  Every FSM
+        #: (including hand-built test fixtures) gets its own at level
+        #: "off", so checker and estimator costs are always measured;
+        #: :class:`~repro.analysis.Analysis` installs the run's recorder.
+        #: Never affects results — spans only read state.
+        self.telemetry = Telemetry("off", manager)
         self.name = name
         self.state_vars = list(state_vars)
         self.inputs = list(inputs)

@@ -1,16 +1,13 @@
-"""Model checking: symbolic CTL checker, explicit oracle, stats, witnesses."""
+"""Model checking: symbolic CTL checker, explicit oracle, witnesses."""
 
 from .checker import CheckResult, ModelChecker
 from .explicit_checker import ExplicitModelChecker
-from .stats import WorkMeter, WorkStats
 from .witness import format_trace, input_sequence
 
 __all__ = [
     "ModelChecker",
     "CheckResult",
     "ExplicitModelChecker",
-    "WorkMeter",
-    "WorkStats",
     "format_trace",
     "input_sequence",
 ]

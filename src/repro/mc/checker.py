@@ -45,7 +45,7 @@ from ..ctl.ast import (
     collapse,
 )
 from ..fsm.fsm import FSM
-from .stats import WorkMeter, WorkStats
+from ..obs.telemetry import WorkStats
 
 __all__ = ["ModelChecker", "CheckResult"]
 
@@ -259,8 +259,7 @@ class ModelChecker:
 
     def check(self, formula: CtlFormula) -> CheckResult:
         """Check ``formula``, measuring cost and deriving a counterexample."""
-        span = self.fsm.telemetry.span("verify", property=str(formula))
-        with span, WorkMeter(self.fsm.manager) as meter:
+        with self.fsm.telemetry.span("verify", property=str(formula)) as span:
             sat = self.sat(formula)
             holds = self.fsm.init.subseteq(sat)
             counterexample = None
@@ -270,7 +269,7 @@ class ModelChecker:
             formula=formula,
             holds=holds,
             sat=sat,
-            stats=meter.stats,
+            stats=span.stats,
             counterexample=counterexample,
         )
 

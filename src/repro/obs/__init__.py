@@ -7,11 +7,14 @@ engine work reports through:
 
 :mod:`repro.obs.telemetry`
     Hierarchical phase spans (parse → elaborate → build-trans →
-    reachability → verify → coverage → traces) that snapshot
+    reachability → verify-suite/verify → coverage-suite/coverage →
+    traces) that snapshot
     :meth:`~repro.bdd.manager.BDDManager.resource_stats` deltas at their
     boundaries, plus per-iteration frontier events inside the reachability
-    fixpoint.  :data:`NULL_TELEMETRY` is the always-off implementation the
-    engine defaults to.
+    fixpoint.  The span is the engine's one meter: at every telemetry
+    level it yields its phase's :class:`~repro.obs.telemetry.WorkStats`,
+    the cost every report carries; the level only decides whether spans
+    are kept.
 :mod:`repro.obs.trace`
     Chrome-trace-event export of a recorded telemetry — open the file in
     Perfetto (https://ui.perfetto.dev) or ``chrome://tracing``.
@@ -51,26 +54,26 @@ from .counters import (
 )
 from .telemetry import (
     METRICS_SCHEMA,
-    NULL_TELEMETRY,
     TELEMETRY_COUNTERS,
     TELEMETRY_LEVELS,
     TELEMETRY_OFF,
     TELEMETRY_SPANS,
     Span,
     Telemetry,
+    WorkStats,
     format_profile,
 )
 from .trace import chrome_trace_events, write_chrome_trace
 
 __all__ = [
     "METRICS_SCHEMA",
-    "NULL_TELEMETRY",
     "TELEMETRY_COUNTERS",
     "TELEMETRY_LEVELS",
     "TELEMETRY_OFF",
     "TELEMETRY_SPANS",
     "Span",
     "Telemetry",
+    "WorkStats",
     "format_profile",
     "chrome_trace_events",
     "write_chrome_trace",

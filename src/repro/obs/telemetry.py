@@ -1,32 +1,42 @@
-"""Phase spans and counter snapshots — the recording half of `repro.obs`.
+"""Phase spans and counter snapshots — the one meter of `repro.obs`.
 
-A :class:`Telemetry` collects two kinds of record while an analysis runs:
+Table 2 of the paper reports, per signal, the cost of model checking and
+of coverage estimation as "BDD nodes - time".  A :class:`Telemetry`
+measures those costs and collects two kinds of record while an analysis
+runs:
 
 * **Spans** — named, nestable phases (``parse``, ``reachability``,
   ``verify`` ...).  Entering a span snapshots the attached BDD manager's
-  :meth:`~repro.bdd.manager.BDDManager.resource_stats`; leaving it stores
-  the per-counter delta on the span, so every phase carries the paper's
-  "BDD nodes - time" cost pair plus the full op-counter breakdown.
+  :meth:`~repro.bdd.manager.BDDManager.resource_stats`; leaving it
+  snapshots again and stores the per-counter delta on the span, plus the
+  phase's :class:`WorkStats` (nodes created, seconds, GC activity and the
+  memory gauges).  Spans are the engine's only meter: a
+  :class:`~repro.mc.checker.CheckResult`'s cost, a
+  :class:`~repro.coverage.report.PropertyCoverage`'s and an analysis'
+  totals are all read off the span that wrapped the work.
 * **Events** — instantaneous samples inside a span, e.g. the frontier
   size per reachability iteration.
 
 Recording is *observationally inert* by construction: spans and events
 only read counters and timestamps; they never create BDD nodes or touch
 the operation caches.  The engine therefore produces byte-identical
-verdicts, coverage numbers and traces whether telemetry is on or off.
+verdicts, coverage numbers and traces at every level.
 
 Levels
 ------
+Spans measure at every level — two snapshots per phase — so a caller can
+always read its cost off the span it opened.  The level decides only what
+is kept and emitted:
+
 ``"off"``
-    Record nothing.  :data:`NULL_TELEMETRY` is the shared no-op instance
-    every engine object defaults to; its ``span()`` returns a reusable
-    null context, so instrumented code pays one attribute load and one
-    method call per phase.
+    Keep nothing: spans are not added to :attr:`Telemetry.spans` and
+    events are dropped.  Every :class:`~repro.fsm.fsm.FSM` starts with
+    its own recorder at this level.
 ``"counters"``
-    No spans/events, but :meth:`Telemetry.metrics` reports the manager's
+    As ``"off"``, and :meth:`Telemetry.metrics` reports the manager's
     cumulative counters (the cheap always-useful block for JSON reports).
 ``"spans"``
-    Full phase spans with counter deltas and frontier events.
+    Keep the span tree with its counter deltas, and frontier events.
 
 The manager may be attached *after* spans have started (the ``parse``
 phase runs before a manager exists).  A span whose start predates the
@@ -53,20 +63,20 @@ from ..errors import ConfigError
 
 __all__ = [
     "METRICS_SCHEMA",
-    "NULL_TELEMETRY",
     "TELEMETRY_COUNTERS",
     "TELEMETRY_LEVELS",
     "TELEMETRY_OFF",
     "TELEMETRY_SPANS",
     "Span",
     "Telemetry",
+    "WorkStats",
     "format_profile",
 ]
 
 #: Schema tag of the ``metrics`` block emitted into analysis/suite JSON.
 METRICS_SCHEMA = "repro-metrics/v1"
 
-#: Record nothing (the default).
+#: Keep nothing (the default); spans still measure.
 TELEMETRY_OFF = "off"
 #: Cumulative manager counters only — no spans or events.
 TELEMETRY_COUNTERS = "counters"
@@ -77,8 +87,60 @@ TELEMETRY_LEVELS = (TELEMETRY_OFF, TELEMETRY_COUNTERS, TELEMETRY_SPANS)
 
 
 @dataclass
+class WorkStats:
+    """Cost of one measured phase."""
+
+    #: Wall-clock seconds.
+    seconds: float = 0.0
+    #: BDD nodes created during the phase (allocation work).
+    nodes_created: int = 0
+    #: Live BDD nodes in the manager when the phase ended.
+    nodes_live: int = 0
+    #: Garbage collections completed during the phase (manual + automatic).
+    gc_runs: int = 0
+    #: Wall-clock seconds spent inside those collections (GC overhead).
+    gc_seconds: float = 0.0
+    #: Node slots those collections recycled.
+    gc_freed: int = 0
+    #: Combined operation-cache entry count when the phase ended (a gauge,
+    #: not a delta: caches persist across phases and evictions can shrink
+    #: them mid-phase).
+    cache_entries: int = 0
+    #: The manager's live-node high-water mark when the phase ended — the
+    #: memory bound of the run so far (monotone across phases on a manager).
+    peak_live_nodes: int = 0
+
+    def __add__(self, other: "WorkStats") -> "WorkStats":
+        """Accumulate two *sequential* phases (``other`` is the later one):
+        work counters sum, gauges take the later/larger snapshot."""
+        return WorkStats(
+            seconds=self.seconds + other.seconds,
+            nodes_created=self.nodes_created + other.nodes_created,
+            nodes_live=max(self.nodes_live, other.nodes_live),
+            gc_runs=self.gc_runs + other.gc_runs,
+            gc_seconds=self.gc_seconds + other.gc_seconds,
+            gc_freed=self.gc_freed + other.gc_freed,
+            cache_entries=max(self.cache_entries, other.cache_entries),
+            peak_live_nodes=max(self.peak_live_nodes, other.peak_live_nodes),
+        )
+
+    def format(self) -> str:
+        """Render in the paper's "<nodes>k - <seconds>s" style."""
+        if self.nodes_created >= 1000:
+            nodes = f"{self.nodes_created / 1000:.0f}k"
+        else:
+            nodes = str(self.nodes_created)
+        return f"{nodes} - {self.seconds:.2f}s"
+
+
+@dataclass
 class Span:
-    """One recorded phase: name, position in the tree, cost."""
+    """One measured phase: name, position in the tree, cost.
+
+    Below level ``"spans"`` a span is measured but not kept in the tree;
+    its ``index``, ``parent`` and ``depth`` are then those of a lone
+    top-level span.
+    """
 
     #: Phase name (``parse``, ``reachability``, ``verify`` ...).
     name: str
@@ -97,6 +159,10 @@ class Span:
     #: Per-counter ``resource_stats`` delta across the span; filled when
     #: the span closes (empty when no manager ever attached).
     counters: Dict[str, float] = field(default_factory=dict)
+    #: The phase's cost: work counters as deltas, ``nodes_live``,
+    #: ``cache_entries`` and ``peak_live_nodes`` as exit values; filled
+    #: when the span closes.
+    stats: WorkStats = field(default_factory=WorkStats)
 
     def label(self) -> str:
         """The name plus a short attr suffix for human-facing tables."""
@@ -123,23 +189,9 @@ class Span:
         }
 
 
-class _NullSpanContext:
-    """Reusable no-op context — what ``span()`` returns when disabled."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        return False
-
-
-_NULL_SPAN_CONTEXT = _NullSpanContext()
-
-
 class _SpanContext:
-    """Live span context: snapshots counters on enter, deltas on exit."""
+    """Span context: snapshots counters on enter, deltas them on exit, and
+    keeps the span in the tree only at level ``"spans"``."""
 
     __slots__ = ("_telemetry", "_name", "_attrs", "_span", "_snap0", "_t0")
 
@@ -158,8 +210,9 @@ class _SpanContext:
             attrs=self._attrs,
             t_start=time.perf_counter() - t._epoch,
         )
-        t.spans.append(span)
-        t._stack.append(span.index)
+        if t.spans_enabled:
+            t.spans.append(span)
+            t._stack.append(span.index)
         self._span = span
         self._snap0 = t._snapshot()
         self._t0 = time.perf_counter()
@@ -170,12 +223,25 @@ class _SpanContext:
         span = self._span
         span.seconds = time.perf_counter() - self._t0
         end = t._snapshot()
-        if end is not None:
+        if end is None:
+            span.stats = WorkStats(seconds=span.seconds)
+        else:
             start = self._snap0
-            span.counters = {
+            delta = {
                 key: (value - start[key] if start is not None else value)
                 for key, value in end.items()
             }
+            span.counters = delta
+            span.stats = WorkStats(
+                seconds=span.seconds,
+                nodes_created=delta["nodes_created"],
+                nodes_live=end["nodes_live"],
+                gc_runs=delta["gc_runs"],
+                gc_seconds=delta["gc_seconds"],
+                gc_freed=delta["gc_freed"],
+                cache_entries=end["cache_entries"],
+                peak_live_nodes=end["peak_live_nodes"],
+            )
         if t._stack and t._stack[-1] == span.index:
             t._stack.pop()
         elif span.index in t._stack:  # misnested exit: unwind to our frame
@@ -184,11 +250,10 @@ class _SpanContext:
 
 
 class Telemetry:
-    """A recording of one analysis run.
+    """The meter and recording of one analysis run.
 
-    Create one per analysis (or via :meth:`from_level`, which returns the
-    shared :data:`NULL_TELEMETRY` for level ``"off"``), attach the BDD
-    manager once it exists, and wrap phases in :meth:`span`.
+    Create one per analysis, attach the BDD manager once it exists, and
+    wrap phases in :meth:`span`.
     """
 
     def __init__(self, level: str = TELEMETRY_SPANS, manager=None):
@@ -206,21 +271,13 @@ class Telemetry:
         self._stack: List[int] = []
         self._epoch = time.perf_counter()
 
-    @classmethod
-    def from_level(cls, level: str) -> "Telemetry":
-        """The telemetry for a config's ``telemetry`` knob — the shared
-        no-op instance when ``level`` is ``"off"``."""
-        if level == TELEMETRY_OFF:
-            return NULL_TELEMETRY
-        return cls(level)
-
     # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------
 
     @property
     def enabled(self) -> bool:
-        """Whether this telemetry records anything at all."""
+        """Whether this telemetry emits anything (level above ``"off"``)."""
         return self.level != TELEMETRY_OFF
 
     @property
@@ -234,12 +291,19 @@ class Telemetry:
         if self.manager is None:
             self.manager = manager
 
-    def span(self, name: str, **attrs):
-        """A context manager recording ``name`` as a phase.  ``attrs``
-        label the span (JSON-safe values only).  No-op below level
-        ``"spans"``."""
-        if self.level != TELEMETRY_SPANS:
-            return _NULL_SPAN_CONTEXT
+    def span(self, name: str, **attrs) -> _SpanContext:
+        """A context manager measuring ``name`` as a phase; it yields the
+        :class:`Span`, whose ``counters`` and ``stats`` are filled on exit
+        at every level.  ``attrs`` label the span (JSON-safe values only).
+        The span joins :attr:`spans` only at level ``"spans"``.
+
+        >>> from repro.bdd import BDDManager
+        >>> manager = BDDManager(["x"])
+        >>> with Telemetry("off", manager).span("phase") as span:
+        ...     _ = manager.var("x")
+        >>> span.stats.nodes_created
+        1
+        """
         return _SpanContext(self, name, attrs)
 
     def event(self, name: str, **args) -> None:
@@ -278,6 +342,7 @@ class Telemetry:
             attrs=attrs,
             t_start=max(0.0, time.perf_counter() - self._epoch - seconds),
             seconds=seconds,
+            stats=WorkStats(seconds=seconds),
         )
         self.spans.append(span)
         return span
@@ -320,34 +385,6 @@ class Telemetry:
                 for ev in self.events
             ]
         return data
-
-
-class NullTelemetry(Telemetry):
-    """The always-off telemetry: records nothing, costs one method call.
-
-    A real subclass (not just ``Telemetry("off")``) so the hot-path
-    methods are unconditional no-ops and the instance is safely shared
-    engine-wide.
-    """
-
-    def __init__(self):
-        super().__init__(TELEMETRY_OFF)
-
-    def attach(self, manager) -> None:
-        pass
-
-    def span(self, name: str, **attrs):
-        return _NULL_SPAN_CONTEXT
-
-    def event(self, name: str, **args) -> None:
-        pass
-
-    def metrics(self) -> Dict[str, object]:
-        return {"schema": METRICS_SCHEMA, "level": TELEMETRY_OFF, "counters": {}}
-
-
-#: The shared no-op telemetry every engine object defaults to.
-NULL_TELEMETRY = NullTelemetry()
 
 
 # ----------------------------------------------------------------------

@@ -40,9 +40,10 @@ from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Dict
 
+from ..analysis import KIND_BUILTIN, KIND_RML
 from ..engine import EngineConfig
 from ..errors import ConfigError
-from ..suite.jobs import KIND_BUILTIN, KIND_RML, CoverageJob
+from ..suite.jobs import CoverageJob
 
 __all__ = [
     "BrokenProcessPool",

@@ -18,7 +18,7 @@ worker drives the shared :class:`~repro.analysis.Analysis` facade, so
 suite numbers are produced by exactly the code path the CLI uses.
 """
 
-from .jobs import CoverageJob, JobResult
+from .jobs import CoverageJob
 from .registry import (
     BUILTIN_TARGETS,
     BuiltinTarget,
@@ -50,7 +50,6 @@ from .shards import (
 
 __all__ = [
     "CoverageJob",
-    "JobResult",
     "BuiltinTarget",
     "BUILTIN_TARGETS",
     "build_builtin",

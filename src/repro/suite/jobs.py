@@ -3,8 +3,7 @@
 A :class:`CoverageJob` is a *description* of work — model source (a builtin
 target name or ``.rml`` text), property stage, observed signals, and the
 :class:`~repro.engine.EngineConfig` to run under — and its outcome is an
-:class:`~repro.analysis.AnalysisResult` (re-exported here under its
-historical name :data:`JobResult`).  Both are plain picklable values so
+:class:`~repro.analysis.AnalysisResult`.  Both are plain picklable values so
 jobs fan out across a ``ProcessPoolExecutor`` (BDD managers are
 per-process state, which makes jobs embarrassingly parallel).
 """
@@ -14,18 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..analysis import AnalysisResult
+from ..analysis import KIND_RML
 from ..engine import EngineConfig
 
-__all__ = ["CoverageJob", "JobResult"]
-
-#: Job kinds.
-KIND_BUILTIN = "builtin"
-KIND_RML = "rml"
-
-#: The JSON-safe outcome of one executed job.  Historically a separate
-#: class; now exactly the facade's result type.
-JobResult = AnalysisResult
+__all__ = ["CoverageJob"]
 
 
 @dataclass(frozen=True)

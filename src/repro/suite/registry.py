@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
+from ..analysis import KIND_BUILTIN, KIND_RML
 from ..circuits import (
     build_circular_queue,
     build_counter,
@@ -37,7 +38,7 @@ from ..circuits import (
     priority_buffer_lo_properties,
 )
 from ..engine import DEFAULT_CONFIG, EngineConfig
-from .jobs import KIND_BUILTIN, KIND_RML, CoverageJob
+from .jobs import CoverageJob
 
 __all__ = [
     "BuiltinTarget",

@@ -3,7 +3,8 @@
 Covers the :class:`~repro.bdd.policy.ResourcePolicy` knobs end to end:
 auto-GC triggering and trigger growth, the compose-cache generation purge,
 the cache-entry cap, pin protection for in-flight cube iterators, and the
-resource counters surfaced through :class:`~repro.mc.stats.WorkMeter`.
+resource counters a telemetry span reports as
+:class:`~repro.obs.telemetry.WorkStats`.
 """
 
 import itertools
@@ -11,7 +12,7 @@ import itertools
 import pytest
 
 from repro.bdd import BDDManager, Function, ResourcePolicy, manager as manager_module
-from repro.mc.stats import WorkMeter
+from repro.obs import Telemetry, WorkStats
 
 
 def _burn(mgr, rounds=6, width=8):
@@ -206,19 +207,17 @@ class TestPins:
 
 
 class TestCounters:
-    def test_workmeter_reports_gc_and_peak(self, names):
+    def test_span_reports_gc_and_peak(self, names):
         mgr = BDDManager(names, policy=ResourcePolicy(gc_node_threshold=40))
-        with WorkMeter(mgr) as meter:
+        with Telemetry("off", mgr).span("burn") as span:
             _burn(mgr)
-        stats = meter.stats
+        stats = span.stats
         assert stats.gc_runs == mgr.gc_runs >= 1
         assert 0.0 <= stats.gc_seconds <= stats.seconds + 1.0
         assert stats.peak_live_nodes >= stats.nodes_live
         assert stats.peak_live_nodes >= 40
 
     def test_stats_addition_aggregates(self):
-        from repro.mc.stats import WorkStats
-
         a = WorkStats(seconds=1.0, gc_runs=2, gc_seconds=0.1, peak_live_nodes=50)
         b = WorkStats(seconds=2.0, gc_runs=1, gc_seconds=0.2, peak_live_nodes=80)
         total = a + b

@@ -3,8 +3,11 @@
 
 from repro.bdd import BDDManager
 from repro.circuits import build_counter
+from repro.coverage import CoverageEstimator
+from repro.ctl import parse_ctl
 from repro.expr import parse_expr
-from repro.mc import ModelChecker, WorkMeter, WorkStats, format_trace, input_sequence
+from repro.mc import ModelChecker, format_trace, input_sequence
+from repro.obs import Telemetry, WorkStats
 
 
 class TestInputSequence:
@@ -48,13 +51,13 @@ class TestFormatTrace:
 class TestWorkStats:
     def test_meter_measures_nodes_and_time(self):
         mgr = BDDManager([f"v{i}" for i in range(8)])
-        with WorkMeter(mgr) as meter:
+        with Telemetry("off", mgr).span("xor-chain") as span:
             f = mgr.var("v0")
             for i in range(1, 8):
                 f = mgr.apply_xor(f, mgr.var(f"v{i}"))
-        assert meter.stats.nodes_created > 0
-        assert meter.stats.seconds >= 0
-        assert meter.stats.nodes_live == mgr.node_count()
+        assert span.stats.nodes_created > 0
+        assert span.stats.seconds >= 0
+        assert span.stats.nodes_live == mgr.node_count()
 
     def test_stats_addition(self):
         a = WorkStats(seconds=1.0, nodes_created=10, nodes_live=100)
@@ -73,9 +76,23 @@ class TestCheckerStats:
     def test_check_reports_cost(self):
         fsm = build_counter()
         checker = ModelChecker(fsm)
-        from repro.ctl import parse_ctl
-
         result = checker.check(parse_ctl("AG count < 5"))
         assert result.holds
         assert result.stats.nodes_created >= 0
         assert result.stats.nodes_live > 0
+
+    def test_bare_fsm_meters_the_manager_delta(self):
+        """An FSM built outside ``Analysis`` meters with its own recorder:
+        a check's cost is the manager's node delta over the call, and the
+        estimator fills in per-property costs too."""
+        fsm = build_counter()
+        checker = ModelChecker(fsm)
+        before = fsm.manager.created_nodes
+        result = checker.check(parse_ctl("AG (!stall & !reset & count = 1 -> AX count = 2)"))
+        assert result.holds
+        assert result.stats.nodes_created == fsm.manager.created_nodes - before
+        assert result.stats.nodes_created > 0
+        report = CoverageEstimator(fsm, checker=checker).estimate(
+            [result.formula], observed="count"
+        )
+        assert report.per_property[0].stats.nodes_created > 0

@@ -1,13 +1,15 @@
-"""`repro.obs.telemetry`: span nesting, counter deltas, levels, inertness."""
+"""`repro.obs.telemetry`: span nesting, counter deltas, levels, inertness,
+and the span as the one meter of phase costs."""
 
 import re
 
 import pytest
 
+from repro.analysis import Analysis
 from repro.bdd import BDDManager, Function, ResourcePolicy
+from repro.engine import EngineConfig
 from repro.errors import ConfigError
 from repro.obs import (
-    NULL_TELEMETRY,
     Span,
     Telemetry,
     format_profile,
@@ -20,14 +22,20 @@ class TestLevels:
         with pytest.raises(ConfigError, match="unknown telemetry level"):
             Telemetry("verbose")
 
-    def test_from_level_off_returns_shared_null(self):
-        assert Telemetry.from_level("off") is NULL_TELEMETRY
-
-    def test_from_level_returns_fresh_recorders(self):
-        a = Telemetry.from_level("spans")
-        b = Telemetry.from_level("spans")
+    def test_spans_level_recorders_are_fresh(self):
+        a = Telemetry("spans")
+        b = Telemetry("spans")
         assert a is not b
         assert a.spans_enabled and b.spans_enabled
+
+    def test_off_level_records_no_spans_or_events(self):
+        t = Telemetry("off")
+        with t.span("phase"):
+            t.event("sample", value=1)
+        assert not t.enabled
+        assert not t.spans_enabled
+        assert t.spans == []
+        assert t.events == []
 
     def test_counters_level_records_no_spans(self):
         t = Telemetry("counters")
@@ -190,25 +198,109 @@ class TestMetrics:
         json.dumps(t.metrics())  # must not raise
 
 
-class TestNullTelemetry:
-    def test_records_nothing(self):
-        with NULL_TELEMETRY.span("phase") as span:
-            NULL_TELEMETRY.event("sample", value=1)
-        assert span is None
-        assert NULL_TELEMETRY.spans == []
-        assert NULL_TELEMETRY.events == []
+def _xor_chain(mgr, width):
+    f = Function.var(mgr, "x0")
+    for i in range(1, width):
+        f = f ^ Function.var(mgr, f"x{i}")
+    return f
 
-    def test_attach_is_inert(self):
-        NULL_TELEMETRY.attach(BDDManager(["x"]))
-        assert NULL_TELEMETRY.manager is None
 
-    def test_metrics_minimal(self):
-        assert NULL_TELEMETRY.metrics() == {
-            "schema": "repro-metrics/v1", "level": "off", "counters": {},
+class TestOneMeter:
+    """Spans measure at every level; the level only decides what is kept."""
+
+    def test_span_measures_at_level_off(self):
+        mgr = BDDManager([f"x{i}" for i in range(6)])
+        t = Telemetry("off", manager=mgr)
+        before = mgr.created_nodes
+        with t.span("x") as span:
+            _xor_chain(mgr, 6)
+        assert isinstance(span, Span)
+        assert span.stats.nodes_created == mgr.created_nodes - before > 0
+        assert span.stats.seconds == span.seconds >= 0.0
+        assert t.spans == []
+
+    def test_stats_are_deltas_and_exit_gauges(self):
+        mgr = BDDManager(
+            [f"x{i}" for i in range(8)],
+            policy=ResourcePolicy(gc_node_threshold=20, gc_growth=1.0),
+        )
+        _xor_chain(mgr, 8)  # outside the span: not part of its cost
+        t = Telemetry("counters", manager=mgr)
+        with t.span("churn") as span:
+            for r in range(4):
+                _xor_chain(mgr, 8) & Function.var(mgr, f"x{r}")
+        end = mgr.resource_stats()
+        stats = span.stats
+        for key in ("nodes_created", "gc_runs", "gc_freed", "gc_seconds"):
+            assert getattr(stats, key) == span.counters[key]
+        assert stats.gc_runs >= 1
+        assert stats.nodes_created < end["nodes_created"]
+        assert stats.nodes_live == end["nodes_live"]
+        assert stats.cache_entries == end["cache_entries"]
+        assert stats.peak_live_nodes == end["peak_live_nodes"]
+
+    def test_span_before_attach_measures_seconds_only(self):
+        t = Telemetry("off")
+        with t.span("parse") as span:
+            pass
+        assert span.counters == {}
+        assert span.stats.nodes_created == 0
+        assert span.stats.seconds == span.seconds
+
+    @staticmethod
+    def _pipeline_run(monkeypatch, level):
+        """Snapshot count and result of ``pipeline@initial``'s
+        ``result()`` followed by ``uncovered_traces(1)``."""
+        calls = []
+        original = BDDManager.resource_stats
+
+        def counting(self):
+            calls.append(1)
+            return original(self)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(BDDManager, "resource_stats", counting)
+            analysis = Analysis.builtin(
+                "pipeline", stage="initial",
+                config=EngineConfig(telemetry=level),
+            )
+            result = analysis.result()
+            traces = analysis.uncovered_traces(1)
+        return len(calls), result, traces
+
+    def test_spans_level_takes_no_second_meter(self, monkeypatch):
+        """Keeping spans costs no extra snapshots: at level "spans" the
+        run snapshots at most once more than at "off" (the ``metrics()``
+        read), and reports the same costs."""
+        off, off_result, off_traces = self._pipeline_run(monkeypatch, "off")
+        spans, spans_result, spans_traces = self._pipeline_run(
+            monkeypatch, "spans"
+        )
+        assert spans <= off + 1
+        assert spans_traces == off_traces
+        for key in ("nodes_created", "gc_runs", "gc_freed",
+                    "cache_entries", "peak_live_nodes", "percentage"):
+            assert getattr(spans_result, key) == getattr(off_result, key)
+
+    def test_analysis_costs_come_from_the_phase_spans(self):
+        analysis = Analysis.builtin(
+            "counter", stage="partial", config=EngineConfig(telemetry="spans")
+        )
+        result = analysis.result()
+        phases = {
+            s.name: s for s in analysis.telemetry.spans if s.depth == 0
         }
-
-    def test_span_context_is_reused(self):
-        assert NULL_TELEMETRY.span("a") is NULL_TELEMETRY.span("b")
+        verify, cover = phases["verify-suite"], phases["coverage-suite"]
+        n = len(analysis.properties)
+        assert verify.attrs == cover.attrs == {"properties": n}
+        assert result.nodes_created == (
+            verify.stats.nodes_created + cover.stats.nodes_created
+        )
+        assert result.peak_live_nodes == cover.stats.peak_live_nodes
+        children = [s for s in analysis.telemetry.spans if s.depth == 1]
+        assert [s.name for s in children if s.parent == verify.index] == (
+            ["verify"] * n
+        )
 
 
 class TestFormatProfile:

@@ -10,12 +10,12 @@ import json
 
 import pytest
 
-from repro.analysis import Analysis, AnalysisResult
+from repro.analysis import KIND_RML, Analysis, AnalysisResult
 from repro.engine import EngineConfig
 from repro.errors import ReportError
 from repro.lang import parse_module
 from repro.obs.counters import counter_delta
-from repro.suite.jobs import KIND_RML, CoverageJob
+from repro.suite.jobs import CoverageJob
 from repro.suite.runner import execute_job
 
 RML = (

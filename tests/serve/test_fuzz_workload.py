@@ -15,9 +15,10 @@ import threading
 
 import pytest
 
+from repro.analysis import KIND_BUILTIN, KIND_RML
 from repro.engine import EngineConfig
 from repro.errors import ServeError
-from repro.suite.jobs import KIND_BUILTIN, KIND_RML, CoverageJob
+from repro.suite.jobs import CoverageJob
 from repro.suite.runner import execute_job
 
 REQUESTS = 200

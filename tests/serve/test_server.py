@@ -8,12 +8,12 @@ the loop.
 
 import threading
 
-from repro.analysis import AnalysisResult
+from repro.analysis import KIND_BUILTIN, KIND_RML, AnalysisResult
 from repro.engine import EngineConfig
 from repro.serve.cache import ENTRY_SCHEMA
 from repro.serve.server import SERVE_SCHEMA
 from repro.serve.workers import WorkerPool, payload_from_job
-from repro.suite.jobs import KIND_BUILTIN, KIND_RML, CoverageJob
+from repro.suite.jobs import CoverageJob
 from repro.suite.runner import execute_job
 
 RML = (

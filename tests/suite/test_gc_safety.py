@@ -41,7 +41,8 @@ from repro.coverage import CoverageEstimator, format_uncovered_traces
 from repro.coverage.report import CoverageReport, PropertyCoverage
 from repro.engine import TRANS_MODES, EngineConfig
 from repro.lang import elaborate, load_module
-from repro.mc import ModelChecker, WorkStats
+from repro.mc import ModelChecker
+from repro.obs import WorkStats
 from repro.suite import BUILTIN_TARGETS, build_builtin
 
 EXAMPLES = Path(__file__).resolve().parents[2] / "examples"

@@ -280,3 +280,62 @@ def test_removed_engine_attributes_are_gone(obj, attr):
     with pytest.raises(AttributeError):
         getattr(obj, attr)
     assert not hasattr(type(obj), attr)
+
+
+def _removed_public_names():
+    """Names deleted when the telemetry span became the one meter, and
+    the CLI's second target registry and the ``JobResult`` alias went."""
+    import repro.cli
+    import repro.mc
+    import repro.obs
+    import repro.obs.telemetry
+    import repro.suite
+    import repro.suite.jobs
+    from repro.obs import Telemetry
+
+    return [
+        pytest.param(obj, attr, id=f"{label}.{attr}")
+        for obj, label, attr in (
+            (repro, "repro", "WorkMeter"),
+            (repro, "repro", "NULL_TELEMETRY"),
+            (repro, "repro", "JobResult"),
+            (repro.mc, "repro.mc", "WorkMeter"),
+            # WorkStats has one import path: repro.obs.
+            (repro.mc, "repro.mc", "WorkStats"),
+            (repro.obs, "repro.obs", "NULL_TELEMETRY"),
+            (repro.obs.telemetry, "repro.obs.telemetry", "NullTelemetry"),
+            (repro.obs.telemetry, "repro.obs.telemetry", "NULL_TELEMETRY"),
+            (repro.obs.telemetry, "repro.obs.telemetry", "_NullSpanContext"),
+            (Telemetry, "Telemetry", "from_level"),
+            (repro.cli, "repro.cli", "TARGETS"),
+            (repro.cli, "repro.cli", "_legacy_builder"),
+            (repro.suite, "repro.suite", "JobResult"),
+            (repro.suite.jobs, "repro.suite.jobs", "JobResult"),
+        )
+    ]
+
+
+@pytest.mark.parametrize("obj,attr", _removed_public_names())
+def test_removed_public_names_are_gone(obj, attr):
+    with pytest.raises(AttributeError):
+        getattr(obj, attr)
+
+
+def test_work_meter_module_is_gone():
+    import importlib
+
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.mc.stats")
+
+
+def test_work_stats_has_one_home():
+    import repro.obs
+
+    assert repro.WorkStats is repro.obs.WorkStats
+    assert repro.obs.WorkStats.__module__ == "repro.obs.telemetry"
+
+
+def test_cli_exports_only_main():
+    import repro.cli
+
+    assert repro.cli.__all__ == ["main"]

@@ -107,6 +107,27 @@ def test_tree_scan_applies_set_rule_to_the_variable_order(monkeypatch):
     assert order_files[0] in checked
 
 
+def test_single_meter_flags_snapshots_outside_obs(tmp_path, monkeypatch):
+    """``src/`` has no ``resource_stats()`` call outside ``repro.obs``,
+    and a tree scan flags one in a module outside ``obs`` (a second
+    meter) while leaving ``obs`` itself alone."""
+    checker = _load_checker()
+    assert [
+        v for v in checker.check_tree(ROOT / "src") if v.rule == "single-meter"
+    ] == []
+    tree = tmp_path / "src" / "repro"
+    (tree / "mc").mkdir(parents=True)
+    (tree / "obs").mkdir()
+    snapshot = "def cost(m):\n    return m.resource_stats()['nodes_created']\n"
+    (tree / "mc" / "meter.py").write_text(snapshot)
+    (tree / "obs" / "meter.py").write_text(snapshot)
+    monkeypatch.setattr(checker, "ROOT", tmp_path)
+    flagged = checker.check_tree(tmp_path / "src")
+    assert [(v.path.parent.name, v.line, v.rule) for v in flagged] == [
+        ("mc", 2, "single-meter")
+    ]
+
+
 def test_scoped_scan_skips_out_of_scope_files(tmp_path):
     """On a tree scan, rules only apply inside their scoped paths — a
     recursive helper outside the BDD package is fine."""

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import TARGETS, main
+from repro.cli import main
+from repro.suite import BUILTIN_TARGETS
 
 EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
 
@@ -23,7 +24,7 @@ class TestParser:
     def test_list_flag(self, capsys):
         assert main(["--list"]) == 0
         out = capsys.readouterr().out
-        for target in TARGETS:
+        for target in BUILTIN_TARGETS:
             assert target in out
 
     def test_no_target_lists(self, capsys):
@@ -45,8 +46,8 @@ class TestParser:
         assert "takes no --stage" in capsys.readouterr().err
 
     def test_every_declared_stage_is_accepted(self, capsys):
-        for name, (_, stages, _desc) in TARGETS.items():
-            for stage in stages:
+        for name, target in BUILTIN_TARGETS.items():
+            for stage in target.stages:
                 assert main([name, "--stage", stage]) == 0, (name, stage)
         capsys.readouterr()
 
@@ -106,6 +107,34 @@ class TestCoverageRuns:
     def test_buffer_hi(self, capsys):
         assert main(["buffer-hi"]) == 0
         assert "100.00%" in capsys.readouterr().out
+
+
+class TestProfile:
+    def test_phase_spans_nest_the_per_property_rows(self, capsys):
+        """``--profile`` shows the ``verify-suite`` and ``coverage-suite``
+        phase rows, with the per-property rows, and the reachability that
+        coverage first triggers, indented under them."""
+        assert main(["pipeline", "--stage", "initial", "--profile"]) == 0
+        out = capsys.readouterr().out
+        table = out[out.index("\nphase "):].strip().splitlines()[1:]
+        rows = []  # (name, parent name) per row, in table order
+        stack = []
+        for line in table:
+            depth = (len(line) - len(line.lstrip(" "))) // 2
+            name = line.split()[0]
+            del stack[depth:]
+            rows.append((name, stack[-1] if stack else None))
+            stack.append(name)
+        parents = {}
+        for name, parent in rows:
+            parents.setdefault(name, set()).add(parent)
+        assert parents["verify-suite"] == {None}
+        assert parents["coverage-suite"] == {None}
+        assert parents["verify"] == {"verify-suite"}
+        assert parents["coverage"] == {"coverage-suite"}
+        assert parents["reachability"] == {"coverage-suite"}
+        assert [name for name, _ in rows].count("verify") == 8
+        assert rows[-1] == ("total", None)
 
 
 class TestRunSubcommand:

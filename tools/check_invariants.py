@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Fail CI when the codebase breaks one of its structural invariants.
 
-Two guarantees earlier PRs established are enforceable by AST
+Three guarantees the codebase relies on are enforceable by AST
 inspection, so this tool enforces them:
 
 ``kernel-recursion``
@@ -20,6 +20,13 @@ inspection, so this tool enforces them:
     report modules feed byte-compared JSON reports (the differential
     oracle's contract), and the variable order feeds every engine
     counter and trace pick — wrap the set in ``sorted(...)`` instead.
+
+``single-meter``
+    No module outside ``src/repro/obs/`` calls ``.resource_stats()``.
+    Phase costs are metered in one place, the telemetry span
+    (``Telemetry.span`` yields the phase's ``WorkStats``); a second
+    snapshot site would be a second meter that can drift from the span's
+    numbers and doubles the snapshot work.
 
 When scanning a directory each rule applies only to its scoped paths;
 explicitly-listed files get every rule (which is how the deliberately
@@ -54,6 +61,9 @@ ORDERED_OUTPUT_MODULES = (
 
 #: Path fragment the kernel-recursion rule covers.
 KERNEL_DIR = "src/repro/bdd/"
+
+#: The only package allowed to snapshot ``resource_stats()``.
+METER_DIR = "src/repro/obs/"
 
 
 class Violation(NamedTuple):
@@ -147,6 +157,30 @@ def check_set_iteration(tree: ast.AST, path: Path) -> List[Violation]:
 
 
 # ----------------------------------------------------------------------
+# Rule: single-meter
+# ----------------------------------------------------------------------
+
+
+def check_single_meter(tree: ast.AST, path: Path) -> List[Violation]:
+    """Flag ``<anything>.resource_stats()`` calls."""
+    out: List[Violation] = []
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "resource_stats"
+        ):
+            out.append(
+                Violation(
+                    path, node.lineno, "single-meter",
+                    "resource_stats() snapshot outside repro.obs; meter "
+                    "the phase with a telemetry span and read span.stats",
+                )
+            )
+    return out
+
+
+# ----------------------------------------------------------------------
 # Driver
 # ----------------------------------------------------------------------
 
@@ -160,6 +194,11 @@ RULES: Tuple[Tuple[str, Callable, Callable], ...] = (
         "set-iteration",
         check_set_iteration,
         lambda rel: any(rel.startswith(m) for m in ORDERED_OUTPUT_MODULES),
+    ),
+    (
+        "single-meter",
+        check_single_meter,
+        lambda rel: not rel.startswith(METER_DIR),
     ),
 )
 

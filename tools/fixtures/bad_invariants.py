@@ -26,3 +26,8 @@ def bad_report(names):
         print(name)
     # set-iteration: a comprehension drawing from a set literal.
     return [item for item in {"b", "a"}]
+
+
+def bad_meter(manager):
+    # single-meter: a resource_stats() snapshot outside repro.obs.
+    return manager.resource_stats()["nodes_created"]
