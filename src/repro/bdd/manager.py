@@ -513,6 +513,31 @@ class BDDManager:
         """Exclusive or."""
         return self._apply_bin(_OP_XOR, f, g)
 
+    def conjoin(self, nodes: Sequence[int]) -> int:
+        """Conjunction of ``nodes`` as a balanced pairwise tree, keeping
+        their order.
+
+        When the operands share variables that sit above all the others
+        (a pipeline's per-latch cofactors all read the stall input and the
+        hold counter), a left fold re-walks the growing product down to
+        each new operand; pairing keeps each product small until the last
+        few levels of the tree.  No wrapper is created between the
+        pairwise ANDs, so no safe point fires mid-tree: the caller keeps
+        the operands rooted.
+        """
+        if not nodes:
+            return TRUE
+        parts = list(nodes)
+        while len(parts) > 1:
+            paired = [
+                self._apply_bin(_OP_AND, f, g)
+                for f, g in zip(parts[0::2], parts[1::2])
+            ]
+            if len(parts) % 2:
+                paired.append(parts[-1])
+            parts = paired
+        return parts[0]
+
     def apply_iff(self, f: int, g: int) -> int:
         """Equivalence ``f <-> g``."""
         return self.apply_not(self.apply_xor(f, g))

@@ -449,16 +449,21 @@ class FSM:
         no rename.  Partitioned mode cofactors each conjunct at its own
         next-state variables; mono mode cofactors the one relation in a
         single pass (fixing one variable at a time rebuilds it once per
-        variable).  The result is the same BDD as
-        ``preimage(state_cube(state)) & within``, so traces pick the same
-        states.
+        variable).  The cofactors and then the ring are conjoined as one
+        balanced tree (:meth:`~repro.bdd.manager.BDDManager.conjoin`): the
+        ring constrains every stage at once, so joining it last keeps it
+        out of the small per-stage products.  The result is the same BDD
+        as ``preimage(state_cube(state)) & within``, so traces pick the
+        same states.
         """
         at_next = {self.next_ids[v]: bool(state[v]) for v in self.state_vars}
         if self.trans_mode == TRANS_PARTITIONED:
             cofactors = self.partition.cofactors(at_next)
         else:
             cofactors = [self.transition.cofactor(at_next)]
-        return _conjoin_balanced([within] + cofactors)
+        nodes = [cofactor.node for cofactor in cofactors]
+        nodes.append(within.node)
+        return Function(self.manager, self.manager.conjoin(nodes))
 
     def _pick(self, states: Function) -> Dict[str, bool]:
         # pick_sat assigns exactly the requested variables, so the result
@@ -475,19 +480,3 @@ class FSM:
             f"inputs={len(self.inputs)} signals={len(self.signals)} "
             f"trans={self.trans_mode}>"
         )
-
-
-def _conjoin_balanced(parts: List[Function]) -> Function:
-    """Conjoin ``parts`` as a balanced pairwise tree, keeping their order.
-
-    Each conjunct of a pipeline mentions its own stage's variables and the
-    shared hold counter and stall input, which sit above every stage, so a
-    left fold re-walks the accumulator down to each new stage; pairing
-    keeps each product small until the last few levels of the tree.
-    """
-    while len(parts) > 1:
-        paired = [a & b for a, b in zip(parts[0::2], parts[1::2])]
-        if len(parts) % 2:
-            paired.append(parts[-1])
-        parts = paired
-    return parts[0]

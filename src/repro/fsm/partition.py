@@ -21,8 +21,9 @@ Two pieces live here:
   (greedy minimum-active-lifetime heuristic) and place each variable at
   its earliest legal step.
 * :class:`TransitionPartition` — the list of per-latch conjuncts an FSM
-  carries in partitioned mode, with schedules cached per quantification
-  set.  :meth:`TransitionPartition.relprod` executes the chain via
+  carries in partitioned mode, with schedules and their clustered chains
+  cached per quantification set.  :meth:`TransitionPartition.relprod`
+  executes the clustered chain via
   :meth:`repro.bdd.manager.BDDManager.and_exists_chain`.
 """
 
@@ -41,6 +42,7 @@ __all__ = [
     "TRANS_MODES",
     "ScheduleStep",
     "Schedule",
+    "Cluster",
     "early_quantification_schedule",
     "TransitionPartition",
 ]
@@ -94,6 +96,38 @@ class Schedule:
         return frozenset(out)
 
 
+@dataclass(frozen=True)
+class Cluster:
+    """One step of a clustered chain: consecutive schedule steps merged.
+
+    ``conjuncts`` are the merged partition indices in schedule order,
+    ``relation`` is their conjunction and ``quantify`` the union of their
+    steps' variables.  Quantifying all of them after the last member stays
+    legal: a variable placed at a step occurs in no later conjunct.
+    """
+
+    conjuncts: Tuple[int, ...]
+    relation: Function
+    quantify: Tuple[int, ...]
+
+
+def may_cluster(left: FrozenSet[int], right: FrozenSet[int]) -> bool:
+    """Whether two conjuncts with supports ``left`` and ``right`` are
+    candidates for one cluster: they share a variable, and every variable
+    they share sits above every variable either one owns (ids are levels,
+    so above means a smaller id).
+
+    Their product then splits below the shared prefix into two independent
+    parts, so conjoining them costs about the prefix, and one chain step
+    descends the prefix where two did.
+    """
+    shared = left & right
+    if not shared:
+        return False
+    owned = (left | right) - shared
+    return not owned or max(shared) < min(owned)
+
+
 def _order_conjuncts(
     supports: Sequence[FrozenSet[int]], quantify: FrozenSet[int]
 ) -> List[int]:
@@ -103,37 +137,59 @@ def _order_conjuncts(
     variables (variables occurring in no other remaining conjunct) while
     introducing the fewest new ones; ties break toward smaller support and
     then the original index, keeping the order deterministic.
+
+    A variable adds the same amount to the score of every remaining
+    conjunct that mentions it: one "freed" when that conjunct is its last
+    mention, one "introduced" while it is not yet live and more than one
+    conjunct mentions it.  So each conjunct keeps its two sums, and a pick
+    updates only the users of a variable whose contribution changed.
     """
-    remaining = list(range(len(supports)))
+    qvars = [support & quantify for support in supports]
+    users: Dict[int, List[int]] = {}
+    for index, variables in enumerate(qvars):
+        for var in variables:
+            users.setdefault(var, []).append(index)
     # How many *remaining* conjuncts mention each quantified variable.
-    mentions: Dict[int, int] = {}
-    for support in supports:
-        for var in support & quantify:
-            mentions[var] = mentions.get(var, 0) + 1
+    mentions = {var: len(indices) for var, indices in users.items()}
     active: set = set()
+
+    def contribution(var: int) -> Tuple[int, int]:
+        count = mentions[var]
+        return (1 if count == 1 else 0,
+                1 if count > 1 and var not in active else 0)
+
+    freed = [0] * len(supports)
+    introduced = [0] * len(supports)
+    for var, indices in users.items():
+        var_freed, var_introduced = contribution(var)
+        for index in indices:
+            freed[index] += var_freed
+            introduced[index] += var_introduced
+    remaining = set(range(len(supports)))
     order: List[int] = []
     while remaining:
-        best = None
-        best_key = None
-        for index in remaining:
-            qvars = supports[index] & quantify
-            freed = sum(1 for v in qvars if mentions[v] == 1)
-            introduced = sum(
-                1 for v in qvars if v not in active and mentions[v] > 1
-            )
-            # Maximise freed, minimise introduced (lexicographic), then the
-            # deterministic tie-breakers.
-            key = (-freed, introduced, len(supports[index]), index)
-            if best_key is None or key < best_key:
-                best, best_key = index, key
+        # Maximise freed, minimise introduced (lexicographic), then the
+        # deterministic tie-breakers.
+        best = min(
+            remaining,
+            key=lambda i: (-freed[i], introduced[i], len(supports[i]), i),
+        )
         order.append(best)
         remaining.remove(best)
-        for var in supports[best] & quantify:
+        for var in qvars[best]:
+            before = contribution(var)
             mentions[var] -= 1
             if mentions[var] == 0:
                 active.discard(var)
             else:
                 active.add(var)
+            after = contribution(var)
+            if after == before:
+                continue
+            for index in users[var]:
+                if index in remaining:
+                    freed[index] += after[0] - before[0]
+                    introduced[index] += after[1] - before[1]
     return order
 
 
@@ -216,6 +272,9 @@ class TransitionPartition:
             frozenset(conjunct.support()) for conjunct in self.conjuncts
         ]
         self._schedules: Dict[FrozenSet[int], Schedule] = {}
+        # The clustered chain of each cached schedule, same keys.  Its
+        # relations are wrappers, so they are GC roots like the cofactors.
+        self._chains: Dict[FrozenSet[int], Tuple[Cluster, ...]] = {}
         # Cofactors already computed: (conjunct index, fixed (var, value)
         # pairs of its support) -> cofactor.
         self._cofactors: Dict[Tuple[int, Tuple[Tuple[int, bool], ...]], Function] = {}
@@ -237,8 +296,43 @@ class TransitionPartition:
             self._schedules[key] = cached
         return cached
 
+    def chain(self, quantify: Sequence[int]) -> Tuple[Cluster, ...]:
+        """The (cached) clustered chain of ``schedule(quantify)``.
+
+        Walks the schedule in order and folds the next conjunct into the
+        current cluster when :func:`may_cluster` holds for the cluster's
+        support and the conjunct's, and their conjunction has no more
+        nodes than the two parts.
+        """
+        key = frozenset(quantify)
+        cached = self._chains.get(key)
+        if cached is not None:
+            return cached
+        clusters: List[Cluster] = []
+        support: FrozenSet[int] = frozenset()  # of the last cluster
+        for step in self.schedule(key).steps:
+            conjunct = self.conjuncts[step.conjunct]
+            conjunct_support = self._supports[step.conjunct]
+            if clusters and may_cluster(support, conjunct_support):
+                last = clusters[-1]
+                merged = last.relation & conjunct
+                if merged.size() <= last.relation.size() + conjunct.size():
+                    clusters[-1] = Cluster(
+                        last.conjuncts + (step.conjunct,),
+                        merged,
+                        tuple(sorted(last.quantify + step.quantify)),
+                    )
+                    support = support | conjunct_support
+                    continue
+            clusters.append(Cluster((step.conjunct,), conjunct, step.quantify))
+            support = conjunct_support
+        cached = tuple(clusters)
+        self._chains[key] = cached
+        return cached
+
     def relprod(self, states: Function, quantify: Sequence[int]) -> Function:
-        """``exists quantify . (states & T1 & ... & Tk)`` via the schedule.
+        """``exists quantify . (states & T1 & ... & Tk)`` via the clustered
+        chain of the schedule.
 
         The workhorse behind partitioned :meth:`repro.fsm.fsm.FSM.image`
         and :meth:`~repro.fsm.fsm.FSM.preimage`.
@@ -247,8 +341,8 @@ class TransitionPartition:
         if schedule.prequantify:
             states = states.exist(schedule.prequantify)
         steps = [
-            (self.conjuncts[step.conjunct], step.quantify)
-            for step in schedule.steps
+            (cluster.relation, cluster.quantify)
+            for cluster in self.chain(quantify)
         ]
         return states.and_exists_chain(steps)
 

@@ -63,6 +63,27 @@ class TestHashConsing:
         assert lhs == rhs
 
 
+class TestConjoin:
+    def test_conjoin_is_the_conjunction_of_its_operands(self, mgr):
+        a, b, c, d = (mgr.var(n) for n in "abcd")
+        parts = [mgr.apply_or(a, b), mgr.apply_not(c), mgr.apply_xor(b, d), a, d]
+        for k in range(len(parts) + 1):
+            fold = TRUE
+            for part in parts[:k]:
+                fold = mgr.apply_and(fold, part)
+            assert mgr.conjoin(parts[:k]) == fold
+        assert mgr.conjoin([a, mgr.apply_not(a)]) == FALSE
+
+    def test_conjoin_creates_no_safe_point(self, mgr):
+        """Operands and products are raw ids: a GC mid-tree could recycle
+        the pairwise products, so the method must never reach one."""
+        calls = []
+        mgr.checkpoint = lambda: calls.append(1)
+        parts = [mgr.var(n) for n in "abcd"]
+        mgr.conjoin(parts)
+        assert calls == []
+
+
 class TestIte:
     def test_ite_terminal_cases(self, mgr):
         a, b = mgr.var("a"), mgr.var("b")

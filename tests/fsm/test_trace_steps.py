@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis import Analysis
 from repro.engine import TRANS_MODES, TRANS_PARTITIONED, EngineConfig
 from repro.lang import elaborate, load_module
 from repro.suite import BUILTIN_TARGETS, build_builtin
@@ -71,3 +72,16 @@ def test_repeat_trace_reuses_partition_cofactors():
     assert misses > 0
     assert fsm.shortest_trace(target) == first
     assert fsm.manager.resource_stats()["restrict_misses"] == misses
+
+
+def test_pipeline_trace_nodes_pinned():
+    """A trace step conjoins the cofactors and then the ring, as one
+    balanced tree.  The ring constrains every stage, so joining it first
+    (as the tree once did) paid for it in every per-stage product: the
+    same trace built 178 nodes."""
+    analysis = Analysis.builtin("pipeline", stage="initial")
+    analysis.coverage()
+    manager = analysis.fsm.manager
+    before = manager.resource_stats()["nodes_created"]
+    analysis.uncovered_traces(1)
+    assert manager.resource_stats()["nodes_created"] - before <= 152

@@ -1,5 +1,6 @@
 """The docs stay navigable: every relative link in README.md and docs/*.md
-resolves, via the same checker CI runs (``tools/check_links.py``)."""
+resolves, and every ``path:line`` anchor lands on a line naming its row's
+symbol, via the same checker CI runs (``tools/check_links.py``)."""
 
 import importlib.util
 from pathlib import Path
@@ -51,3 +52,61 @@ def test_checker_flags_broken_links(tmp_path):
     assert checker.main([str(page)]) == 1
     page.write_text("[ok](page.md)\n")
     assert checker.main([str(page)]) == 0
+
+
+def test_no_stale_anchors():
+    checker = _load_checker()
+    failures = {}
+    anchors = 0
+    for path in checker.default_files(ROOT):
+        anchors += sum(1 for _ in checker.iter_anchors(path))
+        stale = checker.stale_anchors(path, ROOT)
+        if stale:
+            failures[str(path.relative_to(ROOT))] = stale
+    assert not failures, f"stale anchors: {failures}"
+    assert anchors >= 29  # docs/paper-map.md's anchors are all read
+
+
+def test_checker_flags_stale_anchors(tmp_path):
+    checker = _load_checker()
+    (tmp_path / "mod.py").write_text(
+        "import os\n"          # 1
+        "\n"                   # 2
+        "\n"                   # 3
+        "def image(s):\n"      # 4
+        "    return s\n"       # 5
+        "\n"                   # 6
+        "\n"                   # 7
+        "def preimage(s):\n"   # 8
+        "    return s\n"       # 9
+    )
+    page = tmp_path / "page.md"
+    page.write_text(
+        "| op | code | anchor |\n"
+        "| --- | --- | --- |\n"
+        "| image | [`FSM.image`](mod.py) | `mod.py:4` |\n"
+        "| both | `FSM.image(s)` / `preimage` | `mod.py:4` / `:8`, `:9` |\n"
+        "| stale | `FSM.preimage` | `mod.py:5` |\n"
+        "| math | `T(b) & S` | `mod.py:4` |\n"
+        "\n"
+        "The image is computed by\n"
+        "[`FSM.image`](mod.py), the preimage by `preimage`\n"
+        "(`mod.py:4`, `:8`); `x` is math.\n"
+        "\n"
+        "```text\n"
+        "`mod.py:1` in a fence is not an anchor\n"
+        "```\n"
+        "`gone.py:1` names `image` in a file that does not exist\n"
+    )
+    anchors = [(line, f"{file}:{n}") for line, file, n, _ in checker.iter_anchors(page)]
+    assert anchors == [
+        (3, "mod.py:4"), (4, "mod.py:4"), (4, "mod.py:8"), (4, "mod.py:9"),
+        (5, "mod.py:5"), (6, "mod.py:4"), (10, "mod.py:4"), (10, "mod.py:8"),
+        (15, "gone.py:1"),
+    ]
+    # `:9` and `mod.py:5` land on lines naming none of their row's
+    # symbols; one-letter math names count for nothing; a paragraph's
+    # anchors read the symbols of the whole paragraph.
+    assert checker.stale_anchors(page, tmp_path) == [
+        (4, "mod.py:9"), (5, "mod.py:5"), (6, "mod.py:4"), (15, "gone.py:1"),
+    ]

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Fail CI on broken relative links in README.md and docs/*.md.
+"""Fail CI on broken relative links and stale line anchors in README.md
+and docs/*.md.
 
 Checks every inline markdown link ``[text](target)`` whose target is a
 relative path: the referenced file or directory must exist (relative to
@@ -7,13 +8,22 @@ the file containing the link).  External URLs (``http(s)://``,
 ``mailto:``) and pure in-page anchors (``#section``) are ignored; a
 ``path#fragment`` target is checked for the path part only.
 
+Also checks every backticked line anchor ``path:N`` (the path relative to
+the repository root), and its shorthand ``:N`` for the previous anchor's
+file (as in ``path:62`` / ``:85``): line ``N`` of the file must name one
+of the backticked symbols of the anchor's table row (or paragraph), such
+as ``FSM.image`` (the last dotted part, ``image``, must appear there as a
+word).  Line numbers drift with every edit above them; the symbol is the
+stable handle, so an anchor that no longer lands on it fails.
+
 Usage::
 
     python tools/check_links.py            # check README.md + docs/*.md
     python tools/check_links.py FILE...    # check the given files
 
-Exit code 0 when every link resolves, 1 otherwise (each broken link is
-reported as ``file:line: broken link -> target``).
+Exit code 0 when every link and anchor resolves, 1 otherwise (each one is
+reported as ``file:line: broken link -> target`` or ``file:line: stale
+anchor -> path:N``).
 """
 
 from __future__ import annotations
@@ -29,6 +39,13 @@ LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 
 #: Target prefixes that are not local files.
 EXTERNAL = ("http://", "https://", "mailto:")
+
+#: A backticked span, and the two kinds of span the anchor check reads: a
+#: line anchor (``path:N``, or ``:N`` for the previous anchor's file) and a
+#: code symbol (a dotted name, optionally called: ``FSM.symbolize(expr)``).
+SPAN_RE = re.compile(r"`([^`]+)`")
+ANCHOR_RE = re.compile(r"^((?:[\w.-]+/)*[\w.-]+\.\w+)?:(\d+)$")
+SYMBOL_RE = re.compile(r"^[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*(?:\([^()]*\))?$")
 
 
 def default_files(root: Path) -> List[Path]:
@@ -59,21 +76,90 @@ def broken_links(path: Path) -> List[Tuple[int, str]]:
     return out
 
 
+def _blocks(path: Path) -> Iterable[List[Tuple[int, str]]]:
+    """The anchor contexts of ``path``: each table row on its own, and
+    each paragraph (a run of other non-blank lines); fenced code skipped."""
+    block: List[Tuple[int, str]] = []
+    fenced = False
+    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+        text = line.strip()
+        if text.startswith("```"):
+            fenced = not fenced
+        if text and not fenced and not text.startswith(("|", "```")):
+            block.append((lineno, line))
+            continue
+        if block:
+            yield block
+            block = []
+        if text.startswith("|") and not fenced:
+            yield [(lineno, line)]
+    if block:
+        yield block
+
+
+def iter_anchors(path: Path) -> Iterable[Tuple[int, str, int, List[str]]]:
+    """Yield ``(line_number, file, anchored line, symbols)`` for every line
+    anchor in ``path``; ``symbols`` are the names its row or paragraph
+    gives in backticks (one-letter names are the paper's notation, not
+    code, and are left out)."""
+    for block in _blocks(path):
+        spans = [
+            (lineno, span)
+            for lineno, line in block
+            for span in SPAN_RE.findall(line)
+        ]
+        symbols = []
+        for _, span in spans:
+            if SYMBOL_RE.match(span):
+                name = span.split("(", 1)[0].rsplit(".", 1)[-1]
+                if len(name) > 1 and name not in symbols:
+                    symbols.append(name)
+        current = None
+        for lineno, span in spans:
+            match = ANCHOR_RE.match(span)
+            if match is None:
+                continue
+            current = match.group(1) or current
+            if current is not None:
+                yield lineno, current, int(match.group(2)), symbols
+
+
+def stale_anchors(path: Path, root: Path) -> List[Tuple[int, str]]:
+    """The anchors of ``path`` (files relative to ``root``) whose line
+    names none of their row's symbols, as ``(line, "file:N")``."""
+    out: List[Tuple[int, str]] = []
+    for lineno, file, target, symbols in iter_anchors(path):
+        source = root / file
+        lines = source.read_text().splitlines() if source.is_file() else []
+        text = lines[target - 1] if 0 < target <= len(lines) else ""
+        if not any(re.search(rf"\b{re.escape(s)}\b", text) for s in symbols):
+            out.append((lineno, f"{file}:{target}"))
+    return out
+
+
 def main(argv: List[str]) -> int:
     root = Path(__file__).resolve().parents[1]
     files = [Path(a) for a in argv] if argv else default_files(root)
     failures = 0
     checked = 0
+    anchors = 0
     for path in files:
         links = broken_links(path)
         checked += sum(1 for _ in iter_links(path))
+        anchors += sum(1 for _ in iter_anchors(path))
         for lineno, target in links:
             print(f"{path}:{lineno}: broken link -> {target}", file=sys.stderr)
             failures += 1
+        for lineno, target in stale_anchors(path, root):
+            print(f"{path}:{lineno}: stale anchor -> {target}", file=sys.stderr)
+            failures += 1
     if failures:
-        print(f"{failures} broken link(s)", file=sys.stderr)
+        print(f"{failures} broken link(s) or stale anchor(s)", file=sys.stderr)
         return 1
-    print(f"docs: check OK ({checked} links in {len(files)} file(s))")
+    print(
+        f"docs: check OK ({checked} links and {anchors} anchors "
+        f"in {len(files)} file(s))"
+    )
     return 0
 
 
