@@ -66,20 +66,17 @@ import argparse
 import sys
 import time
 from pathlib import Path
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
+# Only what every command needs loads here: each subsystem is imported by
+# the subcommand that runs it, after its arguments parse, so ``--version``,
+# ``--help`` and ``lint`` never load the BDD engine.
 from ._version import __version__
-from .analysis import Analysis
 from .engine import EngineConfig
 from .errors import ConfigError, ModelError, ParseError, ReproError
-from .suite import (
-    BUILTIN_TARGETS,
-    DEFAULT_MAX_SHARD_RETRIES,
-    default_jobs,
-    format_results,
-    run_jobs_sharded,
-    write_report,
-)
+
+if TYPE_CHECKING:
+    from .analysis import Analysis
 
 __all__ = ["main"]
 
@@ -343,6 +340,8 @@ def _build_bench_parser() -> argparse.ArgumentParser:
 
 
 def _build_suite_parser() -> argparse.ArgumentParser:
+    from .suite import DEFAULT_MAX_SHARD_RETRIES
+
     parser = argparse.ArgumentParser(
         prog="repro-coverage suite",
         description=(
@@ -505,6 +504,9 @@ def _emit_telemetry(
 
 def _main_target(argv: List[str]) -> int:
     args = build_parser().parse_args(argv)
+    from .analysis import Analysis
+    from .suite import BUILTIN_TARGETS
+
     if args.list or not args.target:
         print("available targets:")
         for target in BUILTIN_TARGETS.values():
@@ -589,6 +591,8 @@ def _main_run(argv: List[str]) -> int:
     config = _telemetry_config(EngineConfig.from_args(args), args)
     if args.server:
         return _run_via_server(args, config)
+    from .analysis import Analysis
+
     try:
         analysis = Analysis.from_rml(Path(args.file), config=config)
     except OSError as exc:
@@ -611,6 +615,13 @@ def _main_run(argv: List[str]) -> int:
 
 def _main_suite(argv: List[str]) -> int:
     args = _build_suite_parser().parse_args(argv)
+    from .suite import (
+        default_jobs,
+        format_results,
+        run_jobs_sharded,
+        write_report,
+    )
+
     # Validate the engine flags up front: one usage error beats every
     # worker failing with the same message after fan-out.
     config = EngineConfig.from_args(args)
@@ -741,6 +752,7 @@ def _main_lint(argv: List[str]) -> int:
 
 
 def _main_bench(argv: List[str]) -> int:
+    args = _build_bench_parser().parse_args(argv)
     from .obs.bench import (
         BENCH_WORKLOADS,
         baseline_path,
@@ -750,7 +762,6 @@ def _main_bench(argv: List[str]) -> int:
         write_baseline,
     )
 
-    args = _build_bench_parser().parse_args(argv)
     if args.list:
         print("registered bench workloads:")
         for workload in BENCH_WORKLOADS.values():
@@ -845,9 +856,9 @@ def _main_serve(argv: List[str]) -> int:
 
 
 def _main_fuzz(argv: List[str]) -> int:
+    args = _build_fuzz_parser().parse_args(argv)
     from .gen import GenParams, run_fuzz, validate_axes, write_fuzz_report
 
-    args = _build_fuzz_parser().parse_args(argv)
     if args.budget < 1:
         print("error: --budget must be >= 1", file=sys.stderr)
         return 2

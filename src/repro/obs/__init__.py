@@ -34,18 +34,6 @@ so a run with telemetry on produces byte-identical verdicts, coverage
 numbers and traces to a run with telemetry off.
 """
 
-from .bench import (
-    BENCH_SCHEMA,
-    BENCH_WORKLOADS,
-    BenchResult,
-    BenchWorkload,
-    baseline_path,
-    compare_result,
-    load_baseline,
-    run_bench,
-    run_workload,
-    write_baseline,
-)
 from .counters import (
     counter_delta,
     counter_inc,
@@ -63,7 +51,24 @@ from .telemetry import (
     WorkStats,
     format_profile,
 )
-from .trace import chrome_trace_events, write_chrome_trace
+
+#: Re-exports loaded on first use: the bench harness and the trace
+#: exporter are for ``repro bench`` and ``--trace``, and everything that
+#: imports the engine config (every CLI command) imports this package.
+_LAZY = {
+    "chrome_trace_events": "trace",
+    "write_chrome_trace": "trace",
+    "BENCH_SCHEMA": "bench",
+    "BENCH_WORKLOADS": "bench",
+    "BenchResult": "bench",
+    "BenchWorkload": "bench",
+    "baseline_path": "bench",
+    "compare_result": "bench",
+    "load_baseline": "bench",
+    "run_bench": "bench",
+    "run_workload": "bench",
+    "write_baseline": "bench",
+}
 
 __all__ = [
     "METRICS_SCHEMA",
@@ -92,3 +97,18 @@ __all__ = [
     "counter_value",
     "counters_snapshot",
 ]
+
+
+def __getattr__(name):
+    """Import a lazy re-export's module on first use (see ``_LAZY``)."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    attr = getattr(import_module(f"{__name__}.{_LAZY[name]}"), name)
+    globals()[name] = attr
+    return attr
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -1,6 +1,7 @@
-"""The docs stay navigable: every relative link in README.md and docs/*.md
-resolves, and every ``path:line`` anchor lands on a line naming its row's
-symbol, via the same checker CI runs (``tools/check_links.py``)."""
+"""The docs stay navigable: every relative link in README.md, ROADMAP.md
+and docs/*.md resolves, and every ``path:line`` anchor lands on a line
+naming its row's symbol, via the same checker CI runs
+(``tools/check_links.py``)."""
 
 import importlib.util
 from pathlib import Path
@@ -64,7 +65,8 @@ def test_no_stale_anchors():
         if stale:
             failures[str(path.relative_to(ROOT))] = stale
     assert not failures, f"stale anchors: {failures}"
-    assert anchors >= 29  # docs/paper-map.md's anchors are all read
+    # docs/paper-map.md's 29 anchors and ROADMAP.md's 3 are all read.
+    assert anchors >= 32
 
 
 def test_checker_flags_stale_anchors(tmp_path):
@@ -110,3 +112,24 @@ def test_checker_flags_stale_anchors(tmp_path):
     assert checker.stale_anchors(page, tmp_path) == [
         (4, "mod.py:9"), (5, "mod.py:5"), (6, "mod.py:4"), (15, "gone.py:1"),
     ]
+
+
+def test_list_items_are_their_own_anchor_context(tmp_path):
+    checker = _load_checker()
+    (tmp_path / "mod.py").write_text(
+        "def image(s):\n"     # 1
+        "    return s\n"      # 2
+        "\n"                  # 3
+        "def preimage(s):\n"  # 4
+        "    return s\n"      # 5
+    )
+    page = tmp_path / "page.md"
+    page.write_text(
+        "- The image is `image`\n"
+        "  (`mod.py:1`).\n"
+        "- The preimage is `preimage` (`mod.py:1`).\n"
+        "  1. Nested: `mod.py:4`, named by `preimage`.\n"
+    )
+    # The second item's anchor cannot borrow `image` from the first, and
+    # a nested item reads only its own line.
+    assert checker.stale_anchors(page, tmp_path) == [(3, "mod.py:1")]

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Fail CI on broken relative links and stale line anchors in README.md
-and docs/*.md.
+"""Fail CI on broken relative links and stale line anchors in README.md,
+ROADMAP.md and docs/*.md.
 
 Checks every inline markdown link ``[text](target)`` whose target is a
 relative path: the referenced file or directory must exist (relative to
@@ -11,14 +11,15 @@ the file containing the link).  External URLs (``http(s)://``,
 Also checks every backticked line anchor ``path:N`` (the path relative to
 the repository root), and its shorthand ``:N`` for the previous anchor's
 file (as in ``path:62`` / ``:85``): line ``N`` of the file must name one
-of the backticked symbols of the anchor's table row (or paragraph), such
-as ``FSM.image`` (the last dotted part, ``image``, must appear there as a
-word).  Line numbers drift with every edit above them; the symbol is the
-stable handle, so an anchor that no longer lands on it fails.
+of the backticked symbols of the anchor's table row (or list item, or
+paragraph), such as ``FSM.image`` (the last dotted part, ``image``, must
+appear there as a word).  Line numbers drift with every edit above them;
+the symbol is the stable handle, so an anchor that no longer lands on it
+fails.
 
 Usage::
 
-    python tools/check_links.py            # check README.md + docs/*.md
+    python tools/check_links.py            # README.md, ROADMAP.md, docs/*.md
     python tools/check_links.py FILE...    # check the given files
 
 Exit code 0 when every link and anchor resolves, 1 otherwise (each one is
@@ -47,10 +48,13 @@ SPAN_RE = re.compile(r"`([^`]+)`")
 ANCHOR_RE = re.compile(r"^((?:[\w.-]+/)*[\w.-]+\.\w+)?:(\d+)$")
 SYMBOL_RE = re.compile(r"^[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*(?:\([^()]*\))?$")
 
+#: The first line of a list item (a ``-``, ``*``, ``+`` or ``1.`` bullet).
+ITEM_RE = re.compile(r"^(?:[-*+]|\d+\.)\s")
+
 
 def default_files(root: Path) -> List[Path]:
-    """README.md plus every markdown file under docs/."""
-    files = [root / "README.md"]
+    """README.md, ROADMAP.md and every markdown file under docs/."""
+    files = [root / "README.md", root / "ROADMAP.md"]
     files.extend(sorted((root / "docs").glob("*.md")))
     return [f for f in files if f.exists()]
 
@@ -77,8 +81,9 @@ def broken_links(path: Path) -> List[Tuple[int, str]]:
 
 
 def _blocks(path: Path) -> Iterable[List[Tuple[int, str]]]:
-    """The anchor contexts of ``path``: each table row on its own, and
-    each paragraph (a run of other non-blank lines); fenced code skipped."""
+    """The anchor contexts of ``path``: each table row on its own, each
+    list item with its continuation lines, and each paragraph (a run of
+    other non-blank lines); fenced code skipped."""
     block: List[Tuple[int, str]] = []
     fenced = False
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
@@ -86,6 +91,9 @@ def _blocks(path: Path) -> Iterable[List[Tuple[int, str]]]:
         if text.startswith("```"):
             fenced = not fenced
         if text and not fenced and not text.startswith(("|", "```")):
+            if block and ITEM_RE.match(text):
+                yield block
+                block = []
             block.append((lineno, line))
             continue
         if block:
@@ -99,9 +107,9 @@ def _blocks(path: Path) -> Iterable[List[Tuple[int, str]]]:
 
 def iter_anchors(path: Path) -> Iterable[Tuple[int, str, int, List[str]]]:
     """Yield ``(line_number, file, anchored line, symbols)`` for every line
-    anchor in ``path``; ``symbols`` are the names its row or paragraph
-    gives in backticks (one-letter names are the paper's notation, not
-    code, and are left out)."""
+    anchor in ``path``; ``symbols`` are the names its row, list item or
+    paragraph gives in backticks (one-letter names are the paper's notation,
+    not code, and are left out)."""
     for block in _blocks(path):
         spans = [
             (lineno, span)
