@@ -8,10 +8,14 @@ without fairness constraints — the symbolic estimator and the dual-FSM
 mutation oracle must produce identical covered sets.
 """
 
+import random
+
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.coverage import CoverageEstimator, mutation_covered
 from repro.expr import parse_expr
+from repro.gen import random_actl, random_graph
 from repro.mc import ExplicitModelChecker
 from tests.strategies import LABELS, acceptable_formulas, graphs
 
@@ -120,3 +124,31 @@ def test_minimality_flipping_uncovered_preserves_property(
     symbolic_names = graph.set_to_states(fsm, covered)
     for index in uncovered_reachable:
         assert model.state_names[index] not in symbolic_names
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason=(
+        "Table 1's firstreached assumes a mutation cannot meet an until "
+        "earlier: flipping q at s0 breaks the inner until's !q there, but "
+        "it also makes AX (p | q) true at s1, so under Definition 5 the "
+        "outer until is met one step earlier and the property still holds"
+    ),
+)
+def test_until_met_earlier_after_mutation():
+    """A counterexample the property test above can reach: the estimator
+    marks s0 covered for q, while no single flip of q falsifies the
+    transformed property."""
+    graph = random_graph(
+        random.Random("graph:7921874"), max_states=5, labels=LABELS
+    )
+    formula = random_actl(random.Random("actl:11465"), ATOMS, 3)
+    assert str(formula) == "A [p & q -> !q -> q U AX (p | q) & A [!q U p | q]]"
+    model = graph.to_model()
+    assert ExplicitModelChecker(model).holds(formula)
+
+    oracle = mutation_covered(model, formula, "q", verify=False)
+    fsm = graph.to_fsm()
+    covered = CoverageEstimator(fsm).covered_set(formula, observed="q", verify=False)
+    assert graph.set_to_states(fsm, covered) == {"s0"}
+    assert _names(model, oracle) == {"s0"}

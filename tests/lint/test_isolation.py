@@ -3,6 +3,7 @@ machinery.  A fresh interpreter proves it — the parent test process has
 long since imported everything, so the check must run in a subprocess.
 """
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +16,7 @@ def run_snippet(code):
         [sys.executable, "-c", code],
         capture_output=True,
         text=True,
-        env={"PYTHONPATH": str(SRC)},
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
     )
 
 
