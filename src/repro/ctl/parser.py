@@ -1,32 +1,26 @@
-"""Parser for CTL formulas (shares the expression tokenizer).
+"""Parser for CTL formulas, on the expression parser's precedence-climbing
+core (:class:`repro.expr.parser._Climber`).
 
-Grammar (lowest to highest precedence)::
+The binary operators, their precedence and associativity are the
+expression layer's (``<->``, right-associative ``->``, ``|``/``or``,
+``^``/``xor``, ``&``/``and``), building ``Ctl*`` nodes.  The unary level
+adds the temporal operators::
 
-    ctl      := ctl_iff
-    ctl_iff  := ctl_impl ( '<->' ctl_impl )*
-    ctl_impl := ctl_or ( '->' ctl_impl )?          # right-associative
-    ctl_or   := ctl_xor ( ('|' | 'or') ctl_xor )*
-    ctl_xor  := ctl_and ( ('^' | 'xor') ctl_and )*
-    ctl_and  := unary ( ('&' | 'and') unary )*
-    unary    := ('!' | 'not') unary
-              | ('AX'|'AG'|'AF'|'EX'|'EG'|'EF') unary
-              | 'A' '[' ctl 'U' ctl ']'
-              | 'E' '[' ctl 'U' ctl ']'
-              | atom
-    atom     := 'true' | 'false' | '(' ctl ')' | name ( cmp rhs )?
+    unary := ('!' | 'not') unary
+           | ('AX' | 'AG' | 'AF' | 'EX' | 'EG' | 'EF') unary
+           | ('A' | 'E') '[' ctl 'U' ctl ']'
+           | atom
 
-Temporal keywords are case-sensitive (uppercase), so signals named ``ax`` or
-``ag`` remain usable.  After parsing, maximal propositional subtrees are
-collapsed into single :class:`~repro.ctl.ast.Atom` leaves.
+Temporal keywords are case-sensitive (uppercase), so signals named ``ax``
+or ``ag`` remain usable, and ``A``/``E`` not followed by ``[`` are plain
+signals.  Atoms are the expression atoms, each wrapped in an
+:class:`~repro.ctl.ast.Atom`; after parsing, :func:`~repro.ctl.ast.collapse`
+folds maximal propositional subtrees into single atoms.
 """
 
 from __future__ import annotations
 
-from typing import Union
-
-from ..errors import ParseError
-from ..expr.ast import Const, Var, WordCmp
-from ..expr.parser import _CMP_TOKENS, _Cursor, _parse_number
+from ..expr.parser import _IFF, _NOT, _Climber, _parse_text, _TokenError
 from .ast import (
     AF,
     AG,
@@ -57,127 +51,42 @@ _UNARY_TEMPORAL = {
     "EG": EG,
     "EF": EF,
 }
-_CONSTS = {"true": True, "false": False}
+_UNTIL = {"A": AU, "E": EU}
 
 
-class _CtlParser:
-    def __init__(self, cursor: _Cursor):
-        self.cursor = cursor
+class _CtlParser(_Climber):
+    NODES = (None, CtlIff, CtlImplies, CtlOr, CtlXor, CtlAnd)
+    WHAT = "a formula"
 
     def parse(self) -> CtlFormula:
-        formula = self.parse_iff()
-        token = self.cursor.peek()
-        if token.kind != "eof":
-            raise self.cursor.error("unexpected trailing input")
-        return collapse(formula)
+        return collapse(super().parse())
 
-    def parse_iff(self) -> CtlFormula:
-        lhs = self.parse_implies()
-        while self.cursor.accept("<->"):
-            lhs = CtlIff(lhs, self.parse_implies())
-        return lhs
+    def unary(self) -> CtlFormula:
+        tokens = self.tokens
+        text = tokens[self.index][1]
+        if text in _NOT:
+            self.index += 1
+            return CtlNot(self.unary())
+        temporal = _UNARY_TEMPORAL.get(text)
+        if temporal is not None:
+            self.index += 1
+            return temporal(self.unary())
+        if text in _UNTIL and tokens[self.index + 1][1] == "[":
+            return self.until(_UNTIL[text])
+        return self.atom()
 
-    def parse_implies(self) -> CtlFormula:
-        lhs = self.parse_or()
-        if self.cursor.accept("->"):
-            return CtlImplies(lhs, self.parse_implies())
-        return lhs
+    def until(self, node: type) -> CtlFormula:
+        self.index += 2  # 'A'/'E' and '['
+        lhs = self.climb(_IFF)
+        if self.tokens[self.index][1] != "U":
+            raise _TokenError("expected 'U' in until operator", self.index)
+        self.index += 1
+        rhs = self.climb(_IFF)
+        self.expect("]")
+        return node(lhs, rhs)
 
-    def parse_or(self) -> CtlFormula:
-        lhs = self.parse_xor()
-        while self.cursor.accept("|") or self.cursor.accept_keyword("or"):
-            rhs = self.parse_xor()
-            lhs = (
-                CtlOr(lhs.args + (rhs,)) if isinstance(lhs, CtlOr) else CtlOr((lhs, rhs))
-            )
-        return lhs
-
-    def parse_xor(self) -> CtlFormula:
-        lhs = self.parse_and()
-        while self.cursor.accept("^") or self.cursor.accept_keyword("xor"):
-            lhs = CtlXor(lhs, self.parse_and())
-        return lhs
-
-    def parse_and(self) -> CtlFormula:
-        lhs = self.parse_unary()
-        while self.cursor.accept("&") or self.cursor.accept_keyword("and"):
-            rhs = self.parse_unary()
-            lhs = (
-                CtlAnd(lhs.args + (rhs,))
-                if isinstance(lhs, CtlAnd)
-                else CtlAnd((lhs, rhs))
-            )
-        return lhs
-
-    def parse_unary(self) -> CtlFormula:
-        if self.cursor.accept("!") or self.cursor.accept_keyword("not"):
-            return CtlNot(self.parse_unary())
-        token = self.cursor.peek()
-        if token.kind == "ident":
-            ctor = _UNARY_TEMPORAL.get(token.text)
-            if ctor is not None:
-                self.cursor.advance()
-                return ctor(self.parse_unary())
-            if token.text in ("A", "E"):
-                return self._parse_until(token.text)
-        return self.parse_atom()
-
-    def _parse_until(self, quantifier: str) -> CtlFormula:
-        # 'A' or 'E' must be followed by '[' to be an until; otherwise it is
-        # a plain signal named A/E.
-        next_token = self.cursor.tokens[self.cursor.index + 1]
-        if not (next_token.kind == "op" and next_token.text == "["):
-            return self.parse_atom()
-        self.cursor.advance()  # A / E
-        self.cursor.expect("[")
-        lhs = self.parse_iff()
-        until = self.cursor.peek()
-        if until.kind == "ident" and until.text == "U":
-            self.cursor.advance()
-        else:
-            raise ParseError(
-                f"expected 'U' in until operator at position {until.position}",
-                self.cursor.text,
-                until.position,
-            )
-        rhs = self.parse_iff()
-        self.cursor.expect("]")
-        return AU(lhs, rhs) if quantifier == "A" else EU(lhs, rhs)
-
-    def parse_atom(self) -> CtlFormula:
-        if self.cursor.accept("("):
-            inner = self.parse_iff()
-            self.cursor.expect(")")
-            return inner
-        token = self.cursor.peek()
-        if token.kind == "ident":
-            lowered = token.text.lower()
-            if lowered in _CONSTS:
-                self.cursor.advance()
-                return Atom(Const(_CONSTS[lowered]))
-            self.cursor.advance()
-            return Atom(self._maybe_comparison(token.text))
-        raise self.cursor.error("expected a formula")
-
-    def _maybe_comparison(self, name: str):
-        token = self.cursor.peek()
-        if token.kind == "op" and token.text in _CMP_TOKENS:
-            op = _CMP_TOKENS[token.text]
-            self.cursor.advance()
-            rhs_token = self.cursor.peek()
-            rhs: Union[int, str]
-            if rhs_token.kind == "number":
-                self.cursor.advance()
-                rhs = _parse_number(rhs_token.text)
-            elif rhs_token.kind == "ident":
-                self.cursor.advance()
-                rhs = rhs_token.text
-            else:
-                raise self.cursor.error(
-                    "expected a number or name on the right of a comparison"
-                )
-            return WordCmp(op, name, rhs)
-        return Var(name)
+    def leaf(self, expr) -> CtlFormula:
+        return Atom(expr)
 
 
 def parse_ctl(text: str) -> CtlFormula:
@@ -186,4 +95,4 @@ def parse_ctl(text: str) -> CtlFormula:
     >>> str(parse_ctl("AG (!stall -> AX ready)"))
     'AG (!stall -> AX ready)'
     """
-    return _CtlParser(_Cursor(text)).parse()
+    return _parse_text(_CtlParser, text)

@@ -1,29 +1,44 @@
-"""Recursive-descent parser for propositional expressions.
+"""Propositional expressions, and the precedence-climbing core that the CTL
+and ``.rml`` module parsers share.
 
-Grammar (lowest to highest precedence)::
+Binary operators, loosest first::
 
-    expr     := iff
-    iff      := implies ( '<->' implies )*
-    implies  := or ( '->' implies )?          # right-associative
-    or       := xor ( ('|' | 'or') xor )*
-    xor      := and ( ('^' | 'xor') and )*
-    and      := unary ( ('&' | 'and') unary )*
-    unary    := ('!' | 'not') unary | atom
-    atom     := 'true' | 'false' | '(' expr ')' | name ( cmp rhs )?
-    cmp      := '=' | '==' | '!=' | '<' | '<=' | '>' | '>='
-    rhs      := number | name
+    prec  operator     assoc  node
+    1     <->          left   Iff
+    2     ->           right  Implies
+    3     |   or       left   Or     (n-ary)
+    4     ^   xor      left   Xor
+    5     &   and      left   And    (n-ary)
 
-Comparisons produce :class:`~repro.expr.ast.WordCmp` leaves; a bare name is a
-:class:`~repro.expr.ast.Var`.  Numbers may be decimal, ``0x...`` or ``0b...``.
+``!``/``not`` binds tighter than all of them, and then come the atoms::
 
-The tokenizer is shared with the CTL parser (:mod:`repro.ctl.parser`).
+    atom  := 'true' | 'false' | '(' expr ')' | name ( cmp rhs )?
+    cmp   := '=' | '==' | '!=' | '<' | '<=' | '>' | '>='
+    rhs   := number | name
+
+An n-ary node grows only from the left: ``a | b | c`` and ``(a | b) | c``
+are one three-way :class:`~repro.expr.ast.Or`, while ``a | (b | c)`` nests.
+The word operators and ``true``/``false`` are case-insensitive.
+Comparisons produce :class:`~repro.expr.ast.WordCmp` leaves; a bare name is
+a :class:`~repro.expr.ast.Var`.  Numbers may be decimal, ``0x...`` or
+``0b...``.
+
+One compiled scanner, ``_TOKEN_RE``, reads both expression text and
+``.rml`` modules (:mod:`repro.lang.parser`); :func:`tokenize` rejects what
+only modules may hold (comments, ``:=``, ``;``, ``:``, ``+``, ``-``).  The
+core, :class:`_Climber`, parses a token list in place from a start index up
+to the first token whose text is its *stop* (``""``, the end-of-input
+token, for a standalone string; ``;`` or ``:`` inside a module), which it
+reads as the end of input.  It raises :class:`_TokenError` at a token
+index, and each entry point places that in its own coordinates: a
+character position here, a line and column in a module.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import List, Optional, Union
+from itertools import product
+from typing import Dict, FrozenSet, List, NamedTuple, Optional
 
 from ..errors import ParseError
 from .ast import (
@@ -41,28 +56,45 @@ from .ast import (
 
 __all__ = ["parse_expr", "Token", "tokenize"]
 
+#: Each match is one token, with the blanks before it.  Group numbers are
+#: the ``_COMMENT``..``_ILLEGAL`` constants below.
 _TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<number>0[xX][0-9a-fA-F]+|0[bB][01]+|\d+)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
-  | (?P<op><->|->|==|!=|<=|>=|[()\[\]!&|^<>=,])
-    """,
+    r"""\s*(?:
+        (--[^\n]*)
+      | (0[xX][0-9a-fA-F]+|0[bB][01]+|\d+)
+      | ([A-Za-z_][A-Za-z0-9_']*)
+      | (<->|->|==|!=|<=|>=|[()\[\]!&|^<>=,])
+      | (:=|[;:+\-])
+      | (\S)
+    )""",
     re.VERBOSE,
 )
-
-#: Keywords recognised case-insensitively by the expression layer.
-_KEYWORD_OPS = {
-    "and": "&",
-    "or": "|",
-    "xor": "^",
-    "not": "!",
-}
-_CONSTS = {"true": True, "false": False}
+_COMMENT, _NUMBER, _IDENT, _OP, _PUNCT, _ILLEGAL = range(1, 7)
+#: Token kind per group; comments and illegal characters never become tokens.
+_KINDS = (None, None, "number", "ident", "op", "op", None)
 
 
-@dataclass(frozen=True)
-class Token:
+def _spellings(word: str) -> FrozenSet[str]:
+    """Every upper/lower-case spelling of ``word``, so that one dict or set
+    lookup matches a keyword case-insensitively."""
+    return frozenset(map("".join, product(*({c.lower(), c.upper()} for c in word))))
+
+
+def _keywords(table: Dict[str, object]) -> Dict[str, object]:
+    return {spelling: value for word, value in table.items() for spelling in _spellings(word)}
+
+
+_IFF, _IMPLIES, _OR, _XOR, _AND = range(1, 6)
+#: Binary operator (symbol or any spelling of its word) -> precedence.
+_BINARY = {"<->": _IFF, "->": _IMPLIES, "|": _OR, "^": _XOR, "&": _AND,
+           **_keywords({"or": _OR, "xor": _XOR, "and": _AND})}
+_NOT = frozenset({"!"}) | _spellings("not")
+_CONSTS = _keywords({"true": True, "false": False})
+_CMP_TOKENS = {"=": "==", "==": "==", "!=": "!=", "<": "<", "<=": "<=",
+               ">": ">", ">=": ">="}
+
+
+class Token(NamedTuple):
     """One lexical token with its source position (for error messages)."""
 
     kind: str  # 'ident' | 'number' | 'op' | 'eof'
@@ -73,70 +105,18 @@ class Token:
 def tokenize(text: str) -> List[Token]:
     """Tokenise ``text``; raises :class:`ParseError` on illegal characters."""
     tokens: List[Token] = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
+    for match in _TOKEN_RE.finditer(text):
+        group = match.lastindex
+        position = match.start(group)
+        if group in (_COMMENT, _PUNCT, _ILLEGAL):
             raise ParseError(
-                f"illegal character {text[pos]!r} at position {pos}", text, pos
+                f"illegal character {text[position]!r} at position {position}",
+                text,
+                position,
             )
-        if match.lastgroup != "ws":
-            kind = match.lastgroup
-            tokens.append(Token(kind, match.group(), pos))
-        pos = match.end()
+        tokens.append(Token(_KINDS[group], match[group], position))
     tokens.append(Token("eof", "", len(text)))
     return tokens
-
-
-class _Cursor:
-    """Shared token-stream cursor used by the expr and CTL parsers."""
-
-    def __init__(self, text: str, tokens: Optional[List[Token]] = None):
-        self.text = text
-        self.tokens = tokens if tokens is not None else tokenize(text)
-        self.index = 0
-
-    def peek(self) -> Token:
-        return self.tokens[self.index]
-
-    def advance(self) -> Token:
-        token = self.tokens[self.index]
-        if token.kind != "eof":
-            self.index += 1
-        return token
-
-    def accept(self, text: str) -> Optional[Token]:
-        token = self.peek()
-        if token.kind == "op" and token.text == text:
-            return self.advance()
-        return None
-
-    def accept_keyword(self, word: str) -> Optional[Token]:
-        token = self.peek()
-        if token.kind == "ident" and token.text.lower() == word:
-            return self.advance()
-        return None
-
-    def expect(self, text: str) -> Token:
-        token = self.accept(text)
-        if token is None:
-            actual = self.peek()
-            raise ParseError(
-                f"expected {text!r} but found {actual.text or 'end of input'!r} "
-                f"at position {actual.position}",
-                self.text,
-                actual.position,
-            )
-        return token
-
-    def error(self, message: str) -> ParseError:
-        token = self.peek()
-        return ParseError(
-            f"{message} at position {token.position} "
-            f"(found {token.text or 'end of input'!r})",
-            self.text,
-            token.position,
-        )
 
 
 def _parse_number(text: str) -> int:
@@ -148,100 +128,126 @@ def _parse_number(text: str) -> int:
     return int(text, 10)
 
 
-_CMP_TOKENS = {"=": "==", "==": "==", "!=": "!=", "<": "<", "<=": "<=",
-               ">": ">", ">=": ">="}
+class _TokenError(Exception):
+    """A syntax error at ``tokens[index]``, not yet placed in the source.
+
+    ``found`` is the offending token's text (``"end of input"`` at the
+    stop), or ``None`` when the message already names it.
+    """
+
+    def __init__(self, message: str, index: int, found: Optional[str] = None):
+        super().__init__(message)
+        self.message = message
+        self.index = index
+        self.found = found
 
 
-class _ExprParser:
-    """Propositional expression parser over a :class:`_Cursor`."""
+class _Climber:
+    """Precedence climbing over ``tokens[index:]`` up to the first token
+    whose text is ``stop``.
 
-    def __init__(self, cursor: _Cursor):
-        self.cursor = cursor
+    Tokens are tuples whose first two fields are kind and text.  Neither
+    ``""`` nor ``;``/``:`` is part of the grammar, so the loop never moves
+    past the stop and needs no bound check.  The CTL parser subclasses it:
+    its own ``NODES``, ``WHAT`` and ``leaf``, and temporal operators in
+    :meth:`unary`.
+    """
 
-    def parse(self) -> Expr:
-        expr = self.parse_iff()
-        token = self.cursor.peek()
-        if token.kind != "eof":
-            raise self.cursor.error("unexpected trailing input")
+    #: Node class per precedence level; ``_OR`` and ``_AND`` are n-ary.
+    NODES = (None, Iff, Implies, Or, Xor, And)
+    #: What an atom position expects, for its error message.
+    WHAT = "an expression"
+
+    def __init__(self, tokens, index: int = 0, stop: str = ""):
+        self.tokens = tokens
+        self.index = index
+        self.stop = stop
+
+    def parse(self):
+        node = self.climb(_IFF)
+        if self.tokens[self.index][1] != self.stop:
+            raise self.error("unexpected trailing input")
+        return node
+
+    def climb(self, floor: int):
+        """An expression whose binary operators bind at ``floor`` or tighter."""
+        lhs = self.unary()
+        tokens = self.tokens
+        nodes = self.NODES
+        while True:
+            prec = _BINARY.get(tokens[self.index][1])
+            if prec is None or prec < floor:
+                return lhs
+            self.index += 1
+            rhs = self.climb(prec if prec == _IMPLIES else prec + 1)
+            node = nodes[prec]
+            if prec == _OR or prec == _AND:
+                lhs = node(lhs.args + (rhs,)) if isinstance(lhs, node) else node((lhs, rhs))
+            else:
+                lhs = node(lhs, rhs)
+
+    def unary(self):
+        if self.tokens[self.index][1] in _NOT:
+            self.index += 1
+            return Not(self.unary())
+        return self.atom()
+
+    def atom(self):
+        tokens = self.tokens
+        kind, text = tokens[self.index][:2]
+        if text == "(":
+            self.index += 1
+            inner = self.climb(_IFF)
+            self.expect(")")
+            return inner
+        if kind != "ident":
+            raise self.error(f"expected {self.WHAT}")
+        self.index += 1
+        if text in _CONSTS:
+            return self.leaf(Const(_CONSTS[text]))
+        op = _CMP_TOKENS.get(tokens[self.index][1])
+        if op is None:
+            return self.leaf(Var(text))
+        self.index += 1
+        kind, rhs = tokens[self.index][:2]
+        if kind == "number":
+            rhs = _parse_number(rhs)
+        elif kind != "ident":
+            raise self.error("expected a number or name on the right of a comparison")
+        self.index += 1
+        return self.leaf(WordCmp(op, text, rhs))
+
+    def leaf(self, expr: Expr):
         return expr
 
-    # Each level returns as soon as its operators stop matching, so the same
-    # methods are reusable as sub-parsers from the CTL grammar.
+    def expect(self, text: str) -> None:
+        if self.tokens[self.index][1] != text:
+            raise _TokenError(f"expected {text!r} but found {self.found()!r}", self.index)
+        self.index += 1
 
-    def parse_iff(self) -> Expr:
-        lhs = self.parse_implies()
-        while self.cursor.accept("<->"):
-            rhs = self.parse_implies()
-            lhs = Iff(lhs, rhs)
-        return lhs
+    def found(self) -> str:
+        text = self.tokens[self.index][1]
+        return "end of input" if text == self.stop else text
 
-    def parse_implies(self) -> Expr:
-        lhs = self.parse_or()
-        if self.cursor.accept("->"):
-            rhs = self.parse_implies()
-            return Implies(lhs, rhs)
-        return lhs
+    def error(self, message: str) -> _TokenError:
+        return _TokenError(message, self.index, self.found())
 
-    def parse_or(self) -> Expr:
-        lhs = self.parse_xor()
-        while self.cursor.accept("|") or self.cursor.accept_keyword("or"):
-            rhs = self.parse_xor()
-            lhs = Or((lhs, rhs)) if not isinstance(lhs, Or) else Or(lhs.args + (rhs,))
-        return lhs
 
-    def parse_xor(self) -> Expr:
-        lhs = self.parse_and()
-        while self.cursor.accept("^") or self.cursor.accept_keyword("xor"):
-            rhs = self.parse_and()
-            lhs = Xor(lhs, rhs)
-        return lhs
+def _positioned(error: _TokenError, tokens: List[Token], text: str) -> ParseError:
+    """``error`` placed at its token's character position in ``text``."""
+    position = tokens[error.index].position
+    message = f"{error.message} at position {position}"
+    if error.found is not None:
+        message += f" (found {error.found!r})"
+    return ParseError(message, text, position)
 
-    def parse_and(self) -> Expr:
-        lhs = self.parse_unary()
-        while self.cursor.accept("&") or self.cursor.accept_keyword("and"):
-            rhs = self.parse_unary()
-            lhs = And((lhs, rhs)) if not isinstance(lhs, And) else And(lhs.args + (rhs,))
-        return lhs
 
-    def parse_unary(self) -> Expr:
-        if self.cursor.accept("!") or self.cursor.accept_keyword("not"):
-            return Not(self.parse_unary())
-        return self.parse_atom()
-
-    def parse_atom(self) -> Expr:
-        if self.cursor.accept("("):
-            inner = self.parse_iff()
-            self.cursor.expect(")")
-            return inner
-        token = self.cursor.peek()
-        if token.kind == "ident":
-            lowered = token.text.lower()
-            if lowered in _CONSTS:
-                self.cursor.advance()
-                return Const(_CONSTS[lowered])
-            self.cursor.advance()
-            return self._maybe_comparison(token.text)
-        raise self.cursor.error("expected an expression")
-
-    def _maybe_comparison(self, name: str) -> Expr:
-        token = self.cursor.peek()
-        if token.kind == "op" and token.text in _CMP_TOKENS:
-            op = _CMP_TOKENS[token.text]
-            self.cursor.advance()
-            rhs_token = self.cursor.peek()
-            rhs: Union[int, str]
-            if rhs_token.kind == "number":
-                self.cursor.advance()
-                rhs = _parse_number(rhs_token.text)
-            elif rhs_token.kind == "ident":
-                self.cursor.advance()
-                rhs = rhs_token.text
-            else:
-                raise self.cursor.error(
-                    "expected a number or name on the right of a comparison"
-                )
-            return WordCmp(op, name, rhs)
-        return Var(name)
+def _parse_text(climber: type, text: str):
+    tokens = tokenize(text)
+    try:
+        return climber(tokens).parse()
+    except _TokenError as error:
+        raise _positioned(error, tokens, text) from None
 
 
 def parse_expr(text: str) -> Expr:
@@ -250,4 +256,5 @@ def parse_expr(text: str) -> Expr:
     >>> str(parse_expr("!stall & count < 5"))
     '!stall & count < 5'
     """
-    return _ExprParser(_Cursor(text)).parse()
+    return _parse_text(_Climber, text)
+

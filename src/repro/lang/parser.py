@@ -1,4 +1,4 @@
-"""Tokenizer and recursive-descent parser for ``.rml`` modules.
+"""One-pass scanner and parser for ``.rml`` modules.
 
 Grammar (SMV-inspired; ``--`` starts a comment running to end of line)::
 
@@ -18,12 +18,21 @@ Grammar (SMV-inspired; ``--`` starts a comment running to end of line)::
                | number | name (('+'|'-') number)?   -- word targets
     define    := name ':=' (expr | name '+' name) ';'
 
-Propositional expressions and CTL formulas reuse the existing parsers
-(:func:`repro.expr.parser.parse_expr`, :func:`repro.ctl.parser.parse_ctl`):
-the module tokenizer collects the embedded tokens, hands their joined text
-to the sub-parser, and maps any error position back to the original
-line/column, so every :class:`~repro.errors.ParseError` raised from a
-module carries an exact source location.
+The module is scanned once, by the expression layer's compiled scanner,
+into ``(kind, text, line, column)`` tuples (the fields of
+:class:`LangToken`).  Every embedded expression and CTL formula is parsed
+where it sits in that list, by the precedence-climbing core shared with
+:func:`~repro.expr.parser.parse_expr` and :func:`~repro.ctl.parser.parse_ctl`
+(see :mod:`repro.expr.parser`), which reads the first ``;`` (or, for a
+``case`` arm's condition, the first ``:``) as the end of input.
+
+Errors carry the file, line and column.  Inside an embedded expression
+they are the errors the standalone parsers would report on the same
+tokens, minus the character position: a body with no ``;`` before the end
+of the file is unterminated, an empty one is missing, module punctuation
+inside one (``:=``, ``:``, ``;``, ``+``, ``-``) is an illegal character,
+and a syntax error at the stop reads "found 'end of input'", placed just
+after the body's last token.
 
 Variables must be declared before their ``init``/``next`` assignments (the
 parser needs the target's type to pick the boolean or word value grammar);
@@ -32,16 +41,21 @@ parser needs the target's type to pick the boolean or word value grammar);
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence, Set, Union
+from typing import List, NamedTuple, Optional, Set, Union
 
-from ..ctl.parser import parse_ctl
+from ..ctl.parser import _CtlParser
 from ..errors import ParseError
 from ..expr.ast import Expr
+from ..expr.parser import (
+    _ILLEGAL,
+    _KINDS,
+    _TOKEN_RE,
+    _Climber,
+    _parse_number,
+    _TokenError,
+)
 from ..obs.counters import counter_inc
-from ..expr.parser import _parse_number, parse_expr
 from .ast import (
     Case,
     CaseArm,
@@ -60,26 +74,16 @@ from .ast import (
 
 __all__ = ["parse_module", "load_module", "tokenize_module", "LangToken"]
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<comment>--[^\n]*)
-  | (?P<ws>\s+)
-  | (?P<number>0[xX][0-9a-fA-F]+|0[bB][01]+|\d+)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
-  | (?P<op>:=|<->|->|==|!=|<=|>=|[()\[\]!&|^<>=,;:+\-])
-    """,
-    re.VERBOSE,
-)
-
 #: Keywords opening a module section (case-sensitive, SMV style).
 SECTION_KEYWORDS = frozenset(
     ("MODULE", "VAR", "ASSIGN", "DEFINE", "FAIRNESS", "SPEC", "OBSERVED",
      "DONTCARE")
 )
+#: Module punctuation the expression grammar lacks.
+_PUNCTUATION = frozenset((":=", ";", ":", "+", "-"))
 
 
-@dataclass(frozen=True)
-class LangToken:
+class LangToken(NamedTuple):
     """One module-language token with its 1-based source location."""
 
     kind: str  # 'ident' | 'number' | 'op' | 'eof'
@@ -88,166 +92,151 @@ class LangToken:
     column: int
 
 
+def _scan(text: str, filename: Optional[str]) -> List[tuple]:
+    """The module's tokens as plain ``(kind, text, line, column)`` tuples,
+    comments dropped, ending with an ``eof`` token."""
+    tokens: List[tuple] = []
+    append = tokens.append
+    lines = text.split("\n")
+    for line, source in enumerate(lines, 1):
+        for match in _TOKEN_RE.finditer(source):
+            group = match.lastindex
+            kind = _KINDS[group]
+            if kind is None:
+                if group != _ILLEGAL:
+                    continue  # a comment
+                column = match.start(group) + 1
+                raise ParseError(
+                    f"{filename or '<module>'}:{line}:{column}: "
+                    f"illegal character {match[group]!r}",
+                    text,
+                    sum(len(before) + 1 for before in lines[:line - 1]) + column - 1,
+                    line=line,
+                    column=column,
+                    filename=filename,
+                )
+            append((kind, match[group], line, match.start(group) + 1))
+    append(("eof", "", len(lines), len(lines[-1]) + 1))
+    return tokens
+
+
 def tokenize_module(text: str, filename: Optional[str] = None) -> List[LangToken]:
     """Tokenise a module source; comments and whitespace are dropped."""
-    tokens: List[LangToken] = []
-    pos = 0
-    line = 1
-    line_start = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            raise ParseError(
-                f"{filename or '<module>'}:{line}:{pos - line_start + 1}: "
-                f"illegal character {text[pos]!r}",
-                text,
-                pos,
-                line=line,
-                column=pos - line_start + 1,
-                filename=filename,
-            )
-        kind = match.lastgroup
-        if kind not in ("ws", "comment"):
-            tokens.append(
-                LangToken(kind, match.group(), line, pos - line_start + 1)
-            )
-        newlines = match.group().count("\n")
-        if newlines:
-            line += newlines
-            line_start = pos + match.group().rfind("\n") + 1
-        pos = match.end()
-    tokens.append(LangToken("eof", "", line, len(text) - line_start + 1))
-    return tokens
+    return [LangToken._make(token) for token in _scan(text, filename)]
 
 
 class _ModuleParser:
     def __init__(self, text: str, filename: Optional[str] = None):
         self.text = text
         self.filename = filename
-        self.tokens = tokenize_module(text, filename)
+        self.tokens = _scan(text, filename)
         self.index = 0
         #: declared variable name -> width (None = boolean)
         self.types: dict = {}
         self.defines_seen: Set[str] = set()
+        #: targets assigned so far, per 'init' / 'next'
+        self.assigned = {"init": set(), "next": set()}
+        self.exprs = _Climber(self.tokens)
+        self.ctls = _CtlParser(self.tokens)
 
     # -- token-stream helpers -------------------------------------------
+    #
+    # Tokens are (kind, text, line, column).  Operator and keyword texts
+    # cannot be spelled by a token of another kind, so matching the text
+    # alone is enough, and the index only moves past a token whose kind
+    # or text was checked, so never past the end-of-input token.
 
-    def peek(self, ahead: int = 0) -> LangToken:
-        return self.tokens[min(self.index + ahead, len(self.tokens) - 1)]
+    def peek(self) -> tuple:
+        return self.tokens[self.index]
 
-    def advance(self) -> LangToken:
+    def accept(self, text: str) -> Optional[tuple]:
         token = self.tokens[self.index]
-        if token.kind != "eof":
-            self.index += 1
+        if token[1] != text:
+            return None
+        self.index += 1
         return token
 
-    def accept_op(self, text: str) -> Optional[LangToken]:
-        token = self.peek()
-        if token.kind == "op" and token.text == text:
-            return self.advance()
-        return None
-
-    def expect_op(self, text: str) -> LangToken:
-        token = self.accept_op(text)
-        if token is None:
+    def expect(self, text: str) -> tuple:
+        token = self.tokens[self.index]
+        if token[1] != text:
             raise self.error(f"expected {text!r}")
+        self.index += 1
         return token
 
-    def accept_keyword(self, word: str) -> Optional[LangToken]:
-        token = self.peek()
-        if token.kind == "ident" and token.text == word:
-            return self.advance()
-        return None
-
-    def expect_ident(self, what: str = "a name") -> LangToken:
-        token = self.peek()
-        if token.kind != "ident":
+    def expect_ident(self, what: str = "a name") -> tuple:
+        token = self.tokens[self.index]
+        if token[0] != "ident":
             raise self.error(f"expected {what}")
-        return self.advance()
+        self.index += 1
+        return token
 
-    def error(
-        self, message: str, token: Optional[LangToken] = None
-    ) -> ParseError:
+    def error(self, message: str, token: Optional[tuple] = None) -> ParseError:
         token = token or self.peek()
-        found = token.text or "end of input"
-        return self.located(f"{message} (found {found!r})", token)
+        return self.located(f"{message} (found {token[1] or 'end of input'!r})", token)
 
-    def located(self, message: str, token: LangToken) -> ParseError:
+    def located(self, message: str, token: tuple) -> ParseError:
+        return self.located_at(message, token[2], token[3])
+
+    def located_at(self, message: str, line: int, column: int) -> ParseError:
         return ParseError(
-            f"{self.filename or '<module>'}:{token.line}:{token.column}: "
-            f"{message}",
+            f"{self.filename or '<module>'}:{line}:{column}: {message}",
             self.text,
             0,
-            line=token.line,
-            column=token.column,
+            line=line,
+            column=column,
             filename=self.filename,
         )
 
     # -- embedded expression / CTL parsing ------------------------------
 
-    def collect_until(self, stops: Sequence[str], what: str) -> List[LangToken]:
-        """Tokens up to (not including) the first top-level stop operator."""
-        start = self.peek()
-        out: List[LangToken] = []
-        while True:
-            token = self.peek()
-            if token.kind == "eof":
-                raise self.located(
-                    f"unterminated {what} (expected "
-                    f"{' or '.join(repr(s) for s in stops)})",
-                    start,
-                )
-            if token.kind == "op" and token.text in stops:
-                break
-            out.append(self.advance())
-        if not out:
-            raise self.error(f"expected {what}")
-        return out
-
-    def parse_embedded(
-        self,
-        tokens: List[LangToken],
-        sub_parser: Callable[[str], object],
-    ):
-        """Run ``sub_parser`` over the joined token text, relocating errors.
-
-        The collected tokens are joined with single spaces, so a position
-        reported by the sub-parser maps back to a token index (and from
-        there to the original line/column) by accumulating lengths.
-        """
-        parts = [t.text for t in tokens]
-        joined = " ".join(parts)
+    def embedded(self, parser: _Climber, stop: str, what: str):
+        """Parse the tokens from here up to the first ``stop`` with
+        ``parser``, leaving the stop for the caller to consume."""
+        start = parser.index = self.index
+        parser.stop = stop
         try:
-            return sub_parser(joined)
-        except ParseError as exc:
-            starts: List[int] = []
-            offset = 0
-            for part in parts:
-                starts.append(offset)
-                offset += len(part) + 1
-            at = tokens[-1]
-            within = 0
-            for token, start in zip(tokens, starts):
-                if start <= exc.position:
-                    at = token
-                    within = exc.position - start
-                else:
-                    break
-            message = re.sub(r"\s*at position \d+\s*", " ", str(exc)).strip()
-            raise self.located(
-                message,
-                LangToken(at.kind, at.text, at.line, at.column + within),
-            ) from None
+            node = parser.parse()
+        except _TokenError as error:
+            raise self.misparsed(error, start, stop, what) from None
+        self.index = parser.index
+        return node
 
-    def parse_expr_until(self, stops: Sequence[str], what: str = "an expression") -> Expr:
-        return self.parse_embedded(self.collect_until(stops, what), parse_expr)
+    def misparsed(self, error: _TokenError, start: int, stop: str,
+                  what: str) -> ParseError:
+        """The error for a body that failed to parse, checked in the order
+        a reader meets them: no stop before the end of the file, an empty
+        body, module punctuation in it, then the syntax error itself."""
+        tokens = self.tokens
+        end = start
+        while tokens[end][1] != stop:
+            if tokens[end][0] == "eof":
+                return self.located(
+                    f"unterminated {what} (expected {stop!r})", tokens[start]
+                )
+            end += 1
+        if end == start:
+            return self.error(f"expected {what}")
+        for token in tokens[start:end]:
+            if token[1] in _PUNCTUATION:
+                return self.located(f"illegal character {token[1][0]!r}", token)
+        message = error.message
+        if error.found is not None:
+            message += f" (found {error.found!r})"
+        if error.index < end:
+            return self.located(message, tokens[error.index])
+        # At the stop: just after the body's last token.
+        _, text, line, column = tokens[end - 1]
+        return self.located_at(message, line, column + len(text))
+
+    def parse_expr_until(self, stop: str, what: str = "an expression") -> Expr:
+        return self.embedded(self.exprs, stop, what)
 
     # -- module grammar -------------------------------------------------
 
     def parse(self) -> Module:
-        if self.accept_keyword("MODULE") is None:
+        if self.accept("MODULE") is None:
             raise self.error("expected 'MODULE'")
-        name = self.expect_ident("a module name").text
+        name = self.expect_ident("a module name")[1]
         vars_: List[VarDecl] = []
         inits: List[InitAssign] = []
         nexts: List[NextAssign] = []
@@ -258,49 +247,44 @@ class _ModuleParser:
         dont_care: Optional[Expr] = None
         while True:
             token = self.peek()
-            if token.kind == "eof":
+            kind, keyword, line, column = token
+            if kind == "eof":
                 break
-            if token.kind != "ident" or token.text not in SECTION_KEYWORDS:
+            if kind != "ident" or keyword not in SECTION_KEYWORDS:
                 raise self.error(
                     "expected a section keyword (VAR, ASSIGN, DEFINE, "
                     "FAIRNESS, SPEC, OBSERVED, DONTCARE)"
                 )
-            if token.text == "MODULE":
+            if keyword == "MODULE":
                 raise self.error("only one MODULE per file")
-            self.advance()
-            if token.text == "VAR":
+            self.index += 1
+            if keyword == "VAR":
                 vars_.extend(self.parse_var_section())
-            elif token.text == "ASSIGN":
+            elif keyword == "ASSIGN":
                 self.parse_assign_section(inits, nexts)
-            elif token.text == "DEFINE":
+            elif keyword == "DEFINE":
                 defines.extend(self.parse_define_section())
-            elif token.text == "FAIRNESS":
-                expr = self.parse_expr_until((";",), "a fairness constraint")
-                self.expect_op(";")
-                fairness.append(
-                    FairnessDecl(expr, line=token.line, column=token.column)
-                )
-            elif token.text == "SPEC":
-                body = self.collect_until((";",), "a property")
-                formula = self.parse_embedded(body, parse_ctl)
-                self.expect_op(";")
-                specs.append(
-                    SpecDecl(formula, line=token.line, column=token.column)
-                )
-            elif token.text == "OBSERVED":
+            elif keyword == "FAIRNESS":
+                expr = self.parse_expr_until(";", "a fairness constraint")
+                self.expect(";")
+                fairness.append(FairnessDecl(expr, line=line, column=column))
+            elif keyword == "SPEC":
+                formula = self.embedded(self.ctls, ";", "a property")
+                self.expect(";")
+                specs.append(SpecDecl(formula, line=line, column=column))
+            elif keyword == "OBSERVED":
                 while True:
-                    signal = self.expect_ident("an observed signal name")
-                    observed.append(signal.text)
-                    if not self.accept_op(","):
+                    observed.append(self.expect_ident("an observed signal name")[1])
+                    if not self.accept(","):
                         break
-                self.expect_op(";")
-            elif token.text == "DONTCARE":
+                self.expect(";")
+            elif keyword == "DONTCARE":
                 if dont_care is not None:
                     raise self.located(
                         "duplicate DONTCARE (combine with '|')", token
                     )
-                dont_care = self.parse_expr_until((";",), "a don't-care predicate")
-                self.expect_op(";")
+                dont_care = self.parse_expr_until(";", "a don't-care predicate")
+                self.expect(";")
         return Module(
             name=name,
             vars=tuple(vars_),
@@ -315,92 +299,82 @@ class _ModuleParser:
         )
 
     def at_section_end(self) -> bool:
-        token = self.peek()
-        return token.kind == "eof" or (
-            token.kind == "ident" and token.text in SECTION_KEYWORDS
-        )
+        kind, text = self.peek()[:2]
+        return kind == "eof" or (kind == "ident" and text in SECTION_KEYWORDS)
 
     def parse_var_section(self) -> List[VarDecl]:
         out: List[VarDecl] = []
         while not self.at_section_end():
-            name = self.expect_ident("a variable name")
-            if name.text in self.types:
-                raise self.located(
-                    f"duplicate variable {name.text!r}", name
-                )
-            self.expect_op(":")
+            name_token = self.expect_ident("a variable name")
+            _, name, line, column = name_token
+            if name in self.types:
+                raise self.located(f"duplicate variable {name!r}", name_token)
+            self.expect(":")
             width: Optional[int] = None
-            if self.accept_keyword("boolean"):
+            if self.accept("boolean"):
                 pass
-            elif self.accept_keyword("word"):
-                self.expect_op("[")
+            elif self.accept("word"):
+                self.expect("[")
                 width_token = self.peek()
-                if width_token.kind != "number":
+                if width_token[0] != "number":
                     raise self.error("expected a word width")
-                self.advance()
-                width = _parse_number(width_token.text)
+                self.index += 1
+                width = _parse_number(width_token[1])
                 if width < 1:
                     raise self.located(
                         f"word width must be >= 1, got {width}", width_token
                     )
-                self.expect_op("]")
+                self.expect("]")
             else:
                 raise self.error("expected 'boolean' or 'word[N]'")
-            self.expect_op(";")
-            self.types[name.text] = width
-            out.append(
-                VarDecl(name.text, width, line=name.line, column=name.column)
-            )
+            self.expect(";")
+            self.types[name] = width
+            out.append(VarDecl(name, width, line=line, column=column))
         return out
 
     def parse_assign_section(
         self, inits: List[InitAssign], nexts: List[NextAssign]
     ) -> None:
         while not self.at_section_end():
-            kw = self.peek()
-            if kw.kind != "ident" or kw.text not in ("init", "next"):
+            kind, keyword, line, column = self.peek()
+            if kind != "ident" or keyword not in ("init", "next"):
                 raise self.error("expected 'init(...)' or 'next(...)'")
-            self.advance()
-            self.expect_op("(")
-            target = self.expect_ident("a variable name")
-            if target.text not in self.types:
+            self.index += 1
+            self.expect("(")
+            target_token = self.expect_ident("a variable name")
+            target = target_token[1]
+            if target not in self.types:
                 raise self.located(
-                    f"undeclared variable {target.text!r} "
+                    f"undeclared variable {target!r} "
                     f"(declare it in a VAR section first)",
-                    target,
+                    target_token,
                 )
-            self.expect_op(")")
-            self.expect_op(":=")
-            width = self.types[target.text]
-            if kw.text == "init":
-                if any(a.target == target.text for a in inits):
-                    raise self.located(
-                        f"duplicate init() for {target.text!r}", target
-                    )
-                value = self.parse_init_value(target.text, width)
-                self.expect_op(";")
-                inits.append(
-                    InitAssign(target.text, value, line=kw.line, column=kw.column)
+            self.expect(")")
+            self.expect(":=")
+            width = self.types[target]
+            if target in self.assigned[keyword]:
+                raise self.located(
+                    f"duplicate {keyword}() for {target!r}", target_token
                 )
+            self.assigned[keyword].add(target)
+            if keyword == "init":
+                value = self.parse_init_value(target, width)
+                self.expect(";")
+                inits.append(InitAssign(target, value, line=line, column=column))
             else:
-                if any(a.target == target.text for a in nexts):
-                    raise self.located(
-                        f"duplicate next() for {target.text!r}", target
-                    )
                 value = self.parse_next_value(width)
-                self.expect_op(";")
-                nexts.append(
-                    NextAssign(target.text, value, line=kw.line, column=kw.column)
-                )
+                self.expect(";")
+                nexts.append(NextAssign(target, value, line=line, column=column))
 
     def parse_init_value(self, target: str, width: Optional[int]) -> int:
         token = self.peek()
-        if token.kind == "number":
-            self.advance()
-            value = _parse_number(token.text)
-        elif token.kind == "ident" and token.text.lower() in ("true", "false"):
-            self.advance()
-            value = 1 if token.text.lower() == "true" else 0
+        kind, text = token[:2]
+        if kind == "number":
+            self.index += 1
+            value = _parse_number(text)
+        elif kind == "ident" and text.lower() in ("true", "false"):
+            self.index += 1
+            value = 1 if text.lower() == "true" else 0
         else:
             raise self.error("expected a constant init value")
         limit = 1 << (width or 1)
@@ -413,15 +387,15 @@ class _ModuleParser:
         return value
 
     def parse_next_value(self, width: Optional[int]):
-        if self.accept_keyword("case"):
+        if self.accept("case"):
             arms: List[CaseArm] = []
-            while not self.accept_keyword("esac"):
-                if self.peek().kind == "eof":
+            while not self.accept("esac"):
+                if self.peek()[0] == "eof":
                     raise self.error("unterminated case (expected 'esac')")
-                condition = self.parse_expr_until((":",), "an arm condition")
-                self.expect_op(":")
+                condition = self.parse_expr_until(":", "an arm condition")
+                self.expect(":")
                 value = self.parse_value(width)
-                self.expect_op(";")
+                self.expect(";")
                 arms.append(CaseArm(condition, value))
             if not arms:
                 raise self.error("case needs at least one arm")
@@ -432,25 +406,23 @@ class _ModuleParser:
                                                          WordRef, WordOffset]:
         """A case-arm / next() right-hand side for a target of known type."""
         if width is None:
-            return self.parse_expr_until((";",), "an expression")
-        token = self.peek()
-        if token.kind == "number":
-            self.advance()
-            return WordConst(_parse_number(token.text))
-        if token.kind == "ident":
-            name = self.advance()
-            sign_token = self.peek()
-            if sign_token.kind == "op" and sign_token.text in ("+", "-"):
-                self.advance()
-                amount = self.peek()
-                if amount.kind != "number":
+            return self.parse_expr_until(";")
+        kind, text = self.peek()[:2]
+        if kind == "number":
+            self.index += 1
+            return WordConst(_parse_number(text))
+        if kind == "ident":
+            self.index += 1
+            sign = self.peek()[1]
+            if sign in ("+", "-"):
+                self.index += 1
+                amount_kind, amount = self.peek()[:2]
+                if amount_kind != "number":
                     raise self.error("expected a constant offset")
-                self.advance()
-                offset = _parse_number(amount.text)
-                if sign_token.text == "-":
-                    offset = -offset
-                return WordOffset(name.text, offset)
-            return WordRef(name.text)
+                self.index += 1
+                offset = _parse_number(amount)
+                return WordOffset(text, -offset if sign == "-" else offset)
+            return WordRef(text)
         raise self.error(
             "expected a word value (constant, word, or word +/- constant)"
         )
@@ -458,27 +430,22 @@ class _ModuleParser:
     def parse_define_section(self) -> List[DefineDecl]:
         out: List[DefineDecl] = []
         while not self.at_section_end():
-            name = self.expect_ident("a define name")
-            if name.text in self.types or name.text in self.defines_seen:
-                raise self.located(f"duplicate signal {name.text!r}", name)
-            self.expect_op(":=")
-            body = self.collect_until((";",), "a define body")
-            self.expect_op(";")
+            name_token = self.expect_ident("a define name")
+            _, name, line, column = name_token
+            if name in self.types or name in self.defines_seen:
+                raise self.located(f"duplicate signal {name!r}", name_token)
+            self.expect(":=")
             value: Union[Expr, WordSum]
-            if (
-                len(body) == 3
-                and body[0].kind == "ident"
-                and body[1].kind == "op"
-                and body[1].text == "+"
-                and body[2].kind == "ident"
-            ):
-                value = WordSum(body[0].text, body[2].text)
+            ahead = self.tokens[self.index:self.index + 4]
+            if (len(ahead) == 4 and ahead[0][0] == "ident" and ahead[1][1] == "+"
+                    and ahead[2][0] == "ident" and ahead[3][1] == ";"):
+                value = WordSum(ahead[0][1], ahead[2][1])
+                self.index += 3
             else:
-                value = self.parse_embedded(body, parse_expr)
-            self.defines_seen.add(name.text)
-            out.append(
-                DefineDecl(name.text, value, line=name.line, column=name.column)
-            )
+                value = self.parse_expr_until(";", "a define body")
+            self.expect(";")
+            self.defines_seen.add(name)
+            out.append(DefineDecl(name, value, line=line, column=column))
         return out
 
 

@@ -1,7 +1,11 @@
 """Tests for the .rml tokenizer and module parser (repro.lang.parser)."""
 
+from pathlib import Path
+
 import pytest
 
+import repro.expr.parser as expr_parser
+import repro.lang.parser as lang_parser
 from repro.errors import ParseError
 from repro.expr.ast import And, Const, Not, Var, WordCmp
 from repro.lang import parse_module
@@ -39,6 +43,31 @@ class TestTokenizer:
         assert [t.text for t in tokens if t.kind == "op"] == [
             ":=", "==", "!=", "<=", ">=", "<->", "->", "+", "-",
         ]
+
+
+class TestSingleScan:
+    def test_a_module_is_scanned_once(self, monkeypatch):
+        # Every embedded expression and SPEC is parsed where it sits in the
+        # module's token list: one scan, and the expression tokenizer never
+        # runs on a slice of the module.
+        calls = {"scan": 0, "tokenize": 0}
+        scan = getattr(lang_parser, "_scan", None)
+        tokenize = expr_parser.tokenize
+
+        def counting_scan(*args):
+            calls["scan"] += 1
+            return scan(*args)
+
+        def counting_tokenize(*args):
+            calls["tokenize"] += 1
+            return tokenize(*args)
+
+        monkeypatch.setattr(lang_parser, "_scan", counting_scan, raising=False)
+        monkeypatch.setattr(expr_parser, "tokenize", counting_tokenize)
+        pipeline = Path(__file__).resolve().parents[2] / "examples" / "pipeline.rml"
+        module = parse_module(pipeline.read_text())
+        assert len(module.specs) == 10
+        assert calls == {"scan": 1, "tokenize": 0}
 
 
 MINIMAL = """
