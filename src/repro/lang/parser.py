@@ -170,8 +170,8 @@ class _ModuleParser:
         self.index += 1
         return token
 
-    def error(self, message: str, token: Optional[tuple] = None) -> ParseError:
-        token = token or self.peek()
+    def error(self, message: str) -> ParseError:
+        token = self.peek()
         return self.located(f"{message} (found {token[1] or 'end of input'!r})", token)
 
     def located(self, message: str, token: tuple) -> ParseError:

@@ -15,7 +15,8 @@ For every input it holds either the parse result or the
 
 Inputs are every ``examples/*.rml``, ``tests/corpus/*.rml`` and
 ``tests/lint/fixtures/*.rml`` file, the small ``MODULES`` that reach every
-declaration check, ``GENERATED`` ``repro.gen.generate`` models, standalone expression and CTL strings (hand-written, plus the
+declaration check, ``GENERATED`` ``repro.gen.generate`` models, standalone
+expression and CTL strings (hand-written, plus the
 ``SPEC``/``FAIRNESS``/``DONTCARE`` bodies of the model files), and seeded
 single-token mutations of all of them: drop a token, duplicate it, swap it
 with the next one, or replace it with one of ``REPLACEMENTS``.  The
