@@ -353,7 +353,7 @@ class Analysis:
         :class:`~repro.errors.ParseError` (with source location) for
         invalid module text.
         """
-        from .lang import load_module, parse_module
+        from .lang import parse_module
         from .lang.ast import Module
 
         config = config if config is not None else EngineConfig()
@@ -366,8 +366,8 @@ class Analysis:
         with telemetry.span("parse"):
             if _looks_like_path(source):
                 path: Optional[str] = str(source)
-                text: Optional[str] = None
-                module = load_module(source)
+                text = Path(source).read_text()
+                module = parse_module(text, filename=path)
             else:
                 path = None
                 text = str(source)
@@ -395,7 +395,7 @@ class Analysis:
         if telemetry is None:
             telemetry = Telemetry(config.telemetry)
         with telemetry.span("elaborate"):
-            model = elaborate(module, config=config)
+            model = elaborate(module, config=config, text=source_text)
             # Attach before the span closes: the fresh manager's counters
             # start at zero, so the delta is the whole elaboration cost.
             telemetry.attach(model.fsm.manager)
@@ -562,14 +562,8 @@ class Analysis:
             if self.module is None:
                 self._lint_report = LintReport(files=[])
             else:
-                text = self.source_text
-                if text is None and self.path is not None:
-                    try:
-                        text = Path(self.path).read_text()
-                    except OSError:
-                        text = None
                 self._lint_report = lint_module(
-                    self.module, text=text,
+                    self.module, text=self.source_text,
                     filename=self.path or self.module.filename,
                 )
         return self._lint_report

@@ -2,9 +2,11 @@
 
 An SMV-inspired contract that decouples model description from library
 code: circuits, properties, observed signals, fairness, and don't-cares
-all live in one ``.rml`` file, parsed by :func:`parse_module`, lowered onto
-the existing :class:`~repro.fsm.builder.CircuitBuilder` by
-:func:`elaborate`, and round-tripped by :func:`module_to_str`.
+all live in one ``.rml`` file, parsed by :func:`parse_module`, validated by
+:func:`check_module`, lowered onto the existing
+:class:`~repro.fsm.builder.CircuitBuilder` by :func:`elaborate` (which
+raises the validator's first finding), and round-tripped by
+:func:`module_to_str`.
 
     >>> from repro.lang import parse_module, elaborate
     >>> model = elaborate(parse_module(
@@ -19,6 +21,7 @@ pipeline (see the README quickstart).
 """
 
 from .ast import Module
+from .check import check_module
 from .elaborate import ElaboratedModel, elaborate
 from .parser import load_module, parse_module
 from .printer import module_to_str
@@ -26,6 +29,7 @@ from .printer import module_to_str
 __all__ = [
     "Module",
     "ElaboratedModel",
+    "check_module",
     "elaborate",
     "load_module",
     "parse_module",

@@ -5,21 +5,24 @@ a latch depends on every atom of its next-state assignment (conditions
 and values), a DEFINE on every atom of its body, and an input on
 nothing.  Atoms written against implicit word bits are normalised to
 their parent word, so the graph — and every cone-of-influence closure
-computed from it — lives entirely at the declared-signal level.
+computed from it — lives entirely at the declared-signal level.  The
+graph also keeps each signal's atoms as written, so the validator's
+unknown-name check and lint's rules walk each value once.
 
 Latches break combinational timing (``next()`` reads *current* values),
 so the only cycles that matter are DEFINE → DEFINE ones; those are real
-combinational loops and are reported as errors by the rules.
+combinational loops, and the validator (:mod:`repro.lang.check`) rejects
+them.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 
-from ..lang.ast import Case, Module, WordConst, WordOffset, WordRef, WordSum
+from .ast import Case, Module, WordConst, WordOffset, WordRef, WordSum
 from .symbols import KIND_DEFINE, SymbolTable
 
-__all__ = ["DepGraph", "build_deps", "value_atoms", "define_cycles"]
+__all__ = ["DepGraph", "build_deps", "define_cycles", "resolve_all", "value_atoms"]
 
 
 def value_atoms(value) -> Tuple[str, ...]:
@@ -48,9 +51,16 @@ def value_atoms(value) -> Tuple[str, ...]:
 class DepGraph:
     """Signal-level dependency graph with closure and reverse queries."""
 
-    def __init__(self, deps: Dict[str, FrozenSet[str]]):
+    def __init__(
+        self,
+        deps: Dict[str, FrozenSet[str]],
+        reads: Dict[str, FrozenSet[str]],
+    ):
         #: signal -> the *declared* signals its logic reads.
         self.deps = deps
+        #: latch or DEFINE -> every name its logic mentions, as written
+        #: (unresolved, undeclared names included).
+        self.reads = reads
 
     def readers(self) -> Dict[str, Set[str]]:
         """Inverse edges: signal -> the signals whose logic reads it."""
@@ -78,28 +88,30 @@ class DepGraph:
 def build_deps(module: Module, table: SymbolTable) -> DepGraph:
     """The dependency graph of ``module``.
 
-    Unknown atoms (RML001 elsewhere) are silently dropped here so every
-    downstream analysis operates on a well-formed graph.
+    Unknown atoms (RML001, reported by the validator) are silently dropped
+    here so every downstream analysis operates on a well-formed graph.
     """
+    reads: Dict[str, FrozenSet[str]] = {}
+    for assign in module.nexts:
+        reads[assign.target] = frozenset(value_atoms(assign.value))
+    for define in module.defines:
+        reads[define.name] = frozenset(value_atoms(define.value))
     deps: Dict[str, FrozenSet[str]] = {
         name: frozenset() for name in table.symbols
     }
-    for assign in module.nexts:
-        resolved = _resolve_all(table, value_atoms(assign.value))
-        deps[assign.target] = frozenset(resolved)
-    for define in module.defines:
-        resolved = _resolve_all(table, value_atoms(define.value))
-        deps[define.name] = frozenset(resolved)
-    return DepGraph(deps)
+    for name, atoms in reads.items():
+        deps[name] = resolve_all(table, atoms)
+    return DepGraph(deps, reads)
 
 
-def _resolve_all(table: SymbolTable, atoms: Sequence[str]) -> Set[str]:
+def resolve_all(table: SymbolTable, atoms: Iterable[str]) -> FrozenSet[str]:
+    """The declared signals ``atoms`` denote; undeclared atoms drop out."""
     out: Set[str] = set()
     for atom in atoms:
         name = table.resolve(atom)
         if name is not None:
             out.add(name)
-    return out
+    return frozenset(out)
 
 
 def define_cycles(graph: DepGraph, table: SymbolTable) -> List[List[str]]:

@@ -1,9 +1,11 @@
 """Symbol table for one parsed module: declarations, kinds, word bits.
 
-Mirrors the name universe the elaborator builds (top-level variables and
-defines, plus the implicit per-bit names of words and word-sum defines)
-without importing any engine machinery: everything here is derived from
-the :class:`~repro.lang.ast.Module` AST alone.
+The name universe of a module: top-level variables and defines, plus the
+implicit per-bit names of words and word-sum defines.  The validator
+(:mod:`repro.lang.check`) resolves every reference against it, the
+elaborator lowers words onto its bit names, and :mod:`repro.lint` reads it
+for its warnings.  Everything here is derived from the
+:class:`~repro.lang.ast.Module` AST alone; no engine module is imported.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..lang.ast import Module, WordSum
+from .ast import Module, WordSum
 
 __all__ = ["Symbol", "SymbolTable", "KIND_INPUT", "KIND_LATCH", "KIND_DEFINE"]
 
@@ -65,8 +67,9 @@ class SymbolTable:
             if isinstance(define.value, WordSum):
                 lhs = self.word_bits.get(define.value.lhs)
                 rhs = self.word_bits.get(define.value.rhs)
-                # Unknown/non-word operands are reported by the rules; the
-                # table still records the define so later references resolve.
+                # Operands that are not words declared above are reported by
+                # the validator; the table still records the define so later
+                # references resolve.
                 width = max(len(lhs or [1]), len(rhs or [1])) + 1
                 self.word_bits[define.name] = [
                     f"{define.name}{i}" for i in range(width)

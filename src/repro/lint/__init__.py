@@ -4,12 +4,13 @@ The paper's coverage metric exists because verification can "look done"
 while large parts of a design were never exercised; this package finds
 the *structural* causes of that gap before any BDD is ever built.  It is
 a battery of engine-free analyses over the parsed ASTs of
-:mod:`repro.lang` and :mod:`repro.ctl` — symbol table and use-def,
-static dependency graph with combinational-cycle detection,
-cone-of-influence analysis linking latches to observed signals to
-property atoms, constant-latch propagation, case-arm reachability, and
-structural vacuity smells — each reported as a stable-coded
-:class:`Diagnostic` with a ``file:line:col`` location.
+:mod:`repro.lang` and :mod:`repro.ctl`: every finding of the module
+validator (:mod:`repro.lang.check`, the same pass that decides what
+``elaborate()`` rejects), then use-def, cone-of-influence analysis
+linking latches to observed signals to property atoms, constant-latch
+propagation, case-arm reachability, and structural vacuity smells — each
+reported as a stable-coded :class:`Diagnostic` with a ``file:line:col``
+location.
 
 This package is strictly read-only over ASTs: importing it must not load
 :mod:`repro.bdd` (enforced by test), so ``repro lint`` stays cheap enough

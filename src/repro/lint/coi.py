@@ -9,7 +9,7 @@ bound that metric before any BDD is built:
 * a latch that cannot reach any observed signal through the dependency
   graph cannot be covered no matter which properties are written.
 
-Both cones are dependency closures over :class:`~repro.lint.deps.DepGraph`,
+Both cones are dependency closures over :class:`~repro.lang.deps.DepGraph`,
 seeded from property atoms and the ``OBSERVED`` list respectively.
 """
 
@@ -19,8 +19,8 @@ from typing import FrozenSet, List, Set
 
 from ..ctl.ast import formula_atoms
 from ..lang.ast import Module
-from .deps import DepGraph
-from .symbols import SymbolTable
+from ..lang.deps import DepGraph
+from ..lang.symbols import SymbolTable
 
 __all__ = [
     "spec_seeds",

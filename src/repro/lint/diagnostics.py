@@ -1,7 +1,7 @@
 """Diagnostic codes, severities, and the lint report container.
 
 Every analysis in :mod:`repro.lint` emits :class:`Diagnostic` records with
-a *stable* code (``RML000`` … ``RML016``): codes are append-only API — a
+a *stable* code (``RML000`` … ``RML018``): codes are append-only API — a
 code is never renumbered or reused, so waiver pragmas, golden tests, and
 downstream tooling can rely on them across releases.  The full catalogue
 with rationale lives in ``docs/linting.md``.
@@ -100,6 +100,11 @@ DIAGNOSTIC_CODES: Tuple[CodeInfo, ...] = (
              "an implication's antecedent is structurally constant-false"),
     CodeInfo("RML016", "missing-init", Severity.INFO,
              "a latch has no explicit init() and defaults to 0"),
+    CodeInfo("RML017", "init-on-input", Severity.ERROR,
+             "init() on a variable with no next(): free inputs take no "
+             "reset value"),
+    CodeInfo("RML018", "no-state", Severity.ERROR,
+             "the module declares no state variable"),
 )
 
 #: code -> :class:`CodeInfo`, for message construction and validation.

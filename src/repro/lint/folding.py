@@ -35,7 +35,7 @@ from ..expr.ast import (
     Xor,
 )
 from ..lang.ast import Case, Module, WordConst, WordOffset, WordRef, WordSum
-from .symbols import KIND_DEFINE, KIND_LATCH, SymbolTable
+from ..lang.symbols import KIND_DEFINE, KIND_LATCH, SymbolTable
 
 __all__ = [
     "ConstEnv",

@@ -1,23 +1,27 @@
-"""The RML001…RML016 analysis battery.
+"""The lint battery: the validator's errors plus the RML006…RML016 warnings.
 
-Each rule is a function over a shared :class:`LintContext` (symbol
-table, dependency graph, constant env, raw source text) appending
+The error findings (RML001–RML005, RML017, RML018) are the validator's
+(:func:`repro.lang.check.check_module`): the same pass decides what
+``elaborate()`` rejects, so ``repro lint`` reports an error exactly when
+``elaborate()`` would raise, at the same position.  The warning rules here
+find models the engine happily accepts but whose verification is
+structurally hollow — the paper's "looks done, isn't" failure mode caught
+before any BDD work.
+
+Each warning rule is a function over a shared :class:`LintContext` (the
+validation pass's symbol table, dependency graph and atom sets, the
+constant env, raw source text) appending
 :class:`~repro.lint.diagnostics.Diagnostic` records.  Rules are
 independent and engine-free: everything is derived from the parsed
-module, never from a built BDD model.
-
-Error-severity rules (RML001–RML005) statically mirror the elaborator's
-validation so ``repro lint`` predicts, with positions, exactly what
-``elaborate()`` would reject; warning rules find models the engine
-happily accepts but whose verification is structurally hollow — the
-paper's "looks done, isn't" failure mode caught before any BDD work.
+module, never from a built BDD model.  Facts several rules share (spec
+seeds, mention sets, the property cone) are computed once per module.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from functools import cached_property
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..ctl.ast import (
     AU,
@@ -30,13 +34,11 @@ from ..ctl.ast import (
     CtlNot,
     CtlOr,
     CtlXor,
-    formula_atoms,
     is_propositional,
     to_expr,
 )
 from ..expr.ast import (
     And,
-    Const,
     Expr,
     Iff,
     Implies,
@@ -45,18 +47,11 @@ from ..expr.ast import (
     WordCmp,
     Xor,
 )
-from ..lang.ast import (
-    Case,
-    Module,
-    NextAssign,
-    WordConst,
-    WordExpr,
-    WordOffset,
-    WordRef,
-    WordSum,
-)
-from .coi import observed_cone, spec_seeds, union_property_cone
-from .deps import DepGraph, build_deps, define_cycles, value_atoms
+from ..lang.ast import Case, Module, NextAssign
+from ..lang.check import ModuleCheck, check_module, locate
+from ..lang.deps import DepGraph, resolve_all
+from ..lang.symbols import KIND_INPUT, KIND_LATCH, SymbolTable
+from .coi import observed_cone
 from .diagnostics import Diagnostic
 from .folding import (
     ConstEnv,
@@ -64,24 +59,34 @@ from .folding import (
     constant_env,
     fold_expr,
 )
-from .symbols import KIND_INPUT, KIND_LATCH, SymbolTable
 
 __all__ = ["LintContext", "run_rules"]
 
 
 @dataclass
 class LintContext:
-    """Shared state for one module's rule run."""
+    """Shared state for one module's rule run: the validation pass, the
+    constant env, and the facts several rules read, each computed once."""
 
-    module: Module
-    table: SymbolTable
-    graph: DepGraph
+    check: ModuleCheck
     env: ConstEnv
     filename: str
     text: Optional[str] = None
     diagnostics: List[Diagnostic] = field(default_factory=list)
     #: name -> codes already reported for it (cross-rule noise control).
     flagged: Dict[str, Set[str]] = field(default_factory=dict)
+
+    @property
+    def module(self) -> Module:
+        return self.check.module
+
+    @property
+    def table(self) -> SymbolTable:
+        return self.check.table
+
+    @property
+    def graph(self) -> DepGraph:
+        return self.check.graph
 
     def emit(
         self, code: str, message: str, line: int = 0, column: int = 0,
@@ -94,33 +99,46 @@ class LintContext:
             self.flagged.setdefault(about, set()).add(code)
 
     def locate(self, keyword: str, name: Optional[str] = None) -> Tuple[int, int]:
-        """Best-effort raw-text anchor for constructs the AST carries no
-        position for (``OBSERVED`` names, ``DONTCARE``): the first
-        occurrence of ``name`` at or after the ``keyword`` line."""
-        if self.text is None:
-            return (0, 0)
-        lines = self.text.splitlines()
-        start = next(
-            (i for i, raw in enumerate(lines)
-             if raw.split("--", 1)[0].strip().startswith(keyword)),
-            None,
-        )
-        if start is None:
-            return (0, 0)
-        if name is None:
-            return (start + 1, lines[start].index(keyword) + 1)
-        pattern = re.compile(rf"\b{re.escape(name)}\b")
-        for i in range(start, len(lines)):
-            match = pattern.search(lines[i].split("--", 1)[0])
-            if match is not None:
-                return (i + 1, match.start() + 1)
-        return (start + 1, lines[start].index(keyword) + 1)
+        """Raw-text anchor for constructs the AST carries no position for
+        (see :func:`repro.lang.check.locate`)."""
+        return locate(self.text, keyword, name)
 
     def next_of(self, latch: str) -> Optional[NextAssign]:
         for assign in self.module.nexts:
             if assign.target == latch:
                 return assign
         return None
+
+    @cached_property
+    def spec_seeds(self) -> Tuple[FrozenSet[str], ...]:
+        """Per SPEC, the declared signals it mentions (what
+        :func:`repro.lint.coi.spec_seeds` computes, from the atoms the
+        validation pass already collected)."""
+        return tuple(
+            resolve_all(self.table, atoms) for atoms in self.check.spec_atoms
+        )
+
+    @cached_property
+    def read(self) -> FrozenSet[str]:
+        """Signals some latch's or DEFINE's logic reads."""
+        return frozenset().union(*self.graph.deps.values())
+
+    @cached_property
+    def mentioned(self) -> FrozenSet[str]:
+        """Signals the properties, fairness, DONTCARE or OBSERVED name."""
+        check = self.check
+        return frozenset().union(
+            *self.spec_seeds,
+            *(resolve_all(self.table, a) for a in check.fairness_atoms),
+            resolve_all(self.table, check.dontcare_atoms),
+            resolve_all(self.table, self.module.observed),
+        )
+
+    @cached_property
+    def property_cone(self) -> FrozenSet[str]:
+        """Everything at least one property can see (what
+        :func:`repro.lint.coi.union_property_cone` computes)."""
+        return self.graph.closure(frozenset().union(*self.spec_seeds))
 
 
 # ----------------------------------------------------------------------
@@ -189,232 +207,6 @@ def _expr_sites(ctx: LintContext):
 
 
 # ----------------------------------------------------------------------
-# RML001 / RML002 / RML003: name and structure errors
-# ----------------------------------------------------------------------
-
-
-def rule_unknown_name(ctx: LintContext) -> None:
-    """RML001: references to names no declaration provides."""
-    def check(atoms, what: str, line: int, column: int) -> None:
-        for atom in sorted(set(atoms)):
-            if ctx.table.resolve(atom) is None:
-                ctx.emit(
-                    "RML001",
-                    f"unknown signal {atom!r} in {what}",
-                    line,
-                    column,
-                )
-
-    for assign in ctx.module.nexts:
-        check(
-            value_atoms(assign.value),
-            f"next({assign.target})",
-            assign.line,
-            assign.column,
-        )
-    for define in ctx.module.defines:
-        check(
-            value_atoms(define.value),
-            f"DEFINE {define.name}",
-            define.line,
-            define.column,
-        )
-    for fairness in ctx.module.fairness:
-        check(
-            fairness.expr.atoms(), "FAIRNESS", fairness.line, fairness.column
-        )
-    if ctx.module.dont_care is not None:
-        line, column = ctx.locate("DONTCARE")
-        check(ctx.module.dont_care.atoms(), "DONTCARE", line, column)
-    for spec in ctx.module.specs:
-        check(formula_atoms(spec.formula), "SPEC", spec.line, spec.column)
-    for name in ctx.module.observed:
-        if ctx.table.resolve(name) is None:
-            line, column = ctx.locate("OBSERVED", name)
-            ctx.emit(
-                "RML001", f"unknown OBSERVED signal {name!r}", line, column
-            )
-
-
-def rule_bit_collision(ctx: LintContext) -> None:
-    """RML002: implicit word-bit names colliding with declarations."""
-    toplevel = set(ctx.table.symbols)
-    seen_bits: Dict[str, str] = {}
-    for word in sorted(ctx.table.word_bits):
-        anchor = ctx.table.symbols.get(word)
-        line = anchor.line if anchor else 0
-        column = anchor.column if anchor else 0
-        for bit in ctx.table.word_bits[word]:
-            if bit in toplevel:
-                ctx.emit(
-                    "RML002",
-                    f"bit {bit!r} of word {word!r} collides with another "
-                    f"declaration",
-                    line,
-                    column,
-                )
-            elif bit in seen_bits and seen_bits[bit] != word:
-                ctx.emit(
-                    "RML002",
-                    f"bit {bit!r} of word {word!r} collides with a bit of "
-                    f"word {seen_bits[bit]!r}",
-                    line,
-                    column,
-                )
-            else:
-                seen_bits[bit] = word
-
-
-def rule_define_cycle(ctx: LintContext) -> None:
-    """RML003: combinational DEFINE → DEFINE cycles."""
-    for cycle in define_cycles(ctx.graph, ctx.table):
-        first = ctx.table.symbols[cycle[0]]
-        loop = " -> ".join(cycle + [cycle[0]])
-        ctx.emit(
-            "RML003",
-            f"combinational cycle through DEFINE signals: {loop}",
-            first.line,
-            first.column,
-        )
-
-
-# ----------------------------------------------------------------------
-# RML004 / RML005: case and width errors
-# ----------------------------------------------------------------------
-
-
-def rule_case_exhaustive(ctx: LintContext) -> None:
-    """RML004: the mandatory ``TRUE`` default arm is missing."""
-    for assign in ctx.module.nexts:
-        value = assign.value
-        if not isinstance(value, Case) or not value.arms:
-            continue
-        last = value.arms[-1].condition
-        if not (isinstance(last, Const) and last.value):
-            ctx.emit(
-                "RML004",
-                f"case for next({assign.target}) is not exhaustive: the "
-                f"last arm's condition must be TRUE",
-                assign.line,
-                assign.column,
-            )
-
-
-def rule_width_mismatch(ctx: LintContext) -> None:
-    """RML005: word values that cannot fit (or type) their target."""
-
-    def check_word_value(value, target: str, width: int, line, column):
-        where = f"next({target})"
-        if isinstance(value, WordConst):
-            if value.value >= (1 << width):
-                ctx.emit(
-                    "RML005",
-                    f"constant {value.value} out of range for {width}-bit "
-                    f"word {target!r}",
-                    line,
-                    column,
-                )
-        elif isinstance(value, WordRef):
-            source = ctx.table.width_of(value.name)
-            if ctx.table.resolve(value.name) is None:
-                return  # RML001 already
-            if value.name not in ctx.table.word_bits:
-                ctx.emit(
-                    "RML005",
-                    f"{value.name!r} is not a word in {where}",
-                    line,
-                    column,
-                )
-            elif source is not None and source > width:
-                ctx.emit(
-                    "RML005",
-                    f"word {value.name!r} ({source} bits) is wider than "
-                    f"{target!r} ({width} bits)",
-                    line,
-                    column,
-                )
-        elif isinstance(value, WordOffset):
-            source = ctx.table.width_of(value.name)
-            if ctx.table.resolve(value.name) is None:
-                return  # RML001 already
-            if value.name not in ctx.table.word_bits:
-                ctx.emit(
-                    "RML005",
-                    f"{value.name!r} is not a word in {where}",
-                    line,
-                    column,
-                )
-            elif source is not None and source != width:
-                ctx.emit(
-                    "RML005",
-                    f"offset arithmetic needs matching widths: "
-                    f"{value.name!r} is {source} bits, {target!r} is {width}",
-                    line,
-                    column,
-                )
-        elif isinstance(value, WordSum):
-            ctx.emit(
-                "RML005",
-                f"word sums are only allowed in DEFINE, not in {where}",
-                line,
-                column,
-            )
-        elif isinstance(value, Expr):
-            ctx.emit(
-                "RML005",
-                f"next({target}) needs a word value, not a boolean "
-                f"expression",
-                line,
-                column,
-            )
-
-    for assign in ctx.module.nexts:
-        symbol = ctx.table.symbols.get(assign.target)
-        if symbol is None:
-            continue
-        value = assign.value
-        if symbol.is_word:
-            width = symbol.width or 1
-            if isinstance(value, Case):
-                for arm in value.arms:
-                    check_word_value(
-                        arm.value, assign.target, width,
-                        assign.line, assign.column,
-                    )
-            else:
-                check_word_value(
-                    value, assign.target, width, assign.line, assign.column
-                )
-        else:
-            values = (
-                [arm.value for arm in value.arms]
-                if isinstance(value, Case)
-                else [value]
-            )
-            for arm_value in values:
-                if isinstance(arm_value, WordExpr):
-                    ctx.emit(
-                        "RML005",
-                        f"next({assign.target}) needs a boolean expression, "
-                        f"not a word value",
-                        assign.line,
-                        assign.column,
-                    )
-    for define in ctx.module.defines:
-        if isinstance(define.value, WordSum):
-            for operand in (define.value.lhs, define.value.rhs):
-                if ctx.table.resolve(operand) is None:
-                    continue  # RML001 already
-                if operand not in ctx.table.word_bits:
-                    ctx.emit(
-                        "RML005",
-                        f"word sum operand {operand!r} is not a word",
-                        define.line,
-                        define.column,
-                    )
-
-
-# ----------------------------------------------------------------------
 # RML006: width-constant comparisons
 # ----------------------------------------------------------------------
 
@@ -451,39 +243,12 @@ def rule_constant_compare(ctx: LintContext) -> None:
 # ----------------------------------------------------------------------
 
 
-def _mention_sets(ctx: LintContext) -> Tuple[Set[str], Set[str]]:
-    """(signals read by some logic, signals mentioned by properties/
-    fairness/dontcare/observed)."""
-    read: Set[str] = set()
-    for read_by in ctx.graph.deps.values():
-        read |= read_by
-    mentioned: Set[str] = set()
-    for seeds in spec_seeds(ctx.module, ctx.table):
-        mentioned |= seeds
-    for fairness in ctx.module.fairness:
-        for atom in fairness.expr.atoms():
-            name = ctx.table.resolve(atom)
-            if name is not None:
-                mentioned.add(name)
-    if ctx.module.dont_care is not None:
-        for atom in ctx.module.dont_care.atoms():
-            name = ctx.table.resolve(atom)
-            if name is not None:
-                mentioned.add(name)
-    for observed in ctx.module.observed:
-        name = ctx.table.resolve(observed)
-        if name is not None:
-            mentioned.add(name)
-    return read, mentioned
-
-
 def rule_unused_signal(ctx: LintContext) -> None:
     """RML007: inputs and DEFINEs nothing ever reads or mentions."""
-    read, mentioned = _mention_sets(ctx)
     for symbol in ctx.table.symbols.values():
         if symbol.kind == KIND_LATCH:
             continue  # latches get the sharper RML008
-        if symbol.name in read or symbol.name in mentioned:
+        if symbol.name in ctx.read or symbol.name in ctx.mentioned:
             continue
         kind = "input" if symbol.kind == KIND_INPUT else "DEFINE"
         ctx.emit(
@@ -499,9 +264,8 @@ def rule_unused_signal(ctx: LintContext) -> None:
 def rule_write_only_latch(ctx: LintContext) -> None:
     """RML008: latches only their own next-state logic ever reads."""
     readers = ctx.graph.readers()
-    _, mentioned = _mention_sets(ctx)
     for symbol in ctx.table.symbols.values():
-        if symbol.kind != KIND_LATCH or symbol.name in mentioned:
+        if symbol.kind != KIND_LATCH or symbol.name in ctx.mentioned:
             continue
         if readers.get(symbol.name, set()) - {symbol.name}:
             continue
@@ -581,7 +345,7 @@ def rule_observed_unmentioned(ctx: LintContext) -> None:
     Definition-1 coverage is structurally zero."""
     if not ctx.module.specs:
         return
-    cone = union_property_cone(ctx.module, ctx.table, ctx.graph)
+    cone = ctx.property_cone
     for observed in ctx.module.observed:
         name = ctx.table.resolve(observed)
         if name is None or name in cone:
@@ -601,7 +365,7 @@ def rule_latch_outside_coi(ctx: LintContext) -> None:
     """RML012: a latch no property can see, even indirectly."""
     if not ctx.module.specs:
         return
-    cone = union_property_cone(ctx.module, ctx.table, ctx.graph)
+    cone = ctx.property_cone
     for symbol in ctx.table.symbols.values():
         if symbol.kind != KIND_LATCH or symbol.name in cone:
             continue
@@ -628,15 +392,8 @@ def rule_latch_unobservable(ctx: LintContext) -> None:
         return
     cone = observed_cone(ctx.module, ctx.table, ctx.graph)
     if ctx.module.dont_care is not None:
-        seeds = [
-            name
-            for name in (
-                ctx.table.resolve(atom)
-                for atom in ctx.module.dont_care.atoms()
-            )
-            if name is not None
-        ]
-        cone = cone | ctx.graph.closure(seeds)
+        dont_care = resolve_all(ctx.table, ctx.check.dontcare_atoms)
+        cone = cone | ctx.graph.closure(dont_care)
     for symbol in ctx.table.symbols.values():
         if symbol.kind != KIND_LATCH or symbol.name in cone:
             continue
@@ -725,15 +482,10 @@ def rule_missing_init(ctx: LintContext) -> None:
         )
 
 
-#: All rules in execution order.  Order matters only for the ``flagged``
-#: noise suppression (RML008 before RML012 before RML013); the report
-#: itself is re-sorted by location.
+#: The warning rules in execution order.  Order matters only for the
+#: ``flagged`` noise suppression (RML008 before RML012 before RML013); the
+#: report itself is re-sorted by location.
 ALL_RULES = (
-    rule_unknown_name,
-    rule_bit_collision,
-    rule_define_cycle,
-    rule_case_exhaustive,
-    rule_width_mismatch,
     rule_constant_compare,
     rule_unused_signal,
     rule_write_only_latch,
@@ -752,17 +504,18 @@ def run_rules(
     filename: str,
     text: Optional[str] = None,
 ) -> List[Diagnostic]:
-    """Run the full battery over one parsed module."""
-    table = SymbolTable(module)
-    graph = build_deps(module, table)
-    env = constant_env(module, table)
+    """The validator's errors and the warning battery over one parsed
+    module."""
+    check = check_module(module, text)
     ctx = LintContext(
-        module=module,
-        table=table,
-        graph=graph,
-        env=env,
+        check=check,
+        env=constant_env(module, check.table),
         filename=filename,
         text=text,
+        diagnostics=[
+            Diagnostic(code, message, filename, line, column)
+            for line, column, code, message in check.findings
+        ],
     )
     for rule in ALL_RULES:
         rule(ctx)

@@ -203,3 +203,56 @@ class TestValidation:
             "DEFINE\n  t := a + ghost;\n"
         )
         assert "not a known word" in str(err)
+
+    def test_unknown_signal_in_define_reads_as_lint_reports_it(self):
+        err = self.err(
+            "MODULE m\nVAR\n  x : boolean;\nASSIGN\n  next(x) := x;\n"
+            "DEFINE\n  d := x & ghost;\n"
+        )
+        assert str(err) == "<module>:7:3: unknown signal 'ghost' in DEFINE d"
+
+    def test_define_cycle_is_a_located_parse_error(self):
+        err = self.err(
+            "MODULE m\nVAR\n  x : boolean;\nASSIGN\n  next(x) := p;\n"
+            "DEFINE\n  p := q;\n  q := p;\n"
+        )
+        assert str(err) == (
+            "<module>:7:3: combinational cycle through DEFINE signals: "
+            "p -> q -> p"
+        )
+
+    def test_bit_collision_is_located(self):
+        err = self.err(
+            "MODULE m\nVAR\n  w : word[2];\n  w0 : boolean;\n"
+            "ASSIGN\n  next(w) := w;\n"
+        )
+        assert (err.line, err.column) == (3, 3)
+        assert "bit 'w0' of word 'w' collides" in str(err)
+
+    def test_no_state_variable_is_a_parse_error(self):
+        source = "MODULE m\nDEFINE\n  d := TRUE;\nSPEC AG d;\n"
+        err = self.err(source)
+        assert str(err) == (
+            "<module>: module 'm' has no state variables "
+            "(declare at least one VAR)"
+        )
+        with pytest.raises(ParseError) as info:
+            elaborate(parse_module(source), text=source)
+        assert (info.value.line, info.value.column) == (1, 1)
+
+    def test_source_text_anchors_observed_names(self):
+        source = (
+            "MODULE m\nVAR\n  x : boolean;\nASSIGN\n  next(x) := x;\n"
+            "OBSERVED x, nope;\n"
+        )
+        with pytest.raises(ParseError) as info:
+            elaborate(parse_module(source), text=source)
+        assert str(info.value) == "<module>:6:13: unknown OBSERVED signal 'nope'"
+
+    def test_first_error_in_source_order(self):
+        # The SPEC comes first in the text, though it is lowered last.
+        err = self.err(
+            "MODULE m\nSPEC AG ghost;\nVAR\n  x : boolean;\n  y : boolean;\n"
+            "ASSIGN\n  init(y) := 1;\n  next(x) := nope;\n"
+        )
+        assert str(err) == "<module>:2:1: unknown signal 'ghost' in SPEC"

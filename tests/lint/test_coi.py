@@ -11,9 +11,9 @@ edit to an in-cone latch must not.
 
 from repro.fsm.explicit import enumerate_model
 from repro.lang import elaborate, parse_module
+from repro.lang.deps import build_deps
+from repro.lang.symbols import SymbolTable
 from repro.lint.coi import observed_cone, property_cones, union_property_cone
-from repro.lint.deps import build_deps
-from repro.lint.symbols import SymbolTable
 
 BASE = """MODULE coi
 VAR

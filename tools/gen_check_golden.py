@@ -93,9 +93,9 @@ def modules() -> Iterator[Tuple[str, str, Optional[str]]]:
 
 
 def verdict(text: str, filename: Optional[str]) -> list:
-    """What ``elaborate()`` does with the parsed module."""
+    """What ``elaborate()`` does with the parsed module and its source."""
     try:
-        elaborate(parse_module(text, filename=filename))
+        elaborate(parse_module(text, filename=filename), text=text)
     except Exception as exc:  # the verdict is the exception, whatever it is
         return [type(exc).__name__, str(exc), getattr(exc, "line", None),
                 getattr(exc, "column", None)]
