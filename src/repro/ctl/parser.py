@@ -65,24 +65,26 @@ class _CtlParser(_Climber):
         tokens = self.tokens
         text = tokens[self.index][1]
         if text in _NOT:
-            self.index += 1
-            return CtlNot(self.unary())
+            return CtlNot(self.prefixed())
         temporal = _UNARY_TEMPORAL.get(text)
         if temporal is not None:
-            self.index += 1
-            return temporal(self.unary())
+            return temporal(self.prefixed())
         if text in _UNTIL and tokens[self.index + 1][1] == "[":
             return self.until(_UNTIL[text])
         return self.atom()
 
     def until(self, node: type) -> CtlFormula:
+        self.nest()
         self.index += 2  # 'A'/'E' and '['
         lhs = self.climb(_IFF)
+        height = self.height
         if self.tokens[self.index][1] != "U":
             raise _TokenError("expected 'U' in until operator", self.index)
         self.index += 1
         rhs = self.climb(_IFF)
         self.expect("]")
+        self.depth -= 1
+        self.height = max(height, self.height) + 1
         return node(lhs, rhs)
 
     def leaf(self, expr) -> CtlFormula:

@@ -23,6 +23,13 @@ Comparisons produce :class:`~repro.expr.ast.WordCmp` leaves; a bare name is
 a :class:`~repro.expr.ast.Var`.  Numbers may be decimal, ``0x...`` or
 ``0b...``.
 
+The core builds trees at most :data:`MAX_DEPTH` levels deep, counting
+each parenthesis pair, prefix operator and binary node (an n-ary node that
+grows from the left adds no level); past that it raises a syntax error at
+the token that would go deeper, so deep input is a ``ParseError`` and
+every recursive pass over a parsed tree stays inside Python's default
+recursion limit.
+
 One compiled scanner, ``_TOKEN_RE``, reads both expression text and
 ``.rml`` modules (:mod:`repro.lang.parser`); :func:`tokenize` rejects what
 only modules may hold (comments, ``:=``, ``;``, ``:``, ``+``, ``-``).  The
@@ -83,6 +90,11 @@ def _spellings(word: str) -> FrozenSet[str]:
 def _keywords(table: Dict[str, object]) -> Dict[str, object]:
     return {spelling: value for word, value in table.items() for spelling in _spellings(word)}
 
+
+#: Deepest tree the parsers build.  Far past any hand-written model, and
+#: shallow enough that the printer, lint, the elaborator and the checker,
+#: which recurse over trees, survive it with frames to spare.
+MAX_DEPTH = 256
 
 _IFF, _IMPLIES, _OR, _XOR, _AND = range(1, 6)
 #: Binary operator (symbol or any spelling of its word) -> precedence.
@@ -151,6 +163,10 @@ class _Climber:
     past the stop and needs no bound check.  The CTL parser subclasses it:
     its own ``NODES``, ``WHAT`` and ``leaf``, and temporal operators in
     :meth:`unary`.
+
+    ``depth`` counts the levels enclosing the current token and ``height``
+    is the height of the subtree parsed last, so ``depth + height`` is how
+    deep the tree reaches; both stay within :data:`MAX_DEPTH`.
     """
 
     #: Node class per precedence level; ``_OR`` and ``_AND`` are n-ary.
@@ -162,59 +178,107 @@ class _Climber:
         self.tokens = tokens
         self.index = index
         self.stop = stop
+        self.depth = self.height = 0
 
     def parse(self):
+        self.depth = 0
         node = self.climb(_IFF)
         if self.tokens[self.index][1] != self.stop:
             raise self.error("unexpected trailing input")
         return node
 
+    def nest(self) -> None:
+        """Enter one more level at the current token."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise self.too_deep(self.index)
+
+    def too_deep(self, index: int) -> _TokenError:
+        return _TokenError(
+            f"nesting deeper than {MAX_DEPTH} levels", index, self.tokens[index][1]
+        )
+
     def climb(self, floor: int):
         """An expression whose binary operators bind at ``floor`` or tighter."""
         lhs = self.unary()
         tokens = self.tokens
+        prec = _BINARY.get(tokens[self.index][1])
+        if prec is None or prec < floor:
+            return lhs  # ``self.height`` is already the operand's
+        height = self.height
         nodes = self.NODES
         while True:
-            prec = _BINARY.get(tokens[self.index][1])
-            if prec is None or prec < floor:
-                return lhs
-            self.index += 1
+            at = self.index
+            depth = self.depth
+            if depth == MAX_DEPTH:
+                raise self.too_deep(at)
+            self.depth = depth + 1
+            self.index = at + 1
             rhs = self.climb(prec if prec == _IMPLIES else prec + 1)
+            self.depth = depth
+            rhs_height = self.height + 1
             node = nodes[prec]
             if prec == _OR or prec == _AND:
-                lhs = node(lhs.args + (rhs,)) if isinstance(lhs, node) else node((lhs, rhs))
+                if isinstance(lhs, node):
+                    lhs = node(lhs.args + (rhs,))
+                    if rhs_height > height:
+                        height = rhs_height
+                else:
+                    lhs = node((lhs, rhs))
+                    height = rhs_height if rhs_height > height else height + 1
             else:
                 lhs = node(lhs, rhs)
+                height = rhs_height if rhs_height > height else height + 1
+            if depth + height > MAX_DEPTH:  # a chain growing from the left
+                raise self.too_deep(at)
+            prec = _BINARY.get(tokens[self.index][1])
+            if prec is None or prec < floor:
+                self.height = height
+                return lhs
 
     def unary(self):
         if self.tokens[self.index][1] in _NOT:
-            self.index += 1
-            return Not(self.unary())
+            return Not(self.prefixed())
         return self.atom()
+
+    def prefixed(self):
+        """The operand of the prefix operator at the current token."""
+        self.nest()
+        self.index += 1
+        operand = self.unary()
+        self.depth -= 1
+        self.height += 1
+        return operand
 
     def atom(self):
         tokens = self.tokens
-        kind, text = tokens[self.index][:2]
+        index = self.index
+        kind, text = tokens[index][:2]
         if text == "(":
-            self.index += 1
+            self.nest()
+            self.index = index + 1
             inner = self.climb(_IFF)
             self.expect(")")
+            self.depth -= 1
+            self.height += 1
             return inner
         if kind != "ident":
             raise self.error(f"expected {self.WHAT}")
-        self.index += 1
+        self.height = 0
         if text in _CONSTS:
+            self.index = index + 1
             return self.leaf(Const(_CONSTS[text]))
-        op = _CMP_TOKENS.get(tokens[self.index][1])
+        op = _CMP_TOKENS.get(tokens[index + 1][1])
         if op is None:
+            self.index = index + 1
             return self.leaf(Var(text))
-        self.index += 1
-        kind, rhs = tokens[self.index][:2]
+        self.index = index + 2
+        kind, rhs = tokens[index + 2][:2]
         if kind == "number":
             rhs = _parse_number(rhs)
         elif kind != "ident":
             raise self.error("expected a number or name on the right of a comparison")
-        self.index += 1
+        self.index = index + 3
         return self.leaf(WordCmp(op, text, rhs))
 
     def leaf(self, expr: Expr):

@@ -124,6 +124,27 @@ class TestModelErrors:
         assert error["column"] is not None
         assert error["filename"] == "broken.rml"
 
+    @pytest.mark.parametrize(
+        "body",
+        ["(" * 10_000 + "x" + ")" * 10_000, "!" * 10_000 + "x",
+         " -> ".join(["x"] * 10_000), " ^ ".join(["x"] * 10_000),
+         "AX " * 10_000 + "x"],
+        ids=["parens", "not", "implies", "xor", "ax"],
+    )
+    def test_deep_nesting_is_422(self, threaded_server, body):
+        client = threaded_server().client()
+        exc = expect_serve_error(
+            lambda: client.analyze_rml(
+                f"MODULE deep\nVAR x : boolean;\nASSIGN next(x) := !x;\n"
+                f"SPEC AG ({body});\nOBSERVED x;\n",
+                path="deep.rml",
+            ),
+            422,
+            "parse-error",
+        )
+        assert "nesting deeper than" in exc.payload["error"]["message"]
+        assert exc.payload["error"]["line"] == 4
+
     def test_config_error_is_422(self, threaded_server):
         client = threaded_server().client()
         expect_serve_error(
