@@ -304,12 +304,12 @@ class Analysis:
         buggy: bool = False,
         config: Optional[EngineConfig] = None,
     ) -> "Analysis":
-        """A registered paper circuit (see ``repro.suite.BUILTIN_TARGETS``).
+        """A registered paper circuit (see ``repro.circuits.BUILTIN_TARGETS``).
 
         Raises :class:`ValueError` for an unknown target or a stage outside
         the target's stage list.
         """
-        from .suite.registry import build_builtin
+        from .circuits import build_builtin
 
         config = config if config is not None else EngineConfig()
         telemetry = Telemetry(config.telemetry)

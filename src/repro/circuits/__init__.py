@@ -8,6 +8,8 @@
 * :mod:`~repro.circuits.pipeline` — Circuit 3, with fairness, nested-Until
   staging properties and the hold-period coverage hole.
 * :mod:`~repro.circuits.toy` — the explicit graphs of Figures 1-3.
+* :mod:`~repro.circuits.targets` — the registered targets of target mode
+  (:data:`BUILTIN_TARGETS`, :func:`build_builtin`).
 """
 
 from .circular_queue import (
@@ -34,6 +36,7 @@ from .priority_buffer import (
     priority_buffer_lo_hole_property,
     priority_buffer_lo_properties,
 )
+from .targets import BUILTIN_TARGETS, BuiltinTarget, build_builtin
 from .toy import (
     FIGURE1_FORMULA,
     FIGURE2_FORMULA,
@@ -44,6 +47,9 @@ from .toy import (
 )
 
 __all__ = [
+    "BUILTIN_TARGETS",
+    "BuiltinTarget",
+    "build_builtin",
     "build_counter",
     "counter_properties",
     "counter_partial_properties",

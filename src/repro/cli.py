@@ -505,7 +505,7 @@ def _emit_telemetry(
 def _main_target(argv: List[str]) -> int:
     args = build_parser().parse_args(argv)
     from .analysis import Analysis
-    from .suite import BUILTIN_TARGETS
+    from .circuits import BUILTIN_TARGETS
 
     if args.list or not args.target:
         print("available targets:")
@@ -534,6 +534,14 @@ def _main_target(argv: List[str]) -> int:
         print(
             f"invalid stage {args.stage!r} for target {args.target!r}; "
             f"valid stages: {valid}",
+            file=sys.stderr,
+        )
+        return 2
+    if args.buggy and not target.buggy:
+        variants = ", ".join(t.name for t in BUILTIN_TARGETS.values() if t.buggy)
+        print(
+            f"target {args.target!r} has no buggy variant "
+            f"(--buggy applies to: {variants})",
             file=sys.stderr,
         )
         return 2
@@ -679,14 +687,7 @@ def _main_suite(argv: List[str]) -> int:
 
 def _main_lint(argv: List[str]) -> int:
     args = _build_lint_parser().parse_args(argv)
-    from .lint import (
-        LintReport,
-        Severity,
-        lint_path,
-        lint_source,
-        render_json,
-        render_text,
-    )
+    from .lint import LintReport, Severity, lint_path, render_json, render_text
 
     if args.target and args.paths:
         print(
@@ -697,26 +698,35 @@ def _main_lint(argv: List[str]) -> int:
 
     report = LintReport(files=[])
     if args.target:
-        from .suite import default_jobs
+        from .lang import discover_rml
 
-        rml_dir = "examples" if Path("examples").is_dir() else None
-        jobs = {job.name: job for job in default_jobs(rml_dir=rml_dir)}
-        job = jobs.get(args.target) or jobs.get(f"rml:{args.target}")
-        if job is None:
-            print(
-                f"error: unknown target {args.target!r}; known: "
-                f"{', '.join(sorted(jobs))}",
-                file=sys.stderr,
-            )
+        found = {
+            f"rml:{path.stem}": path
+            for path in (discover_rml("examples") if Path("examples").is_dir() else [])
+        }
+        path = found.get(args.target) or found.get(f"rml:{args.target}")
+        if path is None:
+            from .circuits import BUILTIN_TARGETS
+
+            builtins = {
+                f"{target.name}@{stage}" if stage else target.name
+                for target in BUILTIN_TARGETS.values()
+                for stage in target.stages or (None,)
+            }
+            if args.target in builtins:
+                print(
+                    f"error: target {args.target!r} is a builtin circuit "
+                    f"built in Python — it has no .rml source to lint",
+                    file=sys.stderr,
+                )
+            else:
+                print(
+                    f"error: unknown target {args.target!r}; known: "
+                    f"{', '.join(sorted(builtins | set(found)))}",
+                    file=sys.stderr,
+                )
             return 2
-        if job.source is None:
-            print(
-                f"error: target {args.target!r} is a builtin circuit "
-                f"built in Python — it has no .rml source to lint",
-                file=sys.stderr,
-            )
-            return 2
-        report = lint_source(job.source, filename=job.path or job.name)
+        report = lint_path(path)
     else:
         files: List[Path] = []
         for raw in args.paths:

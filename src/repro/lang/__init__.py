@@ -23,7 +23,7 @@ pipeline (see the README quickstart).
 from .ast import Module
 from .check import check_module
 from .elaborate import ElaboratedModel, elaborate
-from .parser import load_module, parse_module
+from .parser import discover_rml, load_module, parse_module
 from .printer import module_to_str
 
 __all__ = [
@@ -31,6 +31,7 @@ __all__ = [
     "ElaboratedModel",
     "check_module",
     "elaborate",
+    "discover_rml",
     "load_module",
     "parse_module",
     "module_to_str",

@@ -72,7 +72,7 @@ from .ast import (
     WordSum,
 )
 
-__all__ = ["parse_module", "load_module", "tokenize_module", "LangToken"]
+__all__ = ["parse_module", "load_module", "discover_rml", "tokenize_module", "LangToken"]
 
 #: Keywords opening a module section (case-sensitive, SMV style).
 SECTION_KEYWORDS = frozenset(
@@ -468,3 +468,8 @@ def load_module(path: "str | Path") -> Module:
     """Read and parse one ``.rml`` file."""
     path = Path(path)
     return parse_module(path.read_text(), filename=str(path))
+
+
+def discover_rml(directory: "str | Path") -> List[Path]:
+    """All ``.rml`` files directly under ``directory``, sorted by name."""
+    return sorted(Path(directory).glob("*.rml"))

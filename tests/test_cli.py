@@ -45,6 +45,12 @@ class TestParser:
         assert main(["queue-full", "--stage", "initial"]) == 2
         assert "takes no --stage" in capsys.readouterr().err
 
+    def test_buggy_without_a_buggy_variant_rejected(self, capsys):
+        assert main(["counter", "--buggy"]) == 2
+        err = capsys.readouterr().err
+        assert "'counter' has no buggy variant" in err
+        assert "buffer-hi, buffer-lo" in err
+
     def test_every_declared_stage_is_accepted(self, capsys):
         for name, target in BUILTIN_TARGETS.items():
             for stage in target.stages:

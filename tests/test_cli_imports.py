@@ -38,6 +38,16 @@ BUDGETS = [
     # docs/linting.md: linting builds no BDD, at the CLI too.
     (["lint", "examples/"], ("repro.bdd", "repro.fsm", "repro.analysis")),
     (
+        ["lint", "--target", "counter"],
+        ("repro.bdd", "repro.fsm", "repro.analysis"),
+    ),
+    # Target mode reads the builtin table, not the suite layer.
+    (["--list"], ("repro.suite", "multiprocessing", "concurrent.futures")),
+    (
+        ["counter", "--stage", "full"],
+        ("repro.suite", "multiprocessing", "concurrent.futures"),
+    ),
+    (
         ["run", "examples/counter.rml"],
         (
             "repro.suite",
