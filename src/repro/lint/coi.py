@@ -15,11 +15,11 @@ seeded from property atoms and the ``OBSERVED`` list respectively.
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Set
+from typing import FrozenSet, List
 
 from ..ctl.ast import formula_atoms
 from ..lang.ast import Module
-from ..lang.deps import DepGraph
+from ..lang.deps import DepGraph, resolve_all
 from ..lang.symbols import SymbolTable
 
 __all__ = [
@@ -36,15 +36,7 @@ def spec_seeds(module: Module, table: SymbolTable) -> List[FrozenSet[str]]:
     Atoms written against implicit word bits resolve to their parent
     word; undeclared atoms (RML001 elsewhere) are dropped.
     """
-    seeds: List[FrozenSet[str]] = []
-    for spec in module.specs:
-        resolved: Set[str] = set()
-        for atom in formula_atoms(spec.formula):
-            name = table.resolve(atom)
-            if name is not None:
-                resolved.add(name)
-        seeds.append(frozenset(resolved))
-    return seeds
+    return [resolve_all(table, formula_atoms(s.formula)) for s in module.specs]
 
 
 def property_cones(
@@ -57,20 +49,14 @@ def property_cones(
 def union_property_cone(
     module: Module, table: SymbolTable, graph: DepGraph
 ) -> FrozenSet[str]:
-    """Everything at least one property can see."""
-    union: Set[str] = set()
-    for cone in property_cones(module, table, graph):
-        union |= cone
-    return frozenset(union)
+    """Everything at least one property can see: the closure of every
+    property's seeds together (a closure of a union is the union of the
+    closures)."""
+    return graph.closure(frozenset().union(*spec_seeds(module, table)))
 
 
 def observed_cone(
     module: Module, table: SymbolTable, graph: DepGraph
 ) -> FrozenSet[str]:
     """Everything the ``OBSERVED`` list transitively depends on."""
-    seeds = [
-        name
-        for name in (table.resolve(obs) for obs in module.observed)
-        if name is not None
-    ]
-    return graph.closure(seeds)
+    return graph.closure(resolve_all(table, module.observed))

@@ -111,9 +111,9 @@ class LintContext:
 
     @cached_property
     def spec_seeds(self) -> Tuple[FrozenSet[str], ...]:
-        """Per SPEC, the declared signals it mentions (what
+        """Per SPEC, the declared signals it mentions: what
         :func:`repro.lint.coi.spec_seeds` computes, from the atoms the
-        validation pass already collected)."""
+        validation pass already collected."""
         return tuple(
             resolve_all(self.table, atoms) for atoms in self.check.spec_atoms
         )

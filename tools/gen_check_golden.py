@@ -7,8 +7,9 @@ modules.  For every input it holds:
 
 * the full ``repro-lint/v1`` findings of ``lint_source``: each diagnostic's
   code, message, line and column, in report order;
-* the ``elaborate()`` verdict: ``["accepted"]``, or the exception's type
-  name, message, line and column.
+* the ``elaborate()`` verdict on the parsed module and its source text:
+  ``["accepted"]``, or the exception's type name, message, line and
+  column.
 
 The inputs are the modules of ``tools/gen_parse_golden.py`` (examples,
 corpus, lint fixtures, its snippets, generated models and their seeded
