@@ -700,10 +700,7 @@ def _main_lint(argv: List[str]) -> int:
     if args.target:
         from .lang import discover_rml
 
-        found = {
-            f"rml:{path.stem}": path
-            for path in (discover_rml("examples") if Path("examples").is_dir() else [])
-        }
+        found = {f"rml:{path.stem}": path for path in discover_rml("examples")}
         path = found.get(args.target) or found.get(f"rml:{args.target}")
         if path is None:
             from .circuits import BUILTIN_TARGETS

@@ -187,12 +187,6 @@ class _Climber:
             raise self.error("unexpected trailing input")
         return node
 
-    def nest(self) -> None:
-        """Enter one more level at the current token."""
-        self.depth += 1
-        if self.depth > MAX_DEPTH:
-            raise self.too_deep(self.index)
-
     def too_deep(self, index: int) -> _TokenError:
         return _TokenError(
             f"nesting deeper than {MAX_DEPTH} levels", index, self.tokens[index][1]
@@ -243,10 +237,13 @@ class _Climber:
 
     def prefixed(self):
         """The operand of the prefix operator at the current token."""
-        self.nest()
+        depth = self.depth
+        if depth == MAX_DEPTH:
+            raise self.too_deep(self.index)
+        self.depth = depth + 1
         self.index += 1
         operand = self.unary()
-        self.depth -= 1
+        self.depth = depth
         self.height += 1
         return operand
 
@@ -255,11 +252,14 @@ class _Climber:
         index = self.index
         kind, text = tokens[index][:2]
         if text == "(":
-            self.nest()
+            depth = self.depth
+            if depth == MAX_DEPTH:
+                raise self.too_deep(index)
+            self.depth = depth + 1
             self.index = index + 1
             inner = self.climb(_IFF)
             self.expect(")")
-            self.depth -= 1
+            self.depth = depth
             self.height += 1
             return inner
         if kind != "ident":

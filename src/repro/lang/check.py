@@ -134,7 +134,7 @@ def check_module(module: Module, text: Optional[str] = None) -> ModuleCheck:
         findings=[],
     )
     findings = check.findings
-    _unknown_names(check, text, findings)
+    _unknown_names(check, text)
     _bit_collisions(table, findings)
     _define_cycles(table, graph, findings)
     _case_exhaustive(module, findings)
@@ -156,12 +156,10 @@ def check_module(module: Module, text: Optional[str] = None) -> ModuleCheck:
 # ----------------------------------------------------------------------
 
 
-def _unknown_names(
-    check: ModuleCheck, text: Optional[str], findings: List[Finding]
-) -> None:
+def _unknown_names(check: ModuleCheck, text: Optional[str]) -> None:
     """RML001: references to names no declaration provides.  Word-sum
     operands are RML005's."""
-    module, table = check.module, check.table
+    module, table, findings = check.module, check.table, check.findings
 
     def unknown(atoms: Iterable[str], what: str, line: int, column: int):
         for atom in sorted(atoms):

@@ -11,7 +11,7 @@ for its warnings.  Everything here is derived from the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from .ast import Module, WordSum
 
@@ -105,18 +105,3 @@ class SymbolTable:
         if name in self.bit_owner:
             return 1
         return None
-
-    def latches(self) -> Tuple[Symbol, ...]:
-        return tuple(
-            s for s in self.symbols.values() if s.kind == KIND_LATCH
-        )
-
-    def inputs(self) -> Tuple[Symbol, ...]:
-        return tuple(
-            s for s in self.symbols.values() if s.kind == KIND_INPUT
-        )
-
-    def defines(self) -> Tuple[Symbol, ...]:
-        return tuple(
-            s for s in self.symbols.values() if s.kind == KIND_DEFINE
-        )
