@@ -20,7 +20,7 @@ folds maximal propositional subtrees into single atoms.
 
 from __future__ import annotations
 
-from ..expr.parser import _IFF, _NOT, MAX_DEPTH, _Climber, _parse_text, _TokenError
+from ..expr.parser import _IFF, _NOT, _Climber, _parse_text, _TokenError
 from .ast import (
     AF,
     AG,
@@ -74,10 +74,7 @@ class _CtlParser(_Climber):
         return self.atom()
 
     def until(self, node: type) -> CtlFormula:
-        depth = self.depth
-        if depth == MAX_DEPTH:
-            raise self.too_deep(self.index)
-        self.depth = depth + 1
+        depth = self.nest(self.index)
         self.index += 2  # 'A'/'E' and '['
         lhs = self.climb(_IFF)
         height = self.height

@@ -187,6 +187,14 @@ class _Climber:
             raise self.error("unexpected trailing input")
         return node
 
+    def nest(self, index: int) -> int:
+        """Enter one more level at ``tokens[index]``; the depth to restore."""
+        depth = self.depth
+        if depth == MAX_DEPTH:
+            raise self.too_deep(index)
+        self.depth = depth + 1
+        return depth
+
     def too_deep(self, index: int) -> _TokenError:
         return _TokenError(
             f"nesting deeper than {MAX_DEPTH} levels", index, self.tokens[index][1]
@@ -203,25 +211,19 @@ class _Climber:
         nodes = self.NODES
         while True:
             at = self.index
-            depth = self.depth
-            if depth == MAX_DEPTH:
-                raise self.too_deep(at)
-            self.depth = depth + 1
+            depth = self.nest(at)
             self.index = at + 1
             rhs = self.climb(prec if prec == _IMPLIES else prec + 1)
             self.depth = depth
             rhs_height = self.height + 1
             node = nodes[prec]
-            if prec == _OR or prec == _AND:
-                if isinstance(lhs, node):
-                    lhs = node(lhs.args + (rhs,))
-                    if rhs_height > height:
-                        height = rhs_height
-                else:
-                    lhs = node((lhs, rhs))
-                    height = rhs_height if rhs_height > height else height + 1
+            nary = prec == _OR or prec == _AND
+            if nary and isinstance(lhs, node):  # grows in place: no new level
+                lhs = node(lhs.args + (rhs,))
+                if rhs_height > height:
+                    height = rhs_height
             else:
-                lhs = node(lhs, rhs)
+                lhs = node((lhs, rhs)) if nary else node(lhs, rhs)
                 height = rhs_height if rhs_height > height else height + 1
             if depth + height > MAX_DEPTH:  # a chain growing from the left
                 raise self.too_deep(at)
@@ -237,10 +239,7 @@ class _Climber:
 
     def prefixed(self):
         """The operand of the prefix operator at the current token."""
-        depth = self.depth
-        if depth == MAX_DEPTH:
-            raise self.too_deep(self.index)
-        self.depth = depth + 1
+        depth = self.nest(self.index)
         self.index += 1
         operand = self.unary()
         self.depth = depth
@@ -252,10 +251,7 @@ class _Climber:
         index = self.index
         kind, text = tokens[index][:2]
         if text == "(":
-            depth = self.depth
-            if depth == MAX_DEPTH:
-                raise self.too_deep(index)
-            self.depth = depth + 1
+            depth = self.nest(index)
             self.index = index + 1
             inner = self.climb(_IFF)
             self.expect(")")
