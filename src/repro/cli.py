@@ -274,8 +274,8 @@ def _build_lint_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--target", metavar="NAME",
         help=(
-            "lint a discovered suite job's .rml source by name "
-            "(e.g. 'rml:counter') instead of listing paths"
+            "lint examples/NAME.rml by its suite job name (e.g. 'counter' "
+            "or 'rml:counter') instead of listing paths"
         ),
     )
     parser.add_argument(
