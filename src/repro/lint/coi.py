@@ -10,17 +10,19 @@ bound that metric before any BDD is built:
   graph cannot be covered no matter which properties are written.
 
 Both cones are dependency closures over :class:`~repro.lang.deps.DepGraph`,
-seeded from property atoms and the ``OBSERVED`` list respectively.
+seeded from property atoms and the ``OBSERVED`` list respectively.  Each
+function reads what the validation pass (:class:`~repro.lang.check.ModuleCheck`)
+already collected, so no expression is walked again; the cone functions
+take the spec seeds as an argument so that a caller computing several
+cones resolves them once.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, List
+from typing import FrozenSet, List, Sequence
 
-from ..ctl.ast import formula_atoms
-from ..lang.ast import Module
+from ..lang.check import ModuleCheck
 from ..lang.deps import DepGraph, resolve_all
-from ..lang.symbols import SymbolTable
 
 __all__ = [
     "spec_seeds",
@@ -30,33 +32,31 @@ __all__ = [
 ]
 
 
-def spec_seeds(module: Module, table: SymbolTable) -> List[FrozenSet[str]]:
+def spec_seeds(check: ModuleCheck) -> List[FrozenSet[str]]:
     """Per-SPEC sets of declared signals the property mentions.
 
     Atoms written against implicit word bits resolve to their parent
     word; undeclared atoms (RML001 elsewhere) are dropped.
     """
-    return [resolve_all(table, formula_atoms(s.formula)) for s in module.specs]
+    return [resolve_all(check.table, atoms) for atoms in check.spec_atoms]
 
 
 def property_cones(
-    module: Module, table: SymbolTable, graph: DepGraph
+    graph: DepGraph, seeds: Sequence[FrozenSet[str]]
 ) -> List[FrozenSet[str]]:
     """The cone of influence of each SPEC, in declaration order."""
-    return [graph.closure(seeds) for seeds in spec_seeds(module, table)]
+    return [graph.closure(spec) for spec in seeds]
 
 
 def union_property_cone(
-    module: Module, table: SymbolTable, graph: DepGraph
+    graph: DepGraph, seeds: Sequence[FrozenSet[str]]
 ) -> FrozenSet[str]:
     """Everything at least one property can see: the closure of every
     property's seeds together (a closure of a union is the union of the
     closures)."""
-    return graph.closure(frozenset().union(*spec_seeds(module, table)))
+    return graph.closure(frozenset().union(*seeds))
 
 
-def observed_cone(
-    module: Module, table: SymbolTable, graph: DepGraph
-) -> FrozenSet[str]:
+def observed_cone(check: ModuleCheck) -> FrozenSet[str]:
     """Everything the ``OBSERVED`` list transitively depends on."""
-    return graph.closure(resolve_all(table, module.observed))
+    return check.graph.closure(resolve_all(check.table, check.module.observed))

@@ -51,7 +51,7 @@ from ..lang.ast import Case, Module, NextAssign
 from ..lang.check import ModuleCheck, check_module, locate
 from ..lang.deps import DepGraph, resolve_all
 from ..lang.symbols import KIND_INPUT, KIND_LATCH, SymbolTable
-from .coi import observed_cone
+from .coi import observed_cone, spec_seeds, union_property_cone
 from .diagnostics import Diagnostic
 from .folding import (
     ConstEnv,
@@ -110,13 +110,9 @@ class LintContext:
         return None
 
     @cached_property
-    def spec_seeds(self) -> Tuple[FrozenSet[str], ...]:
-        """Per SPEC, the declared signals it mentions: what
-        :func:`repro.lint.coi.spec_seeds` computes, from the atoms the
-        validation pass already collected."""
-        return tuple(
-            resolve_all(self.table, atoms) for atoms in self.check.spec_atoms
-        )
+    def spec_seeds(self) -> List[FrozenSet[str]]:
+        """Per SPEC, the declared signals it mentions."""
+        return spec_seeds(self.check)
 
     @cached_property
     def read(self) -> FrozenSet[str]:
@@ -136,9 +132,8 @@ class LintContext:
 
     @cached_property
     def property_cone(self) -> FrozenSet[str]:
-        """Everything at least one property can see (what
-        :func:`repro.lint.coi.union_property_cone` computes)."""
-        return self.graph.closure(frozenset().union(*self.spec_seeds))
+        """Everything at least one property can see."""
+        return union_property_cone(self.graph, self.spec_seeds)
 
 
 # ----------------------------------------------------------------------
@@ -390,7 +385,7 @@ def rule_latch_unobservable(ctx: LintContext) -> None:
     """
     if not ctx.module.observed:
         return
-    cone = observed_cone(ctx.module, ctx.table, ctx.graph)
+    cone = observed_cone(ctx.check)
     if ctx.module.dont_care is not None:
         dont_care = resolve_all(ctx.table, ctx.check.dontcare_atoms)
         cone = cone | ctx.graph.closure(dont_care)

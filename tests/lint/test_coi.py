@@ -11,9 +11,13 @@ edit to an in-cone latch must not.
 
 from repro.fsm.explicit import enumerate_model
 from repro.lang import elaborate, parse_module
-from repro.lang.deps import build_deps
-from repro.lang.symbols import SymbolTable
-from repro.lint.coi import observed_cone, property_cones, union_property_cone
+from repro.lang.check import check_module
+from repro.lint.coi import (
+    observed_cone,
+    property_cones,
+    spec_seeds,
+    union_property_cone,
+)
 
 BASE = """MODULE coi
 VAR
@@ -33,10 +37,7 @@ OBSERVED x;
 
 
 def cones_of(source):
-    module = parse_module(source, filename="coi.rml")
-    table = SymbolTable(module)
-    graph = build_deps(module, table)
-    return module, table, graph
+    return check_module(parse_module(source, filename="coi.rml"))
 
 
 def flatten(names, table):
@@ -69,14 +70,14 @@ def projected_graph(source, names):
 
 class TestStructuralCones:
     def test_observed_cone_is_dependency_closure(self):
-        module, table, graph = cones_of(BASE.format(y_next="!y"))
+        check = cones_of(BASE.format(y_next="!y"))
         # x depends on w; y is its own island.
-        assert observed_cone(module, table, graph) == {"x", "w"}
+        assert observed_cone(check) == {"x", "w"}
 
     def test_property_cone_follows_spec_atoms(self):
-        module, table, graph = cones_of(BASE.format(y_next="!y"))
-        (cone,) = property_cones(module, table, graph)
-        assert cone == union_property_cone(module, table, graph)
+        check = cones_of(BASE.format(y_next="!y"))
+        (cone,) = property_cones(check.graph, spec_seeds(check))
+        assert cone == union_property_cone(check.graph, spec_seeds(check))
         # AG (x | y) mentions both latches; closure pulls in w through x.
         assert cone == {"x", "w", "y"}
 
@@ -84,14 +85,14 @@ class TestStructuralCones:
         source = BASE.format(y_next="!y").replace(
             "SPEC AG (x | y);", "SPEC AG (x | w1);"
         )
-        module, table, graph = cones_of(source)
-        assert union_property_cone(module, table, graph) == {"x", "w"}
+        check = cones_of(source)
+        assert union_property_cone(check.graph, spec_seeds(check)) == {"x", "w"}
 
 
 class TestSemanticCrossCheck:
     def test_out_of_cone_edit_is_observationally_invisible(self):
-        module, table, graph = cones_of(BASE.format(y_next="!y"))
-        cone = flatten(observed_cone(module, table, graph), table)
+        check = cones_of(BASE.format(y_next="!y"))
+        cone = flatten(observed_cone(check), check.table)
         assert "y" not in cone
         reference = projected_graph(BASE.format(y_next="!y"), cone)
         for y_next in ("y", "x | y", "FALSE"):
@@ -101,8 +102,8 @@ class TestSemanticCrossCheck:
     def test_in_cone_edit_is_observationally_visible(self):
         # Positive control: the same experiment on an in-cone latch must
         # change the projection, or the previous test proves nothing.
-        module, table, graph = cones_of(BASE.format(y_next="!y"))
-        cone = flatten(observed_cone(module, table, graph), table)
+        check = cones_of(BASE.format(y_next="!y"))
+        cone = flatten(observed_cone(check), check.table)
         assert "w0" in cone
         reference = projected_graph(BASE.format(y_next="!y"), cone)
         variant_source = BASE.format(y_next="!y").replace(
@@ -117,8 +118,8 @@ class TestSemanticCrossCheck:
         source = BASE.format(y_next="j").replace(
             "  y : boolean;", "  y : boolean;\n  j : boolean;"
         )
-        module, table, graph = cones_of(source)
-        cone = flatten(observed_cone(module, table, graph), table)
+        check = cones_of(source)
+        cone = flatten(observed_cone(check), check.table)
         assert cone == {"x", "w0", "w1"}
         model = enumerate_model(elaborate(parse_module(source)).fsm)
         _, edges = projected_graph(source, cone)

@@ -19,12 +19,14 @@ TEXT = (ROOT / "examples" / "pipeline.rml").read_text()
 
 
 def calls(run):
-    """Function name -> primitive (non-recursive) calls made by ``run()``."""
+    """Primitive (non-recursive) calls made by ``run()``, per function name
+    and per ``module.name`` (the file's stem)."""
     profile = cProfile.Profile()
     profile.runcall(run)
     counts = {}
-    for (_, _, name), (primitive, *_rest) in pstats.Stats(profile).stats.items():
-        counts[name] = counts.get(name, 0) + primitive
+    for (path, _, name), (primitive, *_rest) in pstats.Stats(profile).stats.items():
+        for key in (name, f"{Path(path).stem}.{name}"):
+            counts[key] = counts.get(key, 0) + primitive
     return counts
 
 
@@ -33,7 +35,14 @@ def test_each_spec_and_value_is_walked_once_per_lint():
     counts = calls(lambda: lint_module(module, text=TEXT))
     assert counts["formula_atoms"] == len(module.specs)
     assert counts["value_atoms"] == len(module.nexts) + len(module.defines)
-    assert "union_property_cone" not in counts
+
+
+def test_lint_resolves_the_seeds_and_each_cone_once():
+    module = parse_module(TEXT)
+    counts = calls(lambda: lint_module(module, text=TEXT))
+    assert counts["coi.spec_seeds"] == 1
+    assert counts["coi.union_property_cone"] == 1
+    assert counts["coi.observed_cone"] == 1
 
 
 def test_warning_rules_collect_no_atoms_of_their_own():
