@@ -306,8 +306,9 @@ class Analysis:
     ) -> "Analysis":
         """A registered paper circuit (see ``repro.circuits.BUILTIN_TARGETS``).
 
-        Raises :class:`ValueError` for an unknown target or a stage outside
-        the target's stage list.
+        Raises :class:`ValueError` for an unknown target, a stage outside
+        the target's stage list or ``buggy`` on a target without a buggy
+        variant.
         """
         from .circuits import build_builtin
 

@@ -166,9 +166,10 @@ def build_builtin(
     ``config`` (an :class:`~repro.engine.EngineConfig`) carries every
     engine knob of the built FSM: the transition-relation mode and the
     resource thresholds compiled into the BDD manager's policy.  Raises
-    :class:`ValueError` for an unknown target or a stage outside the
-    target's stage list, and :class:`~repro.errors.ConfigError` (a
-    ``ValueError`` subclass) for an invalid config.
+    :class:`ValueError` for an unknown target, a stage outside the
+    target's stage list or ``buggy`` on a target without a buggy variant,
+    and :class:`~repro.errors.ConfigError` (a ``ValueError`` subclass) for
+    an invalid config.
     """
     config = config if config is not None else DEFAULT_CONFIG
     target = BUILTIN_TARGETS.get(name)
@@ -179,6 +180,12 @@ def build_builtin(
         raise ValueError(
             f"invalid stage {stage!r} for target {name!r} "
             f"(valid stages: {valid})"
+        )
+    if buggy and not target.buggy:
+        variants = ", ".join(t.name for t in BUILTIN_TARGETS.values() if t.buggy)
+        raise ValueError(
+            f"target {name!r} has no buggy variant "
+            f"(buggy variants: {variants})"
         )
     config.validate()
     return target.builder(stage, buggy, config)

@@ -537,14 +537,6 @@ def _main_target(argv: List[str]) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.buggy and not target.buggy:
-        variants = ", ".join(t.name for t in BUILTIN_TARGETS.values() if t.buggy)
-        print(
-            f"target {args.target!r} has no buggy variant "
-            f"(--buggy applies to: {variants})",
-            file=sys.stderr,
-        )
-        return 2
     config = _telemetry_config(EngineConfig.from_args(args), args)
     try:
         analysis = Analysis.builtin(
@@ -557,6 +549,9 @@ def _main_target(argv: List[str]) -> int:
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except ValueError as exc:  # e.g. --buggy on a target without a variant
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def _run_via_server(args, config: EngineConfig) -> int:
@@ -705,12 +700,7 @@ def _main_lint(argv: List[str]) -> int:
         if path is None:
             from .circuits import BUILTIN_TARGETS
 
-            builtins = {
-                f"{target.name}@{stage}" if stage else target.name
-                for target in BUILTIN_TARGETS.values()
-                for stage in target.stages or (None,)
-            }
-            if args.target in builtins:
+            if args.target.partition("@")[0] in BUILTIN_TARGETS:
                 print(
                     f"error: target {args.target!r} is a builtin circuit "
                     f"built in Python — it has no .rml source to lint",
@@ -719,7 +709,7 @@ def _main_lint(argv: List[str]) -> int:
             else:
                 print(
                     f"error: unknown target {args.target!r}; known: "
-                    f"{', '.join(sorted(builtins | set(found)))}",
+                    f"{', '.join(sorted(set(BUILTIN_TARGETS) | set(found)))}",
                     file=sys.stderr,
                 )
             return 2

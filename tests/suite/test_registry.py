@@ -40,6 +40,11 @@ class TestBuiltins:
         with pytest.raises(ValueError, match="invalid stage"):
             build_builtin("queue-full", stage="anything")
 
+    def test_buggy_without_a_buggy_variant_raises(self):
+        with pytest.raises(ValueError, match="buggy variants: buffer-hi, buffer-lo"):
+            build_builtin("counter", buggy=True)
+        build_builtin("buffer-hi", buggy=True)
+
     def test_one_job_per_stage(self):
         names = [job.name for job in builtin_jobs()]
         assert len(names) == len(set(names))

@@ -31,6 +31,10 @@ class TestFacadeErrors:
         with pytest.raises(ValueError, match="valid stages: full, partial"):
             Analysis.builtin("counter", stage="bogus")
 
+    def test_buggy_without_a_buggy_variant(self):
+        with pytest.raises(ValueError, match="'counter' has no buggy variant"):
+            Analysis.builtin("counter", buggy=True)
+
     def test_malformed_rml_text_raises_located_parse_error(self):
         bad = "MODULE m\nVAR\n  b : boolean\nSPEC b;\nOBSERVED b;\n"
         with pytest.raises(ParseError) as exc_info:
@@ -70,6 +74,14 @@ class TestJobErrorCapture:
         result = execute_job(job)
         assert result.status == "error"
         assert result.error
+
+    def test_buggy_job_on_a_target_without_one_is_an_error(self):
+        job = CoverageJob(
+            name="counter", kind="builtin", target="counter", buggy=True
+        )
+        result = execute_job(job)
+        assert result.status == "error"
+        assert "no buggy variant" in result.error
 
     def test_missing_declarations_become_error_status(self):
         job = CoverageJob(
