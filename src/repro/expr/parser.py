@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import re
 from itertools import product
+from string import ascii_letters
 from typing import Dict, FrozenSet, List, NamedTuple, Optional
 
 from ..errors import ParseError
@@ -63,22 +64,39 @@ from .ast import (
 
 __all__ = ["parse_expr", "Token", "tokenize"]
 
-#: Each match is one token, with the blanks before it.  Group numbers are
-#: the ``_COMMENT``..``_ILLEGAL`` constants below.
+#: Each match is the blanks before one token and the token; a comment
+#: (``--`` to the end of the line) or an illegal character comes out as a
+#: token too.  ``findall`` yields the pairs without building match objects.
 _TOKEN_RE = re.compile(
-    r"""\s*(?:
-        (--[^\n]*)
-      | (0[xX][0-9a-fA-F]+|0[bB][01]+|\d+)
-      | ([A-Za-z_][A-Za-z0-9_']*)
-      | (<->|->|==|!=|<=|>=|[()\[\]!&|^<>=,])
-      | (:=|[;:+\-])
-      | (\S)
+    r"""(\s*)(
+        --[^\n]*
+      | 0[xX][0-9a-fA-F]+|0[bB][01]+|\d+
+      | [A-Za-z_][A-Za-z0-9_']*
+      | <->|->|==|!=|<=|>=|:=|[()\[\]!&|^<>=,;:+\-]
+      | \S
     )""",
     re.VERBOSE,
 )
-_COMMENT, _NUMBER, _IDENT, _OP, _PUNCT, _ILLEGAL = range(1, 7)
-#: Token kind per group; comments and illegal characters never become tokens.
-_KINDS = (None, None, "number", "ident", "op", "op", None)
+#: Token kind by first character, for all but ``-`` and digits outside
+#: ASCII, which :func:`_kind` sorts out.
+_KINDS = {
+    **dict.fromkeys("0123456789", "number"),
+    **dict.fromkeys(ascii_letters + "_", "ident"),
+    **dict.fromkeys("()[]!&|^<>=,;:+", "op"),
+}
+#: Tokens only a module may hold.
+_MODULE_ONLY = frozenset({":=", ";", ":", "+", "-"})
+
+
+def _kind(token: str) -> Optional[str]:
+    """The kind of a matched token: ``None`` for a comment or an illegal
+    character."""
+    kind = _KINDS.get(token[0])
+    if kind is not None:
+        return kind
+    if token[0] == "-":
+        return None if token[:2] == "--" else "op"
+    return "number" if token[0].isdecimal() else None
 
 
 def _spellings(word: str) -> FrozenSet[str]:
@@ -117,27 +135,25 @@ class Token(NamedTuple):
 def tokenize(text: str) -> List[Token]:
     """Tokenise ``text``; raises :class:`ParseError` on illegal characters."""
     tokens: List[Token] = []
-    for match in _TOKEN_RE.finditer(text):
-        group = match.lastindex
-        position = match.start(group)
-        if group in (_COMMENT, _PUNCT, _ILLEGAL):
+    position = 0
+    for blank, token in _TOKEN_RE.findall(text):
+        position += len(blank)
+        kind = _kind(token)
+        if kind is None or token in _MODULE_ONLY:
             raise ParseError(
-                f"illegal character {text[position]!r} at position {position}",
+                f"illegal character {token[0]!r} at position {position}",
                 text,
                 position,
             )
-        tokens.append(Token(_KINDS[group], match[group], position))
+        tokens.append(Token(kind, token, position))
+        position += len(token)
     tokens.append(Token("eof", "", len(text)))
     return tokens
 
 
 def _parse_number(text: str) -> int:
-    lowered = text.lower()
-    if lowered.startswith("0x"):
-        return int(text, 16)
-    if lowered.startswith("0b"):
-        return int(text, 2)
-    return int(text, 10)
+    # Base 0 reads the 0x/0b prefixes but refuses decimal leading zeros.
+    return int(text) if text.isdecimal() else int(text, 0)
 
 
 class _TokenError(Exception):
@@ -200,21 +216,26 @@ class _Climber:
             f"nesting deeper than {MAX_DEPTH} levels", index, self.tokens[index][1]
         )
 
-    def climb(self, floor: int):
-        """An expression whose binary operators bind at ``floor`` or tighter."""
-        lhs = self.unary()
+    def climb(self, floor: int, lhs=None):
+        """An expression whose binary operators bind at ``floor`` or tighter;
+        ``lhs`` is its first operand when the caller has parsed it."""
+        if lhs is None:
+            lhs = self.unary()
         tokens = self.tokens
         prec = _BINARY.get(tokens[self.index][1])
         if prec is None or prec < floor:
             return lhs  # ``self.height`` is already the operand's
         height = self.height
+        depth = self.nest(self.index)  # each right operand is one level down
         nodes = self.NODES
         while True:
             at = self.index
-            depth = self.nest(at)
             self.index = at + 1
-            rhs = self.climb(prec if prec == _IMPLIES else prec + 1)
-            self.depth = depth
+            rhs = self.unary()
+            after = _BINARY.get(tokens[self.index][1])
+            if after is not None and (after > prec or after == prec == _IMPLIES):
+                rhs = self.climb(prec if prec == _IMPLIES else prec + 1, rhs)
+                after = _BINARY.get(tokens[self.index][1])
             rhs_height = self.height + 1
             node = nodes[prec]
             nary = prec == _OR or prec == _AND
@@ -224,11 +245,15 @@ class _Climber:
                     height = rhs_height
             else:
                 lhs = node((lhs, rhs)) if nary else node(lhs, rhs)
-                height = rhs_height if rhs_height > height else height + 1
-            if depth + height > MAX_DEPTH:  # a chain growing from the left
-                raise self.too_deep(at)
-            prec = _BINARY.get(tokens[self.index][1])
+                if rhs_height > height:
+                    height = rhs_height
+                else:  # the left operand went one level down
+                    height += 1
+                    if depth + height > MAX_DEPTH:
+                        raise self.too_deep(at)
+            prec = after
             if prec is None or prec < floor:
+                self.depth = depth
                 self.height = height
                 return lhs
 
@@ -249,7 +274,8 @@ class _Climber:
     def atom(self):
         tokens = self.tokens
         index = self.index
-        kind, text = tokens[index][:2]
+        token = tokens[index]
+        text = token[1]
         if text == "(":
             depth = self.nest(index)
             self.index = index + 1
@@ -258,7 +284,7 @@ class _Climber:
             self.depth = depth
             self.height += 1
             return inner
-        if kind != "ident":
+        if token[0] != "ident":
             raise self.error(f"expected {self.WHAT}")
         self.height = 0
         if text in _CONSTS:

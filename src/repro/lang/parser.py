@@ -48,10 +48,10 @@ from ..ctl.parser import _CtlParser
 from ..errors import ParseError
 from ..expr.ast import Expr
 from ..expr.parser import (
-    _ILLEGAL,
     _KINDS,
     _TOKEN_RE,
     _Climber,
+    _kind,
     _parse_number,
     _TokenError,
 )
@@ -98,24 +98,26 @@ def _scan(text: str, filename: Optional[str]) -> List[tuple]:
     tokens: List[tuple] = []
     append = tokens.append
     lines = text.split("\n")
+    kinds = _KINDS  # a local, and _kind only for what it lacks: runs per token
     for line, source in enumerate(lines, 1):
-        for match in _TOKEN_RE.finditer(source):
-            group = match.lastindex
-            kind = _KINDS[group]
+        column = 1
+        for blank, token in _TOKEN_RE.findall(source):
+            column += len(blank)
+            kind = kinds.get(token[0]) or _kind(token)
             if kind is None:
-                if group != _ILLEGAL:
-                    continue  # a comment
-                column = match.start(group) + 1
+                if token[:2] == "--":
+                    break  # a comment runs to the end of the line
                 raise ParseError(
                     f"{filename or '<module>'}:{line}:{column}: "
-                    f"illegal character {match[group]!r}",
+                    f"illegal character {token!r}",
                     text,
                     sum(len(before) + 1 for before in lines[:line - 1]) + column - 1,
                     line=line,
                     column=column,
                     filename=filename,
                 )
-            append((kind, match[group], line, match.start(group) + 1))
+            append((kind, token, line, column))
+            column += len(token)
     append(("eof", "", len(lines), len(lines[-1]) + 1))
     return tokens
 
