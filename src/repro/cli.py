@@ -521,22 +521,6 @@ def _main_target(argv: List[str]) -> int:
         print("  bench              perf baselines + regression gate (see bench --help)")
         print("  serve              persistent analysis server (see serve --help)")
         return 0
-    target = BUILTIN_TARGETS.get(args.target)
-    if target is None:
-        print(f"unknown target {args.target!r}; try --list", file=sys.stderr)
-        return 2
-    if args.stage is not None and args.stage not in target.stages:
-        valid = (
-            ", ".join(target.stages)
-            if target.stages
-            else "none (target takes no --stage)"
-        )
-        print(
-            f"invalid stage {args.stage!r} for target {args.target!r}; "
-            f"valid stages: {valid}",
-            file=sys.stderr,
-        )
-        return 2
     config = _telemetry_config(EngineConfig.from_args(args), args)
     try:
         analysis = Analysis.builtin(
@@ -549,8 +533,8 @@ def _main_target(argv: List[str]) -> int:
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:  # e.g. --buggy on a target without a variant
-        print(f"error: {exc}", file=sys.stderr)
+    except ValueError as exc:  # the table's target, stage and variant checks
+        print(f"error: {exc}; try --list", file=sys.stderr)
         return 2
 
 

@@ -12,11 +12,25 @@ speak through.  See ``docs/serving.md`` for the protocol and
 operational story.
 """
 
-from .cache import ResultCache, default_cache_dir
-from .client import ServeClient
-from .keys import KEY_SCHEME, canonical_rml, model_key, request_key
-from .server import SERVE_SCHEMA, AnalysisServer, ServeOptions, run_server
-from .workers import WorkerPool, analyze_payload, job_from_payload, payload_from_job
+#: Every public name loads with its module on first use: ``repro serve``
+#: needs no HTTP client, and a thin client needs no server.
+_LAZY = {
+    "ResultCache": "cache",
+    "default_cache_dir": "cache",
+    "ServeClient": "client",
+    "KEY_SCHEME": "keys",
+    "canonical_rml": "keys",
+    "model_key": "keys",
+    "request_key": "keys",
+    "SERVE_SCHEMA": "server",
+    "AnalysisServer": "server",
+    "ServeOptions": "server",
+    "run_server": "server",
+    "WorkerPool": "workers",
+    "analyze_payload": "workers",
+    "job_from_payload": "workers",
+    "payload_from_job": "workers",
+}
 
 __all__ = [
     "KEY_SCHEME",
@@ -35,3 +49,18 @@ __all__ = [
     "request_key",
     "run_server",
 ]
+
+
+def __getattr__(name):
+    """Import a lazy re-export's module on first use (see ``_LAZY``)."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    attr = getattr(import_module(f"{__name__}.{_LAZY[name]}"), name)
+    globals()[name] = attr
+    return attr
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

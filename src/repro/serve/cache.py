@@ -2,10 +2,11 @@
 
 One :class:`ResultCache` maps ``repro-key/v1`` request keys
 (:mod:`repro.serve.keys`) to JSON-safe analysis results.  The memory tier
-is a bounded LRU (``max_entries``); the disk tier is one JSON file per
-key under the cache directory, written atomically (temp file +
-``os.replace``) so a crashed writer can never leave a half-entry that a
-reader would trust.
+is a bounded LRU (``max_entries``) of :class:`CacheEntry` values: each
+result encoded once, as the bytes of ``json.dumps(result)`` a response
+embeds.  The disk tier is one JSON file per key under the cache
+directory, written atomically (temp file + ``os.replace``) so a crashed
+writer can never leave a half-entry that a reader would trust.
 
 Entry format (``repro-cache-entry/v1``)::
 
@@ -36,25 +37,43 @@ documents (``GET /v1/stats``).
 
 from __future__ import annotations
 
-import copy
 import json
 import os
 import tempfile
 import warnings
 from collections import OrderedDict
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import Dict, NamedTuple, Optional, Union
 
 from .._version import __version__
 from ..obs.counters import counter_inc
 
-__all__ = ["ENTRY_SCHEMA", "ResultCache", "default_cache_dir"]
+__all__ = ["ENTRY_SCHEMA", "CacheEntry", "ResultCache", "default_cache_dir"]
 
 #: Schema tag of one on-disk cache entry.
 ENTRY_SCHEMA = "repro-cache-entry/v1"
 
 #: Default bound on the in-memory LRU tier.
 DEFAULT_MAX_ENTRIES = 1024
+
+
+class CacheEntry(NamedTuple):
+    """One result as the memory tier holds it: immutable, encoded once."""
+
+    #: ``json.dumps(result)``, ASCII.
+    body: bytes
+    #: Whether the result takes a lint block: an ``rml`` analysis that
+    #: ran (status ``ok`` or ``fail``), which is what a local run attaches
+    #: lint to.  Cached results themselves carry no lint.
+    takes_lint: bool
+
+    @classmethod
+    def encode(cls, result: Dict) -> "CacheEntry":
+        return cls(
+            json.dumps(result).encode("ascii"),
+            result.get("kind") == "rml"
+            and result.get("status") in ("ok", "fail"),
+        )
 
 
 def default_cache_dir() -> Path:
@@ -69,10 +88,11 @@ class ResultCache:
     """A content-addressed result store keyed by request digests.
 
     ``directory=None`` runs memory-only (tests, ephemeral servers);
-    otherwise the directory is created on first write.  Stored and
-    returned results are deep-copied at the boundary, so callers may
-    freely mutate what they get back (the server merges per-request lint
-    into served results) without corrupting the cached value.
+    otherwise the directory is created on first write.  A result is
+    encoded when it is stored and the memory tier keeps only its bytes,
+    so nothing a caller holds aliases the cached value: :meth:`get`
+    decodes a fresh dict each time, and :meth:`get_entry` hands out the
+    immutable entry itself.
     """
 
     def __init__(
@@ -86,7 +106,9 @@ class ResultCache:
         self.directory = Path(directory) if directory is not None else None
         self.max_entries = max_entries
         self.engine_version = engine_version
-        self._memory: "OrderedDict[str, Dict]" = OrderedDict()
+        self._memory: "OrderedDict[str, CacheEntry]" = OrderedDict()
+        #: Sum of the memory tier's ``len(entry.body)``.
+        self._memory_bytes = 0
         self._degraded = False
         self._counts = {
             "memory_hits": 0,
@@ -104,25 +126,32 @@ class ResultCache:
 
     def get(self, key: str) -> Optional[Dict]:
         """The cached result for ``key``, or ``None`` on a miss."""
+        entry = self.get_entry(key)
+        return None if entry is None else json.loads(entry.body)
+
+    def put(self, key: str, result: Dict) -> CacheEntry:
+        """Store ``result`` under ``key`` in both tiers; returns its entry."""
+        entry = CacheEntry.encode(result)
+        self._remember(key, entry)
+        self._disk_put(key, result)
+        self._count("stores")
+        return entry
+
+    def get_entry(self, key: str) -> Optional[CacheEntry]:
+        """The encoded result for ``key``, or ``None`` on a miss."""
         entry = self._memory.get(key)
         if entry is not None:
             self._memory.move_to_end(key)
             self._count("memory_hits")
-            return copy.deepcopy(entry)
+            return entry
         result = self._disk_get(key)
         if result is not None:
-            self._remember(key, result)
+            entry = CacheEntry.encode(result)
+            self._remember(key, entry)
             self._count("disk_hits")
-            return copy.deepcopy(result)
+            return entry
         self._count("misses")
         return None
-
-    def put(self, key: str, result: Dict) -> None:
-        """Store ``result`` under ``key`` in both tiers."""
-        result = copy.deepcopy(result)
-        self._remember(key, result)
-        self._disk_put(key, result)
-        self._count("stores")
 
     @property
     def degraded(self) -> bool:
@@ -134,6 +163,7 @@ class ResultCache:
         out = dict(self._counts)
         out["hits"] = out["memory_hits"] + out["disk_hits"]
         out["memory_entries"] = len(self._memory)
+        out["memory_bytes"] = self._memory_bytes
         out["degraded"] = int(self._degraded)
         return out
 
@@ -141,11 +171,15 @@ class ResultCache:
     # Memory tier
     # ------------------------------------------------------------------
 
-    def _remember(self, key: str, result: Dict) -> None:
-        self._memory[key] = result
-        self._memory.move_to_end(key)
+    def _remember(self, key: str, entry: CacheEntry) -> None:
+        old = self._memory.pop(key, None)
+        if old is not None:
+            self._memory_bytes -= len(old.body)
+        self._memory[key] = entry
+        self._memory_bytes += len(entry.body)
         while len(self._memory) > self.max_entries:
-            self._memory.popitem(last=False)
+            _, evicted = self._memory.popitem(last=False)
+            self._memory_bytes -= len(evicted.body)
             self._count("evictions")
 
     # ------------------------------------------------------------------

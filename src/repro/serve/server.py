@@ -33,9 +33,10 @@ Routes
 
 Request flow, and where each satellite guarantee lives:
 
-1. The raw body's sha256 indexes a bounded *memo* of
-   ``(request_key, lint)`` pairs, so a repeated identical body costs no
-   parse at all (the parse-count telemetry asserts this).
+1. The raw body's sha256 digest indexes a bounded *memo* of
+   ``(request_key, lint bytes)`` pairs, so a repeated identical body
+   costs no JSON decode and no model parse at all (the parse-count
+   telemetry asserts this).
 2. On memo miss, rml text is parsed once; the module computes the
    reprint-normalised ``repro-key/v1`` request key *and* the raw-text
    lint document, then (inline mode) is handed to the worker so the
@@ -49,6 +50,11 @@ Request flow, and where each satellite guarantee lives:
    normalised key treats as noise — and the per-request lint from step
    2 is merged into every response, so comment-only edits share one
    cached engine result yet see their own findings.
+
+Each answer is encoded to JSON once: the cache holds a result as the
+bytes of ``json.dumps(result)`` and the memo holds lint the same way, so
+a response is those bytes concatenated into its envelope — byte for
+byte what ``json.dumps(envelope) + "\n"`` of the decoded parts would be.
 """
 
 from __future__ import annotations
@@ -65,7 +71,12 @@ from .._version import __version__
 from ..errors import ConfigError, ParseError, ServeError
 from ..obs.counters import counter_inc, counters_snapshot
 from ..obs.telemetry import METRICS_SCHEMA, TELEMETRY_COUNTERS
-from .cache import DEFAULT_MAX_ENTRIES, ResultCache, default_cache_dir
+from .cache import (
+    DEFAULT_MAX_ENTRIES,
+    CacheEntry,
+    ResultCache,
+    default_cache_dir,
+)
 from .keys import request_key
 from .workers import (
     DEFAULT_RECYCLE_AFTER,
@@ -149,12 +160,15 @@ class AnalysisServer:
         self._server: Optional[asyncio.AbstractServer] = None
         #: request_key -> running analysis task (the dedup table).
         self._inflight: Dict[str, asyncio.Task] = {}
-        #: sha256(raw body) -> (request_key, lint JSON or None); bounded
-        #: LRU so repeated identical bodies skip parse + key + lint.
-        self._memo: "OrderedDict[str, Tuple[str, Optional[Dict]]]" = (
+        #: sha256(raw body) digest -> (request_key, lint bytes or None);
+        #: bounded LRU so repeated identical bodies skip decode, parse,
+        #: key and lint.  Only bodies that got this far are memoised.
+        self._memo: "OrderedDict[bytes, Tuple[str, Optional[bytes]]]" = (
             OrderedDict()
         )
         self._memo_max = max(self.options.max_cache_entries, 64)
+        #: Sum of the memo's lint byte lengths.
+        self._memo_bytes = 0
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -211,7 +225,7 @@ class AnalysisServer:
             except (ConnectionError, OSError):
                 pass
 
-    async def _respond_to(self, reader) -> Tuple[int, Dict]:
+    async def _respond_to(self, reader) -> Tuple[int, bytes]:
         """Parse one request off ``reader`` and compute its response."""
         opts = self.options
         try:
@@ -232,11 +246,11 @@ class AnalysisServer:
         if target == "/v1/health":
             if method != "GET":
                 return 405, _error("method-not-allowed", f"{method} {target}")
-            return 200, self._health_doc()
+            return 200, _encode(self._health_doc())
         if target == "/v1/stats":
             if method != "GET":
                 return 405, _error("method-not-allowed", f"{method} {target}")
-            return 200, self.stats_doc()
+            return 200, _encode(self.stats_doc())
         if target != "/v1/analyze":
             return 404, _error("not-found", f"no route {target}")
         if method != "POST":
@@ -264,10 +278,7 @@ class AnalysisServer:
             return 400, _error("bad-request", "timed out reading body")
         return await self._analyze(body)
 
-    async def _write_response(
-        self, writer, status: int, payload: Dict
-    ) -> None:
-        body = (json.dumps(payload) + "\n").encode("utf-8")
+    async def _write_response(self, writer, status: int, body: bytes) -> None:
         head = (
             f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
             f"Content-Type: application/json\r\n"
@@ -282,24 +293,25 @@ class AnalysisServer:
     # The analyze pipeline
     # ------------------------------------------------------------------
 
-    async def _analyze(self, body: bytes) -> Tuple[int, Dict]:
+    async def _analyze(self, body: bytes) -> Tuple[int, bytes]:
         counter_inc("serve.server.analyze_requests")
-        try:
-            payload = json.loads(body)
-        except json.JSONDecodeError as exc:
-            return 400, _error("bad-json", f"body is not valid JSON: {exc}")
-        if not isinstance(payload, dict):
-            return 400, _error("bad-request", "body must be a JSON object")
-        if payload.get("kind") == _KIND_CRASH and self.options.test_hooks:
-            return await self._run_crash_hook(payload)
-
-        raw_hash = hashlib.sha256(body).hexdigest()
-        memo = self._memo.get(raw_hash)
-        module = None
+        digest = hashlib.sha256(body).digest()
+        memo = self._memo.get(digest)
+        payload = module = None
         if memo is not None:
-            self._memo.move_to_end(raw_hash)
+            self._memo.move_to_end(digest)
             counter_inc("serve.server.memo_hits")
         else:
+            try:
+                payload = json.loads(body)
+            except json.JSONDecodeError as exc:
+                return 400, _error(
+                    "bad-json", f"body is not valid JSON: {exc}"
+                )
+            if not isinstance(payload, dict):
+                return 400, _error("bad-request", "body must be a JSON object")
+            if payload.get("kind") == _KIND_CRASH and self.options.test_hooks:
+                return await self._run_crash_hook(payload)
             try:
                 job = job_from_payload(payload)
             except ConfigError as exc:
@@ -313,19 +325,18 @@ class AnalysisServer:
                 try:
                     module = parse_module(job.source, filename=job.path)
                 except ParseError as exc:
-                    doc = _error("parse-error", str(exc))
-                    doc["error"].update(
-                        line=exc.line,
-                        column=exc.column,
-                        filename=exc.filename,
+                    return 422, _error(
+                        "parse-error", str(exc), line=exc.line,
+                        column=exc.column, filename=exc.filename,
                     )
-                    return 422, doc
                 key = request_key(rml=module, config=job.config)
-                lint = lint_module(
-                    module,
-                    text=job.source,
-                    filename=job.path or module.filename,
-                ).to_json()
+                lint = json.dumps(
+                    lint_module(
+                        module,
+                        text=job.source,
+                        filename=job.path or module.filename,
+                    ).to_json()
+                ).encode("ascii")
             else:
                 key = request_key(
                     target=job.target,
@@ -335,19 +346,19 @@ class AnalysisServer:
                 )
                 lint = None
             memo = (key, lint)
-            self._memo[raw_hash] = memo
-            while len(self._memo) > self._memo_max:
-                self._memo.popitem(last=False)
+            self._remember_body(digest, memo)
         key, lint = memo
 
-        cached = self.cache.get(key)
-        if cached is not None:
-            return 200, self._envelope(key, cached, lint, was_cached=True)
+        entry = self.cache.get_entry(key)
+        if entry is not None:
+            return 200, _envelope(key, entry, lint, was_cached=True)
 
         running = self._inflight.get(key)
         if running is not None:
             counter_inc("serve.server.dedup_joins")
         else:
+            if payload is None:  # a memo hit: the body is known to be valid
+                payload = json.loads(body)
             running = asyncio.get_running_loop().create_task(
                 self._run_analysis(key, payload, module)
             )
@@ -355,18 +366,27 @@ class AnalysisServer:
         try:
             # shield: an impatient client disconnecting must not cancel
             # the shared analysis other waiters (and the cache) want.
-            result = await asyncio.shield(running)
+            entry = await asyncio.shield(running)
         except ServeError as exc:
             counter_inc("serve.server.errors")
             return exc.status or 500, _error("worker-crash", str(exc))
         except Exception as exc:
             counter_inc("serve.server.errors")
             return 500, _error("internal", str(exc))
-        return 200, self._envelope(key, result, lint, was_cached=False)
+        return 200, _envelope(key, entry, lint, was_cached=False)
+
+    def _remember_body(
+        self, digest: bytes, memo: Tuple[str, Optional[bytes]]
+    ) -> None:
+        self._memo[digest] = memo
+        self._memo_bytes += len(memo[1] or b"")
+        while len(self._memo) > self._memo_max:
+            _, (_, lint) = self._memo.popitem(last=False)
+            self._memo_bytes -= len(lint or b"")
 
     async def _run_analysis(
         self, key: str, payload: Dict, module
-    ) -> Dict:
+    ) -> CacheEntry:
         """The single shared computation behind one request key."""
         try:
             future = self.pool.submit(payload, module)
@@ -380,12 +400,11 @@ class AnalysisServer:
                     "the request",
                     status=500,
                 ) from exc
-            self.cache.put(key, result)
-            return result
+            return self.cache.put(key, result)
         finally:
             self._inflight.pop(key, None)
 
-    async def _run_crash_hook(self, payload: Dict) -> Tuple[int, Dict]:
+    async def _run_crash_hook(self, payload: Dict) -> Tuple[int, bytes]:
         """Test hook: run a worker-killing payload through the real
         submit → crash → respawn path (process pools only)."""
         if self.pool.inline:
@@ -404,26 +423,6 @@ class AnalysisServer:
                 "the request",
             )
         return 500, _error("internal", "crash hook did not crash")
-
-    def _envelope(
-        self, key: str, result: Dict, lint: Optional[Dict], was_cached: bool
-    ) -> Dict:
-        # Merge the per-request lint into rml results that carry one
-        # locally (ok/fail analyses of a parsed module) — error results
-        # and builtins have no lint block in direct execution either.
-        if (
-            lint is not None
-            and result.get("kind") == "rml"
-            and result.get("status") in ("ok", "fail")
-        ):
-            result = dict(result)
-            result["lint"] = lint
-        return {
-            "schema": SERVE_SCHEMA,
-            "key": key,
-            "cached": was_cached,
-            "result": result,
-        }
 
     # ------------------------------------------------------------------
     # Introspection documents
@@ -453,6 +452,7 @@ class AnalysisServer:
             counters[f"serve.workers.{name}"] = value
         counters["serve.server.inflight"] = len(self._inflight)
         counters["serve.server.memo_entries"] = len(self._memo)
+        counters["serve.server.memo_bytes"] = self._memo_bytes
         return {
             "schema": METRICS_SCHEMA,
             "level": TELEMETRY_COUNTERS,
@@ -460,11 +460,42 @@ class AnalysisServer:
         }
 
 
-def _error(kind: str, message: str) -> Dict:
-    return {
-        "schema": SERVE_SCHEMA,
-        "error": {"type": kind, "message": message},
-    }
+def _encode(doc: Dict) -> bytes:
+    return (json.dumps(doc) + "\n").encode("ascii")
+
+
+def _error(kind: str, message: str, **where) -> bytes:
+    return _encode(
+        {
+            "schema": SERVE_SCHEMA,
+            "error": {"type": kind, "message": message, **where},
+        }
+    )
+
+
+def _envelope(
+    key: str, entry: CacheEntry, lint: Optional[bytes], was_cached: bool
+) -> bytes:
+    """The response body: ``json.dumps`` of ``{"schema", "key", "cached",
+    "result"}`` plus a newline, assembled from bytes encoded once.
+
+    Per-request lint goes into rml results that carry one locally (ok and
+    fail analyses of a parsed module) as their last key, where
+    ``result["lint"] = lint`` would put it; error results and builtins
+    have no lint block in direct execution either.
+    """
+    result = entry.body
+    if lint is not None and entry.takes_lint:
+        result = b"".join((result[:-1], b', "lint": ', lint, b"}"))
+    return b"".join(
+        (
+            b'{"schema": ', json.dumps(SERVE_SCHEMA).encode("ascii"),
+            b', "key": ', json.dumps(key).encode("ascii"),
+            b', "cached": ', b"true" if was_cached else b"false",
+            b', "result": ', result,
+            b"}\n",
+        )
+    )
 
 
 def _parse_head(head: bytes) -> Tuple[Tuple[str, str], Dict[str, str]]:

@@ -45,6 +45,13 @@ from ..engine import EngineConfig
 from ..errors import ConfigError
 from ..suite.jobs import CoverageJob
 
+# The builtin circuits and the job runner load with this module, in the
+# server process, though only workers call them: forked workers inherit
+# them, so a fresh worker (after every recycle, too) skips those imports
+# on its first job.
+from ..circuits import build_builtin  # noqa: F401
+from ..suite.runner import execute_job
+
 __all__ = [
     "BrokenProcessPool",
     "WorkerPool",
@@ -168,8 +175,6 @@ def analyze_payload(payload: Dict, module=None) -> Dict:
     """
     if payload.get("kind") == KIND_CRASH:  # test hook; see KIND_CRASH
         os._exit(13)
-    from ..suite.runner import execute_job
-
     job = job_from_payload(payload)
     return execute_job(job, module=module, include_lint=False).to_json()
 

@@ -18,35 +18,33 @@ worker drives the shared :class:`~repro.analysis.Analysis` facade, so
 suite numbers are produced by exactly the code path the CLI uses.
 """
 
-from .jobs import CoverageJob
-from .registry import (
-    BUILTIN_TARGETS,
-    BuiltinTarget,
-    build_builtin,
-    builtin_jobs,
-    default_jobs,
-    discover_rml,
-    rml_job,
-)
-from .runner import (
-    JSON_SCHEMA_ID,
-    JSON_SCHEMA_ID_V1,
-    execute_job,
-    format_results,
-    read_report,
-    run_jobs,
-    run_jobs_sharded,
-    run_jobs_via_server,
-    suite_report,
-    write_report,
-)
-from .shards import (
-    DEFAULT_MAX_SHARD_RETRIES,
-    ShardStats,
-    default_shard_count,
-    plan_shards,
-    run_sharded,
-)
+#: Every public name loads with its module on first use: the server
+#: needs the runner and the job type, not the registry or its discovery.
+_LAZY = {
+    "CoverageJob": "jobs",
+    "BUILTIN_TARGETS": "registry",
+    "BuiltinTarget": "registry",
+    "build_builtin": "registry",
+    "builtin_jobs": "registry",
+    "default_jobs": "registry",
+    "discover_rml": "registry",
+    "rml_job": "registry",
+    "JSON_SCHEMA_ID": "runner",
+    "JSON_SCHEMA_ID_V1": "runner",
+    "execute_job": "runner",
+    "format_results": "runner",
+    "read_report": "runner",
+    "run_jobs": "runner",
+    "run_jobs_sharded": "runner",
+    "run_jobs_via_server": "runner",
+    "suite_report": "runner",
+    "write_report": "runner",
+    "DEFAULT_MAX_SHARD_RETRIES": "shards",
+    "ShardStats": "shards",
+    "default_shard_count": "shards",
+    "plan_shards": "shards",
+    "run_sharded": "shards",
+}
 
 __all__ = [
     "CoverageJob",
@@ -73,3 +71,18 @@ __all__ = [
     "suite_report",
     "write_report",
 ]
+
+
+def __getattr__(name):
+    """Import a lazy re-export's module on first use (see ``_LAZY``)."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    attr = getattr(import_module(f"{__name__}.{_LAZY[name]}"), name)
+    globals()[name] = attr
+    return attr
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

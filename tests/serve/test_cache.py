@@ -49,6 +49,26 @@ class TestMemoryTier:
         doc["status"] = "mangled"
         assert cache.get("k")["status"] == "ok"
 
+    def test_memory_tier_holds_bytes_and_get_decodes_fresh_dicts(self):
+        cache = ResultCache()
+        cache.put("k", result_doc("a"))
+        assert all(isinstance(e.body, bytes) for e in cache._memory.values())
+        assert json.loads(cache.get_entry("k").body) == result_doc("a")
+        first, second = cache.get("k"), cache.get("k")
+        assert first == second == result_doc("a")
+        assert first is not second
+
+    def test_memory_bytes_follows_stores_replacements_and_evictions(self):
+        cache = ResultCache(max_entries=2)
+        cache.put("a", result_doc("a"))
+        cache.put("b", result_doc("bb"))
+        cache.put("a", result_doc("aaa"))  # replaced in place
+        cache.put("c", result_doc("c"))  # evicts b
+        stats = cache.stats()
+        assert stats["evictions"] == 1
+        held = sum(len(entry.body) for entry in cache._memory.values())
+        assert stats["memory_bytes"] == held > 0
+
     def test_max_entries_must_be_positive(self):
         with pytest.raises(ValueError):
             ResultCache(max_entries=0)

@@ -43,7 +43,7 @@ class TestParser:
 
     def test_stage_on_stageless_target_rejected(self, capsys):
         assert main(["queue-full", "--stage", "initial"]) == 2
-        assert "takes no --stage" in capsys.readouterr().err
+        assert "valid stages: none" in capsys.readouterr().err
 
     def test_buggy_without_a_buggy_variant_rejected(self, capsys):
         assert main(["counter", "--buggy"]) == 2

@@ -122,17 +122,52 @@ def test_engine_config_loads_no_bench_harness():
     ]
 
 
+#: Prints which of a package's ``__all__`` names ``dir()`` misses and
+#: which do not resolve; ``dir()`` is read before any lazy name resolves.
+EXPORTS = (
+    "import importlib, json, sys\n"
+    "package = importlib.import_module(sys.argv[1])\n"
+    "listed = dir(package)\n"
+    "print(json.dumps({\n"
+    "    'unlisted': [n for n in package.__all__ if n not in listed],\n"
+    "    'unresolved': [\n"
+    "        n for n in package.__all__ if not hasattr(package, n)\n"
+    "    ],\n"
+    "}))\n"
+)
+
+
 def test_obs_exports_resolve_and_are_listed():
-    # dir() is read before any lazy name resolves.
-    run = fresh(
-        "import json\n"
-        "import repro.obs\n"
-        "listed = dir(repro.obs)\n"
-        "print(json.dumps({\n"
-        "    'unlisted': [n for n in repro.obs.__all__ if n not in listed],\n"
-        "    'unresolved': [\n"
-        "        n for n in repro.obs.__all__ if not hasattr(repro.obs, n)\n"
-        "    ],\n"
-        "}))\n"
+    assert fresh(EXPORTS, "repro.obs") == {"unlisted": [], "unresolved": []}
+
+
+@pytest.mark.parametrize("package", ["repro.serve", "repro.suite"])
+def test_lazy_package_exports_resolve_and_are_listed(package):
+    assert fresh(EXPORTS, package) == {"unlisted": [], "unresolved": []}
+
+
+def test_serve_loads_no_http_client_or_suite_registry():
+    # What ``_main_serve`` imports.  The server parent loads the engine,
+    # the circuits and the job runner because its forked workers inherit
+    # them (see ``repro.serve.workers``); it never sends a request or
+    # discovers a suite.
+    modules = fresh(
+        "import json, sys\n"
+        "import repro.cli\n"
+        "from repro.serve.server import ServeOptions, run_server\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
     )
-    assert run == {"unlisted": [], "unresolved": []}
+    banned = (
+        "http.client",
+        "email",
+        "datetime",
+        "calendar",
+        "quopri",
+        "repro.serve.client",
+        "repro.suite.registry",
+    )
+    pulled = {p: loaded(modules, p) for p in banned}
+    assert not any(pulled.values()), {p: m for p, m in pulled.items() if m}
+    for needed in ("repro.analysis", "repro.suite.runner", "repro.circuits",
+                   "repro.lang"):
+        assert needed in modules
