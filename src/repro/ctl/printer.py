@@ -1,4 +1,9 @@
-"""Precedence-aware pretty-printing for CTL formulas."""
+"""Precedence-aware pretty-printing for CTL formulas.
+
+Like the expression printer, it round-trips the parser: every formula
+:func:`~repro.ctl.parser.parse_ctl` returns prints to text that parses back
+to the same formula, no deeper than the formula itself.
+"""
 
 from __future__ import annotations
 
@@ -53,14 +58,14 @@ def _render_prec(formula: CtlFormula):
         # one, so the atom binds exactly as tightly as its own top operator.
         return expr_to_str(formula.expr), expr_precedence(formula.expr)
     if isinstance(formula, CtlNot):
-        return f"!{_render(formula.operand, _PREC_UNARY + 1)}", _PREC_UNARY
+        return f"!{_render(formula.operand, _PREC_UNARY)}", _PREC_UNARY
     if isinstance(formula, CtlAnd):
         return " & ".join(_render(a, _PREC_AND + 1) for a in formula.args), _PREC_AND
     if isinstance(formula, CtlOr):
         return " | ".join(_render(a, _PREC_OR + 1) for a in formula.args), _PREC_OR
     if isinstance(formula, CtlXor):
         return (
-            f"{_render(formula.lhs, _PREC_XOR + 1)} ^ {_render(formula.rhs, _PREC_XOR + 1)}",
+            f"{_render(formula.lhs, _PREC_XOR)} ^ {_render(formula.rhs, _PREC_XOR + 1)}",
             _PREC_XOR,
         )
     if isinstance(formula, CtlImplies):
@@ -70,7 +75,7 @@ def _render_prec(formula: CtlFormula):
         )
     if isinstance(formula, CtlIff):
         return (
-            f"{_render(formula.lhs, _PREC_IFF + 1)} <-> {_render(formula.rhs, _PREC_IFF + 1)}",
+            f"{_render(formula.lhs, _PREC_IFF)} <-> {_render(formula.rhs, _PREC_IFF + 1)}",
             _PREC_IFF,
         )
     name = _UNARY_NAMES.get(type(formula))

@@ -1,4 +1,11 @@
-"""Precedence-aware pretty-printing of expressions (round-trips the parser)."""
+"""Precedence-aware pretty-printing of expressions (round-trips the parser).
+
+Every tree :func:`~repro.expr.parser.parse_expr` returns prints to text that
+parses back to the same tree: an ``And``/``Or`` nested under its own kind
+keeps its parentheses (the parser only grows a node from the left), while
+nested prefixes and left-nested ``^``/``<->`` print without them, so the
+reprint is never deeper than the tree.
+"""
 
 from __future__ import annotations
 
@@ -57,16 +64,16 @@ def _render_prec(expr: Expr):
     if isinstance(expr, WordCmp):
         return f"{expr.lhs} {expr.op} {expr.rhs}", _PREC_ATOM
     if isinstance(expr, Not):
-        return f"!{_render(expr.operand, _PREC_UNARY + 1)}", _PREC_UNARY
+        return f"!{_render(expr.operand, _PREC_UNARY)}", _PREC_UNARY
     if isinstance(expr, And):
-        parts = [_render(a, _PREC_AND) for a in expr.args]
+        parts = [_render(a, _PREC_AND + 1) for a in expr.args]
         return " & ".join(parts), _PREC_AND
     if isinstance(expr, Or):
         parts = [_render(a, _PREC_OR + 1) for a in expr.args]
         return " | ".join(parts), _PREC_OR
     if isinstance(expr, Xor):
         return (
-            f"{_render(expr.lhs, _PREC_XOR + 1)} ^ {_render(expr.rhs, _PREC_XOR + 1)}",
+            f"{_render(expr.lhs, _PREC_XOR)} ^ {_render(expr.rhs, _PREC_XOR + 1)}",
             _PREC_XOR,
         )
     if isinstance(expr, Implies):
@@ -76,7 +83,7 @@ def _render_prec(expr: Expr):
         return f"{lhs} -> {rhs}", _PREC_IMPLIES
     if isinstance(expr, Iff):
         return (
-            f"{_render(expr.lhs, _PREC_IFF + 1)} <-> {_render(expr.rhs, _PREC_IFF + 1)}",
+            f"{_render(expr.lhs, _PREC_IFF)} <-> {_render(expr.rhs, _PREC_IFF + 1)}",
             _PREC_IFF,
         )
     raise TypeError(f"unknown expression node {type(expr).__name__}")
