@@ -4,9 +4,9 @@ Demonstrates the PR's two subsystems working together:
 
 1. ``repro.lang`` — a model written as ``.rml`` text (no Python builders),
    parsed, elaborated, round-tripped, and estimated;
-2. ``repro.suite`` — a small job list (builtin targets and the textual
-   model side by side) executed through the runner, with the JSON report
-   assembled in-process.
+2. ``repro.suite`` — a small job list (builtin targets, which are ``.rml``
+   text too, and the textual model side by side) executed through the
+   runner, with the JSON report assembled in-process.
 
 Run directly (``python examples/suite_runner.py``) or via the test suite.
 """
@@ -15,6 +15,7 @@ from repro import (
     CoverageEstimator,
     CoverageJob,
     ModelChecker,
+    builtin_job,
     elaborate,
     module_to_str,
     parse_module,
@@ -70,12 +71,10 @@ def main() -> None:
 
     # -- 2. a mixed suite through the runner ---------------------------
     jobs = [
-        CoverageJob(name="counter@full", kind="builtin", target="counter",
-                    stage="full"),
-        CoverageJob(name="counter@partial", kind="builtin", target="counter",
-                    stage="partial"),
-        CoverageJob(name="rml:saturating", kind="rml",
-                    path="saturating_counter.rml", source=SOURCE),
+        builtin_job("counter", "full"),
+        builtin_job("counter", "partial"),
+        CoverageJob(name="rml:saturating", path="saturating_counter.rml",
+                    source=SOURCE),
     ]
     results = run_jobs(jobs, max_workers=1)
     for result in results:

@@ -130,8 +130,9 @@ from .suite import (
     BuiltinTarget,
     CoverageJob,
     ShardStats,
-    build_builtin,
+    builtin_job,
     builtin_jobs,
+    builtin_source,
     default_jobs,
     discover_rml,
     execute_job,
@@ -193,8 +194,8 @@ __all__ = [
     "FuzzResult",
     # suite
     "CoverageJob", "BuiltinTarget", "BUILTIN_TARGETS",
-    "build_builtin", "builtin_jobs", "default_jobs", "discover_rml",
-    "rml_job", "execute_job", "run_jobs", "run_jobs_sharded",
+    "builtin_source", "builtin_job", "builtin_jobs", "default_jobs",
+    "discover_rml", "rml_job", "execute_job", "run_jobs", "run_jobs_sharded",
     "run_jobs_via_server", "run_sharded", "ShardStats",
     "suite_report", "write_report", "read_report",
     # serve (coverage-as-a-service)

@@ -18,7 +18,7 @@ Constructors
 ------------
 :meth:`Analysis.builtin`
     A registered paper circuit at a property stage (``counter``,
-    ``queue-wrap`` ...), built inside this process.
+    ``queue-wrap`` ...): its ``.rml`` text, analysed like any other.
 :meth:`Analysis.from_rml`
     A ``.rml`` model file (path) or module text, parsed and elaborated.
 :meth:`Analysis.from_fsm`
@@ -56,9 +56,8 @@ from .obs.telemetry import Telemetry, WorkStats
 
 __all__ = ["Analysis", "AnalysisResult"]
 
-#: Analysis kinds.  A suite job (:class:`~repro.suite.jobs.CoverageJob`)
-#: is of one of the first two.
-KIND_BUILTIN = "builtin"
+#: Analysis kinds: built from ``.rml`` text (every file, module string,
+#: builtin target and suite job), or from a hand-built FSM.
 KIND_RML = "rml"
 KIND_CUSTOM = "custom"
 
@@ -109,8 +108,8 @@ class AnalysisResult:
     #: when telemetry is off — the JSON block is strictly additive.
     metrics: Optional[Dict] = None
     #: Static-analysis findings (``repro-lint/v1`` document) for analyses
-    #: built from a module AST.  ``None`` for builtin/custom analyses —
-    #: the JSON block is strictly additive, like ``metrics``.
+    #: built from a module AST.  ``None`` for custom analyses — the JSON
+    #: block is strictly additive, like ``metrics``.
     lint: Optional[Dict] = None
 
     @property
@@ -163,7 +162,7 @@ class AnalysisResult:
         :class:`~repro.errors.ReportError` (a misspelled key should fail
         loudly, not decode to a default).  Round-trips exactly::
 
-            >>> r = AnalysisResult(name="demo", kind="builtin", status="ok")
+            >>> r = AnalysisResult(name="demo", kind="rml", status="ok")
             >>> AnalysisResult.from_json(r.to_json()) == r
             True
         """
@@ -275,8 +274,8 @@ class Analysis:
         self.telemetry.attach(fsm.manager)
         self.fsm.telemetry = self.telemetry
         #: The parsed module AST for rml-built analyses (set by
-        #: ``_from_module``); ``None`` for builtin/custom circuits, which
-        #: have no source to lint.
+        #: ``_from_module``); ``None`` for hand-built FSMs, which have no
+        #: source to lint.
         self.module = None
         #: The original ``.rml`` source text when construction had it —
         #: improves lint anchors and enables waiver pragmas.
@@ -304,30 +303,21 @@ class Analysis:
         buggy: bool = False,
         config: Optional[EngineConfig] = None,
     ) -> "Analysis":
-        """A registered paper circuit (see ``repro.circuits.BUILTIN_TARGETS``).
+        """A registered paper circuit (see ``repro.circuits.BUILTIN_TARGETS``),
+        analysed from its ``.rml`` text (:func:`~repro.circuits.builtin_source`)
+        exactly as :meth:`from_rml` analyses any module, and named
+        ``target@stage``.
 
         Raises :class:`ValueError` for an unknown target, a stage outside
         the target's stage list or ``buggy`` on a target without a buggy
         variant.
         """
-        from .circuits import build_builtin
+        from .circuits import builtin_source
 
-        config = config if config is not None else EngineConfig()
-        telemetry = Telemetry(config.telemetry)
-        with telemetry.span("build", target=target):
-            fsm, props, observed, dont_care = build_builtin(
-                target, stage=stage, buggy=buggy, config=config
-            )
-            # Attach before the span closes so the build phase's counter
-            # delta captures the circuit construction (start = fresh
-            # manager = all-zero).
-            telemetry.attach(fsm.manager)
-        suffix = f"@{stage}" if stage else ""
-        return cls(
-            fsm, props, observed, dont_care,
-            config=config, name=f"{target}{suffix}", kind=KIND_BUILTIN,
-            stage=stage, telemetry=telemetry,
-        )
+        analysis = cls.from_rml(builtin_source(target, stage, buggy), config)
+        analysis.name = f"{target}@{stage}" if stage else target
+        analysis.stage = stage
+        return analysis
 
     @classmethod
     def from_rml(
@@ -445,30 +435,18 @@ class Analysis:
         """Rebuild a :class:`~repro.suite.jobs.CoverageJob` description —
         the worker-process side of suite fan-out.
 
-        ``module`` short-circuits the parse for rml jobs when the caller
-        already holds the job source's parsed AST (the analysis server's
-        inline workers reuse the module parsed for key computation); the
-        job's source text still travels along for lint anchors.
+        ``module`` short-circuits the parse when the caller already holds
+        the job source's parsed AST (the analysis server's inline workers
+        reuse the module parsed for key computation); the job's source
+        text still travels along for lint anchors.
         """
         from .lang import parse_module
 
-        if job.kind == KIND_BUILTIN:
-            if job.target is None:
-                raise ValueError(f"builtin job {job.name!r} has no target")
-            analysis = cls.builtin(
-                job.target, stage=job.stage, buggy=job.buggy,
-                config=job.config,
-            )
-        elif job.kind == KIND_RML:
-            if job.source is None:
-                raise ValueError(f"rml job {job.name!r} has no source")
-            if module is None:
-                module = parse_module(job.source, filename=job.path)
-            analysis = cls._from_module(
-                module, job.config, path=job.path, source_text=job.source
-            )
-        else:
-            raise ValueError(f"unknown job kind {job.kind!r}")
+        if module is None:
+            module = parse_module(job.source, filename=job.path)
+        analysis = cls._from_module(
+            module, job.config, path=job.path, source_text=job.source
+        )
         analysis.name = job.name
         analysis.stage = job.stage
         return analysis
@@ -554,8 +532,8 @@ class Analysis:
         built from, as a :class:`~repro.lint.LintReport` (memoised).
 
         Engine-free: runs entirely over the parsed AST, never touching
-        the BDD layer.  Analyses without a module AST (builtin circuits,
-        hand-built FSMs) return an empty report over zero files.
+        the BDD layer.  Analyses without a module AST (hand-built FSMs)
+        return an empty report over zero files.
         """
         from .lint import LintReport, lint_module
 

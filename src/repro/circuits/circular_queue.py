@@ -34,19 +34,19 @@ plus the complete ``full``/``empty`` suites (100% each).
 from __future__ import annotations
 
 import math
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from ..ctl.ast import CtlAnd, CtlFormula
 from ..ctl.parser import parse_ctl
-from ..engine import EngineConfig
-from ..expr.arith import increment_mod_bits, mux
-from ..expr.ast import FALSE_EXPR, And, Not, Or, Var, Xor
-from ..expr.parser import parse_expr
-from ..fsm.builder import CircuitBuilder
-from ..fsm.fsm import FSM
+from ..lang import elaborate, parse_module
+
+if TYPE_CHECKING:
+    from ..engine import EngineConfig
+    from ..fsm.fsm import FSM
 
 __all__ = [
     "build_circular_queue",
+    "circular_queue_source",
     "circular_queue_wrap_properties",
     "circular_queue_wrap_stall_property",
     "circular_queue_full_properties",
@@ -57,59 +57,62 @@ __all__ = [
 DEFAULT_DEPTH = 4
 
 
+def circular_queue_source(depth: int = DEFAULT_DEPTH) -> str:
+    """The circular queue as ``.rml`` model text (no SPECs), with pointer
+    width ``log2(depth)``."""
+    if depth < 2 or depth & (depth - 1):
+        raise ValueError("depth must be a power of two >= 2")
+    width = int(math.log2(depth))
+    top = depth - 1
+    return f"""\
+MODULE circular_queue{depth}
+
+VAR
+  push : boolean;
+  pop : boolean;
+  stall : boolean;
+  clear : boolean;
+  reset : boolean;
+  wr : word[{width}];
+  rd : word[{width}];
+  wrap : boolean;
+
+DEFINE
+  zero := clear | reset;
+  full := rd = wr & wrap;
+  empty := rd = wr & !wrap;
+  do_push := push & !stall & !zero & !full;
+  do_pop := pop & !stall & !zero & !empty;
+
+ASSIGN
+  init(wr) := 0;
+  next(wr) := case
+    zero : 0;
+    do_push : wr + 1;
+    TRUE : wr;
+  esac;
+  init(rd) := 0;
+  next(rd) := case
+    zero : 0;
+    do_pop : rd + 1;
+    TRUE : rd;
+  esac;
+  init(wrap) := FALSE;
+  next(wrap) := case
+    zero : FALSE;
+    TRUE : wrap ^ (do_push & wr = {top} ^ do_pop & rd = {top});
+  esac;
+"""
+
+
 def build_circular_queue(
     depth: int = DEFAULT_DEPTH,
     *,
     config: Optional[EngineConfig] = None,
 ) -> FSM:
-    """Build the circular queue with pointer width ``ceil(log2(depth))``.
-
-    ``config`` carries the engine knobs (see
-    :meth:`~repro.fsm.builder.CircuitBuilder.build`).
-    """
-    if depth < 2 or depth & (depth - 1):
-        raise ValueError("depth must be a power of two >= 2")
-    width = int(math.log2(depth))
-    b = CircuitBuilder(f"circular_queue{depth}")
-    push = b.input("push")
-    pop = b.input("pop")
-    stall = b.input("stall")
-    clear = b.input("clear")
-    reset = b.input("reset")
-
-    rd_bits = [f"rd{i}" for i in range(width)]
-    wr_bits = [f"wr{i}" for i in range(width)]
-
-    zero = Or((clear, reset))
-    freeze = And((stall, Not(zero)))
-
-    same_ptr = parse_expr("rd = wr")
-    full = And((same_ptr, Var("wrap")))
-    empty = And((same_ptr, Not(Var("wrap"))))
-    do_push = And((push, Not(stall), Not(zero), Not(full)))
-    do_pop = And((pop, Not(stall), Not(zero), Not(empty)))
-
-    top = depth - 1
-    wr_wraps = And((do_push, parse_expr(f"wr = {top}")))
-    rd_wraps = And((do_pop, parse_expr(f"rd = {top}")))
-
-    wr_next = increment_mod_bits(wr_bits, depth)
-    rd_next = increment_mod_bits(rd_bits, depth)
-    for i, bit in enumerate(wr_bits):
-        advanced = mux(do_push, wr_next[i], Var(bit))
-        b.latch(bit, init=False, next_=mux(zero, FALSE_EXPR, advanced))
-    for i, bit in enumerate(rd_bits):
-        advanced = mux(do_pop, rd_next[i], Var(bit))
-        b.latch(bit, init=False, next_=mux(zero, FALSE_EXPR, advanced))
-
-    wrap_toggled = Xor(Var("wrap"), Xor(wr_wraps, rd_wraps))
-    b.latch("wrap", init=False, next_=mux(zero, FALSE_EXPR, wrap_toggled))
-
-    b.word("rd", rd_bits)
-    b.word("wr", wr_bits)
-    b.define("full", full)
-    b.define("empty", empty)
-    return b.build(config=config)
+    """The queue of :func:`circular_queue_source`, elaborated; ``config``
+    carries the engine knobs (transition mode, resource thresholds)."""
+    return elaborate(parse_module(circular_queue_source(depth)), config=config).fsm
 
 
 def _bundle(parts: List[CtlFormula]) -> CtlFormula:

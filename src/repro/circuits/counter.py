@@ -17,21 +17,49 @@ Reset takes priority over stall.
 from __future__ import annotations
 
 import math
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from ..ctl.ast import CtlFormula
 from ..ctl.parser import parse_ctl
-from ..engine import EngineConfig
-from ..expr.arith import increment_mod_bits, mux
-from ..expr.ast import FALSE_EXPR, Var
-from ..fsm.builder import CircuitBuilder
-from ..fsm.fsm import FSM
+from ..lang import elaborate, parse_module
+
+if TYPE_CHECKING:
+    from ..engine import EngineConfig
+    from ..fsm.fsm import FSM
 
 __all__ = [
     "build_counter",
+    "counter_source",
     "counter_properties",
     "counter_partial_properties",
 ]
+
+
+def counter_source(modulus: int = 5) -> str:
+    """The modulo-``modulus`` counter as ``.rml`` model text, no SPECs.
+
+    ``count`` is a ``ceil(log2(modulus))``-bit word next to the free inputs
+    ``stall`` and ``reset``; values ``>= modulus`` are unreachable (and
+    therefore outside the coverage space).
+    """
+    width = max(1, math.ceil(math.log2(modulus)))
+    return f"""\
+MODULE counter_mod{modulus}
+
+VAR
+  stall : boolean;
+  reset : boolean;
+  count : word[{width}];
+
+ASSIGN
+  init(count) := 0;
+  next(count) := case
+    reset : 0;
+    stall : count;
+    count = {modulus - 1} : 0;
+    TRUE : count + 1;
+  esac;
+"""
 
 
 def build_counter(
@@ -39,26 +67,9 @@ def build_counter(
     *,
     config: Optional[EngineConfig] = None,
 ) -> FSM:
-    """The modulo-``modulus`` counter of the paper's introduction.
-
-    State variables: ``count`` (a ``ceil(log2(modulus))``-bit word) plus the
-    free inputs ``stall`` and ``reset``.  Values ``>= modulus`` are
-    unreachable (and therefore outside the coverage space).  ``config``
-    carries the engine knobs (transition mode, resource thresholds; see
-    :meth:`~repro.fsm.builder.CircuitBuilder.build`).
-    """
-    width = max(1, math.ceil(math.log2(modulus)))
-    builder = CircuitBuilder(f"counter_mod{modulus}")
-    stall = builder.input("stall")
-    reset = builder.input("reset")
-    bits = [f"count{i}" for i in range(width)]
-    counted = increment_mod_bits(bits, modulus)
-    for i, bit in enumerate(bits):
-        advance = mux(stall, Var(bit), counted[i])
-        # Reset dominates: the bit clears regardless of stall.
-        builder.latch(bit, init=False, next_=mux(reset, FALSE_EXPR, advance))
-    builder.word("count", bits)
-    return builder.build(config=config)
+    """The counter of :func:`counter_source`, elaborated; ``config`` carries
+    the engine knobs (transition mode, resource thresholds)."""
+    return elaborate(parse_module(counter_source(modulus)), config=config).fsm
 
 
 def counter_properties(modulus: int = 5) -> List[CtlFormula]:

@@ -16,7 +16,8 @@ input, and — the key element of the narrative — a hold state machine at the
 output: whenever a new value reaches stage 3, a 2-bit counter freezes the
 pipeline for the arrival cycle plus two more (the output "retains its value
 for 3 cycles").  The pipeline advances only when ``!stall`` and the hold
-counter is idle.  Fairness: ``!stall`` holds infinitely often.
+counter is idle.  Fairness: ``!stall`` holds infinitely often; the output
+is judged only where it is valid (don't-care ``!out_valid``).
 
 The initial 8-property suite checks staging with the paper's nested-Until
 flavour (``AG (p1 -> A[p2 U A[p3 U p4]])``) plus stall retention, but never
@@ -27,19 +28,19 @@ properties and reaches 100%.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from ..ctl.ast import CtlFormula
 from ..ctl.parser import parse_ctl
-from ..engine import EngineConfig
-from ..expr.arith import mux
-from ..expr.ast import And, Not, Var
-from ..expr.parser import parse_expr
-from ..fsm.builder import CircuitBuilder
-from ..fsm.fsm import FSM
+from ..lang import elaborate, parse_module
+
+if TYPE_CHECKING:
+    from ..engine import EngineConfig
+    from ..fsm.fsm import FSM
 
 __all__ = [
     "build_pipeline",
+    "pipeline_source",
     "pipeline_output_properties",
     "pipeline_retention_properties",
     "pipeline_augmented_properties",
@@ -50,12 +51,9 @@ __all__ = [
 HOLD_CYCLES = 3
 
 
-def build_pipeline(
-    stages: int = 3,
-    *,
-    config: Optional[EngineConfig] = None,
-) -> FSM:
-    """Build the ``stages``-stage pipeline with the output hold state machine.
+def pipeline_source(stages: int = 3) -> str:
+    """The ``stages``-stage pipeline with the output hold state machine, as
+    ``.rml`` model text (no SPECs).
 
     With the default ``stages=3`` (the paper's circuit) the state variables
     are per-stage valid/data bits (``v1,d1,v2,d2,v3,d3``), the 2-bit hold
@@ -64,43 +62,63 @@ def build_pipeline(
     15-variable final model.  Larger ``stages`` values widen the datapath
     with more ``vK,dK`` pairs (the property suites below are written for
     the 3-stage shape only); the partition benchmark uses widened instances
-    to measure mono vs partitioned image costs.  ``config`` carries the
-    engine knobs (see :meth:`~repro.fsm.builder.CircuitBuilder.build`).
+    to measure mono vs partitioned image costs.
+
+    The pipeline advances only when ``!stall`` and the hold counter is
+    idle.  A valid value arriving at the last stage sets the counter to
+    ``HOLD_CYCLES - 1`` (= 2), and it then counts down unconditionally (the
+    downstream state machine works regardless of pipeline stalls):
+    ``0 -> 2 -> 1 -> 0``.
     """
     if stages < 2:
         raise ValueError("the pipeline needs at least 2 stages")
-    b = CircuitBuilder(f"pipeline{stages}")
-    in_valid = b.input("in_valid")
-    in_data = b.input("in_data")
-    stall = b.input("stall")
+    stage_range = range(1, stages + 1)
+    decls = "".join(f"  v{k} : boolean;\n  d{k} : boolean;\n" for k in stage_range)
+    nexts = "".join(
+        f"  init(v{k}) := 0;\n  init(d{k}) := 0;\n"
+        f"  next(v{k}) := case advance : {valid}; TRUE : v{k}; esac;\n"
+        f"  next(d{k}) := case advance : {data}; TRUE : d{k}; esac;\n"
+        for k, valid, data in zip(
+            stage_range,
+            ["in_valid"] + [f"v{k}" for k in stage_range],
+            ["in_data"] + [f"d{k}" for k in stage_range],
+        )
+    )
+    return f"""\
+MODULE pipeline{stages}
 
-    hold_busy = parse_expr("h != 0")
-    advance = And((Not(stall), Not(hold_busy)))
+VAR
+  in_valid : boolean;
+  in_data : boolean;
+  stall : boolean;
+{decls}  h : word[2];
 
-    def staged(valid_src: Var, data_src: Var, valid_dst: str, data_dst: str):
-        b.latch(valid_dst, init=False, next_=mux(advance, valid_src, Var(valid_dst)))
-        b.latch(data_dst, init=False, next_=mux(advance, data_src, Var(data_dst)))
+DEFINE
+  advance := !stall & h = 0;
+  arriving := advance & v{stages - 1};
+  output := d{stages};
+  out_valid := v{stages};
 
-    prev_v, prev_d = in_valid, in_data
-    for k in range(1, stages + 1):
-        staged(prev_v, prev_d, f"v{k}", f"d{k}")
-        prev_v, prev_d = Var(f"v{k}"), Var(f"d{k}")
+ASSIGN
+{nexts}  init(h) := 0;
+  next(h) := case
+    arriving : {HOLD_CYCLES - 1};
+    h = 2 : 1;
+    TRUE : 0;
+  esac;
 
-    # Hold counter: set to HOLD_CYCLES-1 (= 2) when a new valid value
-    # arrives at the last stage, then counts down unconditionally (the
-    # downstream state machine processes regardless of pipeline stalls).
-    # With the sequence 0 -> 2 -> 1 -> 0 the per-bit logic collapses to:
-    #   h0' = 1  iff  h == 2          (the 2 -> 1 step)
-    #   h1' = 1  iff  a value arrives (the 0 -> 2 step; arrival implies h=0)
-    arriving = And((advance, Var(f"v{stages - 1}")))
-    b.latch("h0", init=False, next_=parse_expr("h = 2"))
-    b.latch("h1", init=False, next_=arriving)
-    b.word("h", ["h0", "h1"])
+FAIRNESS !stall;
+"""
 
-    b.define("output", f"d{stages}")
-    b.define("out_valid", f"v{stages}")
-    b.fairness("!stall")
-    return b.build(config=config)
+
+def build_pipeline(
+    stages: int = 3,
+    *,
+    config: Optional[EngineConfig] = None,
+) -> FSM:
+    """The pipeline of :func:`pipeline_source`, elaborated; ``config``
+    carries the engine knobs (transition mode, resource thresholds)."""
+    return elaborate(parse_module(pipeline_source(stages)), config=config).fsm
 
 
 def pipeline_output_properties() -> List[CtlFormula]:

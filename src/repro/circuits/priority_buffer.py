@@ -34,19 +34,19 @@ Semantics (correct design):
 from __future__ import annotations
 
 import math
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from ..ctl.ast import CtlAnd, CtlFormula
 from ..ctl.parser import parse_ctl
-from ..engine import EngineConfig
-from ..expr.arith import add_words_bits, conditional_delta_bits, mux
-from ..expr.ast import FALSE_EXPR, And, Expr, Not
-from ..expr.parser import parse_expr
-from ..fsm.builder import CircuitBuilder
-from ..fsm.fsm import FSM
+from ..lang import elaborate, parse_module
+
+if TYPE_CHECKING:
+    from ..engine import EngineConfig
+    from ..fsm.fsm import FSM
 
 __all__ = [
     "build_priority_buffer",
+    "priority_buffer_source",
     "priority_buffer_hi_properties",
     "priority_buffer_lo_properties",
     "priority_buffer_lo_hole_property",
@@ -57,8 +57,56 @@ __all__ = [
 DEFAULT_CAPACITY = 4
 
 
-def _width_for(count: int) -> int:
-    return max(1, math.ceil(math.log2(count + 1)))
+def priority_buffer_source(
+    capacity: int = DEFAULT_CAPACITY, buggy: bool = False
+) -> str:
+    """The priority buffer as ``.rml`` model text, no SPECs.
+
+    ``capacity`` bounds the total number of stored entries.  ``buggy``
+    plants the paper's escaped bug: a low-priority arrival is dropped
+    whenever the buffer is completely empty (the designer's acceptance
+    logic short-circuits on the empty condition).
+    """
+    width = max(1, math.ceil(math.log2(capacity + 1)))
+    lo_acc = "in_lo & lo_room"
+    if buggy:
+        lo_acc += " & !(hi = 0 & lo = 0)"
+    return f"""\
+MODULE priority_buffer{capacity}{'_buggy' if buggy else ''}
+
+VAR
+  in_hi : boolean;
+  in_lo : boolean;
+  clear : boolean;
+  deq : boolean;
+  hi : word[{width}];
+  lo : word[{width}];
+
+DEFINE
+  total := hi + lo;
+  room := total < {capacity};
+  hi_acc := in_hi & room;
+  lo_room := room & !(in_hi & total = {capacity - 1});
+  lo_acc := {lo_acc};
+  hi_deq := deq & hi > 0;
+  lo_deq := deq & (hi = 0 & lo > 0);
+
+ASSIGN
+  init(hi) := 0;
+  next(hi) := case
+    clear : 0;
+    hi_acc & !hi_deq : hi + 1;
+    hi_deq & !hi_acc : hi - 1;
+    TRUE : hi;
+  esac;
+  init(lo) := 0;
+  next(lo) := case
+    clear : 0;
+    lo_acc & !lo_deq : lo + 1;
+    lo_deq & !lo_acc : lo - 1;
+    TRUE : lo;
+  esac;
+"""
 
 
 def build_priority_buffer(
@@ -66,67 +114,10 @@ def build_priority_buffer(
     *,
     config: Optional[EngineConfig] = None,
 ) -> FSM:
-    """Build the priority buffer.
-
-    Parameters
-    ----------
-    capacity:
-        Maximum total number of stored entries.
-    buggy:
-        Plant the paper's escaped bug: a low-priority arrival is dropped
-        whenever the buffer is completely empty (the designer's acceptance
-        logic short-circuits on the empty condition).
-    config:
-        Engine knobs (transition mode, resource thresholds; see
-        :meth:`~repro.fsm.builder.CircuitBuilder.build`).
-    """
-    width = _width_for(capacity)
-    b = CircuitBuilder(
-        f"priority_buffer{capacity}{'_buggy' if buggy else ''}"
-    )
-    in_hi = b.input("in_hi")
-    in_lo = b.input("in_lo")
-    clear = b.input("clear")
-    deq = b.input("deq")
-
-    hi_bits = [f"hi{i}" for i in range(width)]
-    lo_bits = [f"lo{i}" for i in range(width)]
-
-    room = parse_expr(f"total < {capacity}")
-    # High priority takes the last slot: low is accepted only if there is
-    # room after the (possibly simultaneous) high arrival.
-    hi_accept = And((in_hi, room))
-    last_slot = parse_expr(f"total = {capacity - 1}")
-    lo_room = And((room, Not(And((in_hi, last_slot)))))
-    lo_accept_correct = And((in_lo, lo_room))
-    empty = parse_expr("hi = 0 & lo = 0")
-    if buggy:
-        # The planted bug: acceptance is gated on the buffer being
-        # non-empty, silently dropping low-priority arrivals into an empty
-        # buffer.
-        lo_accept: Expr = And((in_lo, lo_room, Not(empty)))
-    else:
-        lo_accept = lo_accept_correct
-
-    hi_deq = And((deq, parse_expr("hi > 0")))
-    lo_deq = And((deq, parse_expr("hi = 0 & lo > 0")))
-
-    hi_next = conditional_delta_bits(hi_bits, hi_accept, hi_deq)
-    lo_next = conditional_delta_bits(lo_bits, lo_accept, lo_deq)
-    for i, bit in enumerate(hi_bits):
-        b.latch(bit, init=False, next_=mux(clear, FALSE_EXPR, hi_next[i]))
-    for i, bit in enumerate(lo_bits):
-        b.latch(bit, init=False, next_=mux(clear, FALSE_EXPR, lo_next[i]))
-    b.word("hi", hi_bits)
-    b.word("lo", lo_bits)
-
-    total_bits = add_words_bits(hi_bits, lo_bits)
-    total_names = []
-    for i, expr in enumerate(total_bits):
-        b.define(f"total{i}", expr)
-        total_names.append(f"total{i}")
-    b.word("total", total_names)
-    return b.build(config=config)
+    """The buffer of :func:`priority_buffer_source`, elaborated; ``config``
+    carries the engine knobs (transition mode, resource thresholds)."""
+    text = priority_buffer_source(capacity, buggy)
+    return elaborate(parse_module(text), config=config).fsm
 
 
 def _bundle(parts: List[CtlFormula]) -> CtlFormula:

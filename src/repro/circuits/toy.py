@@ -10,7 +10,10 @@ exactly as in the paper, for use by the figure benchmarks and tests:
 
 from __future__ import annotations
 
-from ..fsm.explicit import ExplicitGraph
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from ..fsm.explicit import ExplicitGraph
 
 __all__ = [
     "figure1_graph",
@@ -32,6 +35,8 @@ def figure1_graph() -> ExplicitGraph:
     The ``other_q`` state also satisfies ``q`` but is "not critical to the
     validity of the given formula" (paper), hence uncovered.
     """
+    from ..fsm.explicit import ExplicitGraph
+
     g = ExplicitGraph("figure1", signals=["p1", "q"])
     g.state("init", labels={"p1"}, initial=True)
     g.state("mid", labels=set())
@@ -49,6 +54,8 @@ def figure2_graph() -> ExplicitGraph:
     state carries ``q`` again, so flipping ``q`` anywhere on the path never
     falsifies the raw ``A[p1 U q]`` — the transformation is required for
     intuitive coverage."""
+    from ..fsm.explicit import ExplicitGraph
+
     g = ExplicitGraph("figure2", signals=["p1", "q"])
     g.state("s0", labels={"p1"}, initial=True)
     g.state("s1", labels={"p1"})
@@ -66,6 +73,8 @@ def figure3_graph() -> ExplicitGraph:
 
     ``traverse`` = {a, b, c}; ``firstreached`` = {d, e}.
     """
+    from ..fsm.explicit import ExplicitGraph
+
     g = ExplicitGraph("figure3", signals=["f1", "f2"])
     g.state("a", labels={"f1"}, initial=True)
     g.state("b", labels={"f1"})

@@ -275,7 +275,8 @@ def _build_lint_parser() -> argparse.ArgumentParser:
         "--target", metavar="NAME",
         help=(
             "lint examples/NAME.rml by its suite job name (e.g. 'counter' "
-            "or 'rml:counter') instead of listing paths"
+            "or 'rml:counter'), or else the .rml text of a builtin target "
+            "(e.g. 'queue-wrap@final'), instead of listing paths"
         ),
     )
     parser.add_argument(
@@ -677,27 +678,24 @@ def _main_lint(argv: List[str]) -> int:
 
     report = LintReport(files=[])
     if args.target:
+        from .circuits import BUILTIN_TARGETS, builtin_source
         from .lang import discover_rml
+        from .lint import lint_source
 
         found = {f"rml:{path.stem}": path for path in discover_rml("examples")}
         path = found.get(args.target) or found.get(f"rml:{args.target}")
-        if path is None:
-            from .circuits import BUILTIN_TARGETS
-
-            if args.target.partition("@")[0] in BUILTIN_TARGETS:
-                print(
-                    f"error: target {args.target!r} is a builtin circuit "
-                    f"built in Python — it has no .rml source to lint",
-                    file=sys.stderr,
-                )
-            else:
-                print(
-                    f"error: unknown target {args.target!r}; known: "
-                    f"{', '.join(sorted(set(BUILTIN_TARGETS) | set(found)))}",
-                    file=sys.stderr,
-                )
-            return 2
-        report = lint_path(path)
+        if path is not None:
+            report = lint_path(path)
+        else:
+            name, _, stage = args.target.partition("@")
+            try:
+                text = builtin_source(name, stage or None)
+            except ValueError as exc:
+                known = ", ".join(sorted(set(BUILTIN_TARGETS) | set(found)))
+                hint = "" if name in BUILTIN_TARGETS else f"; known: {known}"
+                print(f"error: {exc}{hint}", file=sys.stderr)
+                return 2
+            report = lint_source(text, filename=args.target)
     else:
         files: List[Path] = []
         for raw in args.paths:

@@ -2,7 +2,7 @@
 
 Before this module existed, each engine knob (the transition-relation mode,
 the GC threshold) was threaded by hand through six layers: CLI flag →
-``CoverageJob`` field → job factories → ``build_builtin`` → circuit builder
+``CoverageJob`` field → job factories → target builder → circuit builder
 → ``CircuitBuilder.build`` → ``ResourcePolicy``.  Adding a knob meant
 editing all of them, and none of the values travelled with the results
 they shaped.

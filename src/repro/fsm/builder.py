@@ -1,10 +1,13 @@
 """Circuit construction API: latches, free inputs, defines, words, fairness.
 
-:class:`CircuitBuilder` is the library's "HDL": circuits are described as
-Mealy machines (latches with next-state expressions, free primary inputs,
-combinational ``define`` outputs), and :meth:`CircuitBuilder.build` compiles
-them into the symbolic Kripke form of :class:`~repro.fsm.fsm.FSM` the same
-way SMV does — inputs become unconstrained state variables.
+:class:`CircuitBuilder` is the back end of the ``.rml`` elaborator
+(:func:`repro.lang.elaborate`), which lowers every model the library
+analyses onto it, and stays public for hand-built circuits: circuits are
+described as Mealy machines (latches with next-state expressions, free
+primary inputs, combinational ``define`` outputs), and
+:meth:`CircuitBuilder.build` compiles them into the symbolic Kripke form of
+:class:`~repro.fsm.fsm.FSM` the same way SMV does — inputs become
+unconstrained state variables.
 
 Example::
 

@@ -4,9 +4,10 @@
 and raises its first finding as a :class:`~repro.errors.ParseError` carrying
 the source line/column, so errors from ``.rml`` files point at the offending
 text rather than at library internals, and read exactly as ``repro lint``
-reports them.  A module the validator accepts is then only lowered, onto the
-:class:`~repro.fsm.builder.CircuitBuilder` the hand-written circuits in
-:mod:`repro.circuits` use:
+reports them.  A module the validator accepts is then only lowered, onto a
+:class:`~repro.fsm.builder.CircuitBuilder` — the only one the library
+constructs: every model it analyses, the paper's circuits in
+:mod:`repro.circuits` included, is ``.rml`` text that comes through here:
 
 * a variable with a ``next()`` assignment becomes a latch (words become
   per-bit latch banks via :meth:`CircuitBuilder.word_latch`); one without

@@ -183,12 +183,13 @@ class _ServeCacheRun:
 
     def result(self):
         from ..analysis import Analysis, AnalysisResult
+        from ..circuits import builtin_source
         from ..serve.cache import ResultCache
         from ..serve.keys import request_key
 
         cache = ResultCache(max_entries=8)  # memory tier only
         key = request_key(
-            target="queue-wrap", stage="extended", config=self.config
+            builtin_source("queue-wrap", "extended"), config=self.config
         )
         outcome = None
         for _ in range(self.REPEATS):

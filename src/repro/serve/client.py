@@ -102,7 +102,8 @@ class ServeClient:
         buggy: bool = False,
         config: Optional[EngineConfig] = None,
     ) -> Dict:
-        """Analyze a builtin circuit; returns the response envelope."""
+        """Analyze a builtin circuit, which the server resolves to its
+        ``.rml`` text; returns the response envelope."""
         payload: Dict = {"target": target}
         if stage is not None:
             payload["stage"] = stage

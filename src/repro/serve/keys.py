@@ -1,30 +1,35 @@
-"""Content-addressed request keys — the ``repro-key/v1`` scheme.
+"""Content-addressed request keys — the ``repro-key/v2`` scheme.
 
 The paper's coverage metric is a pure function of (model, property suite,
-engine config): two requests that agree on those three produce
-byte-identical :class:`~repro.analysis.AnalysisResult` JSON.  This module
-turns that triple into one stable hex digest the cache and the in-flight
-deduplicator index by.
+engine config): two requests that agree on those, and on the fields the
+result echoes back, produce byte-identical
+:class:`~repro.analysis.AnalysisResult` JSON.  This module turns a request
+into one stable hex digest the cache and the in-flight deduplicator index
+by.
 
-Scheme ``repro-key/v1``
+Scheme ``repro-key/v2``
 -----------------------
 The digest is ``sha256`` over a newline-joined header block::
 
-    repro-key/v1
-    kind=<rml|builtin>
-    model=<model identity, see below>
-    select=<property selection>
+    repro-key/v2
+    model=<sha256 of the reprinted module>
+    name=<JSON string or null>
+    path=<JSON string or null>
+    stage=<JSON string or null>
     config=<EngineConfig.fingerprint()>
 
-* ``rml`` models identify as ``sha256`` of their *reprinted* source: the
-  text is parsed and printed back through the canonical printer
+* ``model`` is the ``sha256`` of the module's *reprinted* source: the text
+  is parsed and printed back through the canonical printer
   (:func:`repro.lang.module_to_str`), so whitespace, comments, and other
   concrete-syntax noise never split the cache, while any semantic edit
   (a renamed variable, a changed assignment, an added SPEC) lands on a
-  different key.  ``select`` is ``-`` — an ``.rml`` file carries its own
-  property suite.
-* ``builtin`` targets identify by name; ``select`` carries the property
-  stage and the ``buggy`` variant flag.
+  different key.  The module carries its own property suite; a builtin
+  target is keyed by the text :func:`~repro.circuits.builtin_source`
+  renders, so an edit to a circuit changes its key.
+* ``name``, ``path`` and ``stage`` are the fields the result echoes
+  from the request, JSON-encoded so no value can spill into the next
+  line: a request for the same model under another name or path is a
+  different answer.
 * ``config`` is the engine config's canonical JSON fingerprint
   (:meth:`repro.engine.EngineConfig.fingerprint`), every field explicit,
   so new engine knobs join the key automatically.
@@ -43,16 +48,15 @@ the key's.
     ...               "ASSIGN next(x) := !x;\\nSPEC AG (x | !x);\\nOBSERVED x;")
     >>> a == b
     True
-    >>> request_key(rml="MODULE m VAR x : boolean;\\n"
-    ...             "ASSIGN next(x) := !x;\\nSPEC AG (x | !x); OBSERVED x;",
-    ...             config=EngineConfig()) != \\
-    ...     request_key(target="counter", config=EngineConfig())
+    >>> text = "MODULE m VAR x : boolean;\\nASSIGN next(x) := !x;\\nOBSERVED x;"
+    >>> request_key(text, name="a") != request_key(text, name="b")
     True
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 from typing import Optional, Union
 
 from ..engine import EngineConfig
@@ -63,7 +67,7 @@ __all__ = ["KEY_SCHEME", "canonical_rml", "model_key", "request_key"]
 
 #: Version tag of the key scheme (append-only; bump on any serialisation
 #: change so stale cache entries self-invalidate by key mismatch).
-KEY_SCHEME = "repro-key/v1"
+KEY_SCHEME = "repro-key/v2"
 
 
 def _sha256(text: str) -> str:
@@ -96,41 +100,28 @@ def model_key(
 
 
 def request_key(
+    rml: Union[str, Module],
     *,
-    rml: Optional[Union[str, Module]] = None,
-    target: Optional[str] = None,
-    stage: Optional[str] = None,
-    buggy: bool = False,
     config: Optional[EngineConfig] = None,
-    filename: Optional[str] = None,
+    name: Optional[str] = None,
+    path: Optional[str] = None,
+    stage: Optional[str] = None,
 ) -> str:
-    """The ``repro-key/v1`` digest of one analysis request.
+    """The ``repro-key/v2`` digest of one analysis request.
 
-    Exactly one of ``rml`` (module text or parsed module) and ``target``
-    (a builtin circuit name) must be given; ``stage``/``buggy`` select the
-    property suite for builtins.  ``config`` defaults to the default
+    ``rml`` is the module text (parsed with ``path`` as its file name) or
+    an already-parsed module; ``name``, ``path`` and ``stage`` are the
+    fields the result echoes.  ``config`` defaults to the default
     :class:`~repro.engine.EngineConfig`.
     """
-    if (rml is None) == (target is None):
-        raise ValueError(
-            "request_key takes exactly one of rml= (model text) and "
-            "target= (builtin circuit name)"
-        )
     config = config if config is not None else EngineConfig()
-    if rml is not None:
-        kind = "rml"
-        model = model_key(rml, filename=filename)
-        select = "-"
-    else:
-        kind = "builtin"
-        model = f"builtin:{target}"
-        select = f"stage={stage if stage is not None else '-'},buggy={int(buggy)}"
     header = "\n".join(
         (
             KEY_SCHEME,
-            f"kind={kind}",
-            f"model={model}",
-            f"select={select}",
+            f"model={model_key(rml, filename=path)}",
+            f"name={json.dumps(name)}",
+            f"path={json.dumps(path)}",
+            f"stage={json.dumps(stage)}",
             f"config={config.fingerprint()}",
         )
     )

@@ -11,8 +11,8 @@ Routes
 ------
 ``POST /v1/analyze``
     Body: a JSON payload (see :func:`repro.serve.workers.job_from_payload`)
-    naming either an ``rml`` model text or a ``builtin`` target, plus an
-    optional ``config``.  Response envelope::
+    naming either an ``rml`` model text or a ``target`` (a builtin
+    circuit, resolved to its ``.rml`` text), plus an optional ``config``.  Response envelope::
 
         {"schema": "repro-serve/v1", "key": "<hex>",
          "cached": true|false, "result": { ...AnalysisResult JSON... }}
@@ -37,9 +37,9 @@ Request flow, and where each satellite guarantee lives:
    ``(request_key, lint bytes)`` pairs, so a repeated identical body
    costs no JSON decode and no model parse at all (the parse-count
    telemetry asserts this).
-2. On memo miss, rml text is parsed once; the module computes the
-   reprint-normalised ``repro-key/v1`` request key *and* the raw-text
-   lint document, then (inline mode) is handed to the worker so the
+2. On memo miss, the ``.rml`` text (a builtin target's included) is
+   parsed once; the module computes the reprint-normalised
+   ``repro-key/v2`` request key *and* the raw-text lint document, then (inline mode) is handed to the worker so the
    analysis reuses the same AST.
 3. The key hits the two-tier :class:`~repro.serve.cache.ResultCache`;
    a hit answers without touching the pool.
@@ -160,10 +160,10 @@ class AnalysisServer:
         self._server: Optional[asyncio.AbstractServer] = None
         #: request_key -> running analysis task (the dedup table).
         self._inflight: Dict[str, asyncio.Task] = {}
-        #: sha256(raw body) digest -> (request_key, lint bytes or None);
+        #: sha256(raw body) digest -> (request_key, lint bytes);
         #: bounded LRU so repeated identical bodies skip decode, parse,
         #: key and lint.  Only bodies that got this far are memoised.
-        self._memo: "OrderedDict[bytes, Tuple[str, Optional[bytes]]]" = (
+        self._memo: "OrderedDict[bytes, Tuple[str, bytes]]" = (
             OrderedDict()
         )
         self._memo_max = max(self.options.max_cache_entries, 64)
@@ -318,33 +318,27 @@ class AnalysisServer:
                 return 422, _error("config-error", str(exc))
             except ValueError as exc:
                 return 400, _error("bad-request", str(exc))
-            if job.source is not None:
-                from ..lang import parse_module
-                from ..lint import lint_module
+            from ..lang import parse_module
+            from ..lint import lint_module
 
-                try:
-                    module = parse_module(job.source, filename=job.path)
-                except ParseError as exc:
-                    return 422, _error(
-                        "parse-error", str(exc), line=exc.line,
-                        column=exc.column, filename=exc.filename,
-                    )
-                key = request_key(rml=module, config=job.config)
-                lint = json.dumps(
-                    lint_module(
-                        module,
-                        text=job.source,
-                        filename=job.path or module.filename,
-                    ).to_json()
-                ).encode("ascii")
-            else:
-                key = request_key(
-                    target=job.target,
-                    stage=job.stage,
-                    buggy=job.buggy,
-                    config=job.config,
+            try:
+                module = parse_module(job.source, filename=job.path)
+            except ParseError as exc:
+                return 422, _error(
+                    "parse-error", str(exc), line=exc.line,
+                    column=exc.column, filename=exc.filename,
                 )
-                lint = None
+            key = request_key(
+                module, config=job.config, name=job.name, path=job.path,
+                stage=job.stage,
+            )
+            lint = json.dumps(
+                lint_module(
+                    module,
+                    text=job.source,
+                    filename=job.path or module.filename,
+                ).to_json()
+            ).encode("ascii")
             memo = (key, lint)
             self._remember_body(digest, memo)
         key, lint = memo
@@ -376,13 +370,13 @@ class AnalysisServer:
         return 200, _envelope(key, entry, lint, was_cached=False)
 
     def _remember_body(
-        self, digest: bytes, memo: Tuple[str, Optional[bytes]]
+        self, digest: bytes, memo: Tuple[str, bytes]
     ) -> None:
         self._memo[digest] = memo
-        self._memo_bytes += len(memo[1] or b"")
+        self._memo_bytes += len(memo[1])
         while len(self._memo) > self._memo_max:
             _, (_, lint) = self._memo.popitem(last=False)
-            self._memo_bytes -= len(lint or b"")
+            self._memo_bytes -= len(lint)
 
     async def _run_analysis(
         self, key: str, payload: Dict, module
@@ -474,18 +468,18 @@ def _error(kind: str, message: str, **where) -> bytes:
 
 
 def _envelope(
-    key: str, entry: CacheEntry, lint: Optional[bytes], was_cached: bool
+    key: str, entry: CacheEntry, lint: bytes, was_cached: bool
 ) -> bytes:
     """The response body: ``json.dumps`` of ``{"schema", "key", "cached",
     "result"}`` plus a newline, assembled from bytes encoded once.
 
     Per-request lint goes into rml results that carry one locally (ok and
     fail analyses of a parsed module) as their last key, where
-    ``result["lint"] = lint`` would put it; error results and builtins
-    have no lint block in direct execution either.
+    ``result["lint"] = lint`` would put it; error results have no lint
+    block in direct execution either.
     """
     result = entry.body
-    if lint is not None and entry.takes_lint:
+    if entry.takes_lint:
         result = b"".join((result[:-1], b', "lint": ', lint, b"}"))
     return b"".join(
         (

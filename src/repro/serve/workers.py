@@ -26,6 +26,11 @@ Two execution modes behind one :class:`WorkerPool` interface:
     :meth:`~repro.analysis.Analysis.from_job`, so a deduplicated burst of
     identical requests parses its model exactly once.
 
+A payload names its model by ``.rml`` text (``rml``) or by builtin target
+(``target``, with ``stage``/``buggy``); :func:`job_from_payload` resolves a
+target to the text :func:`~repro.circuits.builtin_source` renders, so
+either way the job, its key and its analysis are the same text's.
+
 Worker crashes (a killed child, an OOM) surface as
 ``BrokenProcessPool`` on the in-flight futures; the server maps that to
 one HTTP 500 and calls :meth:`WorkerPool.reset_after_crash`, which
@@ -38,18 +43,17 @@ import os
 import signal
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Dict
+from pathlib import Path
+from typing import Dict, Optional
 
-from ..analysis import KIND_BUILTIN, KIND_RML
+from ..circuits import builtin_source
 from ..engine import EngineConfig
 from ..errors import ConfigError
 from ..suite.jobs import CoverageJob
 
-# The builtin circuits and the job runner load with this module, in the
-# server process, though only workers call them: forked workers inherit
-# them, so a fresh worker (after every recycle, too) skips those imports
-# on its first job.
-from ..circuits import build_builtin  # noqa: F401
+# The job runner loads with this module, in the server process, though
+# only workers call it: forked workers inherit it, so a fresh worker
+# (after every recycle, too) skips that import on its first job.
 from ..suite.runner import execute_job
 
 __all__ = [
@@ -70,71 +74,58 @@ KIND_CRASH = "__crash__"
 
 
 def payload_from_job(job: CoverageJob) -> Dict:
-    """The JSON-safe wire form of a job — what ``POST /v1/analyze`` takes.
-
-    ``rml`` jobs ship their source text; ``builtin`` jobs ship the target
-    coordinates.  The engine config travels as its JSON codec.
-    """
-    payload: Dict = {"name": job.name, "config": job.config.to_json()}
-    if job.kind == KIND_RML:
-        payload["rml"] = job.source
-        if job.path is not None:
-            payload["path"] = job.path
-    elif job.kind == KIND_BUILTIN:
-        payload["target"] = job.target
-        if job.stage is not None:
-            payload["stage"] = job.stage
-        if job.buggy:
-            payload["buggy"] = True
-    else:
-        raise ValueError(f"unknown job kind {job.kind!r}")
+    """The JSON-safe wire form of a job — what ``POST /v1/analyze`` takes:
+    its name, ``.rml`` text, path and stage, and the engine config as its
+    JSON codec."""
+    payload: Dict = {
+        "name": job.name, "rml": job.source, "config": job.config.to_json()
+    }
+    if job.path is not None:
+        payload["path"] = job.path
+    if job.stage is not None:
+        payload["stage"] = job.stage
     return payload
+
+
+def _optional_str(payload: Dict, field: str) -> Optional[str]:
+    value = payload.get(field)
+    if value is not None and not isinstance(value, str):
+        raise ValueError(f"{field!r} must be a string")
+    return value
 
 
 def job_from_payload(payload: Dict) -> CoverageJob:
     """Rebuild the :class:`~repro.suite.jobs.CoverageJob` a payload
-    describes.  Raises :class:`ValueError` for a malformed payload and
-    :class:`~repro.errors.ConfigError` for a bad config."""
+    describes; a ``target`` payload becomes its builtin's module text.
+    Raises :class:`ValueError` for a malformed payload, an unknown target,
+    stage or variant, and :class:`~repro.errors.ConfigError` for a bad
+    config."""
     if not isinstance(payload, dict):
         raise ValueError("analyze payload must be a JSON object")
-    has_rml = "rml" in payload
-    has_target = "target" in payload
-    if has_rml == has_target:
+    if ("rml" in payload) == ("target" in payload):
         raise ValueError(
             "analyze payload takes exactly one of 'rml' (model text) and "
             "'target' (builtin circuit name)"
         )
     config_data = payload.get("config", {})
     config = EngineConfig.from_json(config_data if config_data else {})
-    name = payload.get("name")
-    if name is not None and not isinstance(name, str):
-        raise ValueError("'name' must be a string")
-    if has_rml:
+    name = _optional_str(payload, "name")
+    path = _optional_str(payload, "path")
+    stage = _optional_str(payload, "stage")
+    if "target" in payload:
+        target = payload["target"]
+        if not isinstance(target, str):
+            raise ValueError("'target' must be a builtin circuit name")
+        source = builtin_source(target, stage, bool(payload.get("buggy")))
+        default_name = f"{target}@{stage}" if stage else target
+    else:
         source = payload["rml"]
         if not isinstance(source, str):
             raise ValueError("'rml' must be a string of module text")
-        path = payload.get("path")
-        if path is not None and not isinstance(path, str):
-            raise ValueError("'path' must be a string")
-        from pathlib import Path
-
-        if name is None:
-            name = f"rml:{Path(path).stem}" if path else "rml:<text>"
-        return CoverageJob(
-            name=name, kind=KIND_RML, path=path, source=source, config=config
-        )
-    target = payload["target"]
-    if not isinstance(target, str):
-        raise ValueError("'target' must be a builtin circuit name")
-    stage = payload.get("stage")
-    if stage is not None and not isinstance(stage, str):
-        raise ValueError("'stage' must be a string")
-    buggy = bool(payload.get("buggy", False))
-    if name is None:
-        name = f"{target}@{stage}" if stage else target
+        default_name = f"rml:{Path(path).stem}" if path else "rml:<text>"
     return CoverageJob(
-        name=name, kind=KIND_BUILTIN, target=target, stage=stage,
-        buggy=buggy, config=config,
+        name=name if name is not None else default_name,
+        source=source, stage=stage, path=path, config=config,
     )
 
 

@@ -1,7 +1,7 @@
 """``repro.suite`` — first-class, parallel suites of coverage jobs.
 
-A :class:`CoverageJob` names a model (builtin target or ``.rml`` file), a
-property stage, and an :class:`~repro.engine.EngineConfig`; the registry
+A :class:`CoverageJob` carries ``.rml`` model text (a builtin target's or
+a file's), a property stage, and an :class:`~repro.engine.EngineConfig`; the registry
 (:mod:`repro.suite.registry`) merges the built-in circuits with ``.rml``
 files discovered on disk; and the runner (:mod:`repro.suite.runner`) fans
 jobs out across crash-isolated work-stealing shards
@@ -9,8 +9,8 @@ jobs out across crash-isolated work-stealing shards
 
     >>> from repro.suite import builtin_jobs, run_jobs, suite_report
     >>> jobs = builtin_jobs()
-    >>> jobs[0].kind, jobs[0].config.trans
-    ('builtin', 'partitioned')
+    >>> jobs[0].name, jobs[0].config.trans
+    ('counter@full', 'partitioned')
 
 Execute with ``run_jobs(jobs, max_workers=4)`` and serialise with
 ``suite_report(results)`` — see the README's suite-runner section.  Each
@@ -24,7 +24,8 @@ _LAZY = {
     "CoverageJob": "jobs",
     "BUILTIN_TARGETS": "registry",
     "BuiltinTarget": "registry",
-    "build_builtin": "registry",
+    "builtin_source": "registry",
+    "builtin_job": "registry",
     "builtin_jobs": "registry",
     "default_jobs": "registry",
     "discover_rml": "registry",
@@ -50,7 +51,8 @@ __all__ = [
     "CoverageJob",
     "BuiltinTarget",
     "BUILTIN_TARGETS",
-    "build_builtin",
+    "builtin_source",
+    "builtin_job",
     "builtin_jobs",
     "default_jobs",
     "discover_rml",

@@ -1,14 +1,14 @@
 """Suite registry: built-in circuits merged with ``.rml`` files on disk.
 
-The registry turns what can be analysed into suite jobs:
+The registry turns what can be analysed into suite jobs, each one
+``.rml`` text:
 
-* :func:`builtin_jobs` — one job per target and stage of
-  :data:`~repro.circuits.BUILTIN_TARGETS` (the table, and
-  :func:`~repro.circuits.build_builtin`, live in :mod:`repro.circuits`
-  and are re-exported here).
+* :func:`builtin_job` / :func:`builtin_jobs` — a target at a stage of
+  :data:`~repro.circuits.BUILTIN_TARGETS`, as the module text
+  :func:`~repro.circuits.builtin_source` renders (the table and the
+  renderer live in :mod:`repro.circuits` and are re-exported here).
 * :func:`~repro.lang.discover_rml` / :func:`rml_job` — ``.rml`` model
-  files found on disk, each carrying its own properties and observed
-  signals.
+  files found on disk.
 * :func:`default_jobs` — the merged job list a suite run executes: every
   builtin target at every stage, plus every discovered ``.rml`` file.
 
@@ -18,10 +18,9 @@ Engine knobs travel as one :class:`~repro.engine.EngineConfig` value.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
-from ..analysis import KIND_BUILTIN, KIND_RML
-from ..circuits import BUILTIN_TARGETS, BuiltinTarget, build_builtin
+from ..circuits import BUILTIN_TARGETS, BuiltinTarget, builtin_source
 from ..engine import DEFAULT_CONFIG, EngineConfig
 from ..lang import discover_rml
 from .jobs import CoverageJob
@@ -29,9 +28,10 @@ from .jobs import CoverageJob
 __all__ = [
     "BuiltinTarget",
     "BUILTIN_TARGETS",
-    "build_builtin",
+    "builtin_source",
     "discover_rml",
     "rml_job",
+    "builtin_job",
     "builtin_jobs",
     "default_jobs",
 ]
@@ -41,25 +41,32 @@ __all__ = [
 # ----------------------------------------------------------------------
 
 
+def builtin_job(
+    target: str,
+    stage: Optional[str] = None,
+    buggy: bool = False,
+    *,
+    config: Optional[EngineConfig] = None,
+) -> CoverageJob:
+    """A job running a builtin target's module text, named
+    ``target@stage``.  Raises :class:`ValueError` as
+    :func:`~repro.circuits.builtin_source` does."""
+    return CoverageJob(
+        name=f"{target}@{stage}" if stage else target,
+        source=builtin_source(target, stage, buggy),
+        stage=stage,
+        config=config if config is not None else DEFAULT_CONFIG,
+    )
+
+
 def builtin_jobs(*, config: Optional[EngineConfig] = None) -> List[CoverageJob]:
     """One job per (builtin target, stage) pair — stage-less targets get a
     single job at their default suite."""
-    config = config if config is not None else DEFAULT_CONFIG
-    jobs: List[CoverageJob] = []
-    for target in BUILTIN_TARGETS.values():
-        stages: Tuple[Optional[str], ...] = target.stages or (None,)
-        for stage in stages:
-            suffix = f"@{stage}" if stage else ""
-            jobs.append(
-                CoverageJob(
-                    name=f"{target.name}{suffix}",
-                    kind=KIND_BUILTIN,
-                    target=target.name,
-                    stage=stage,
-                    config=config,
-                )
-            )
-    return jobs
+    return [
+        builtin_job(target.name, stage, config=config)
+        for target in BUILTIN_TARGETS.values()
+        for stage in target.stages or (None,)
+    ]
 
 
 def rml_job(
@@ -67,14 +74,12 @@ def rml_job(
 ) -> CoverageJob:
     """A job running one ``.rml`` file (source is read eagerly so the job
     stays self-contained when shipped to a worker process)."""
-    config = config if config is not None else DEFAULT_CONFIG
     path = Path(path)
     return CoverageJob(
         name=f"rml:{path.stem}",
-        kind=KIND_RML,
-        path=str(path),
         source=path.read_text(),
-        config=config,
+        path=str(path),
+        config=config if config is not None else DEFAULT_CONFIG,
     )
 
 

@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .._version import __version__
-from ..analysis import Analysis, AnalysisResult
+from ..analysis import KIND_RML, Analysis, AnalysisResult
 from ..errors import ReportError, ReproError
 from .jobs import CoverageJob
 from .shards import DEFAULT_MAX_SHARD_RETRIES, ShardStats, run_sharded
@@ -79,7 +79,7 @@ def execute_job(
     except (ReproError, ValueError, OSError) as exc:
         return AnalysisResult(
             name=job.name,
-            kind=job.kind,
+            kind=KIND_RML,
             status="error",
             stage=job.stage,
             path=job.path,
@@ -95,7 +95,7 @@ def _shard_error_result(job: CoverageJob, message: str) -> AnalysisResult:
     :func:`execute_job`'s own error capture."""
     return AnalysisResult(
         name=job.name,
-        kind=job.kind,
+        kind=KIND_RML,
         status="error",
         stage=job.stage,
         path=job.path,
@@ -189,7 +189,7 @@ def run_jobs_via_server(
             # and without it suite totals and format_results undercount.
             return AnalysisResult(
                 name=job.name,
-                kind=job.kind,
+                kind=KIND_RML,
                 status="error",
                 stage=job.stage,
                 path=job.path,

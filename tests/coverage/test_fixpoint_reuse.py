@@ -25,7 +25,7 @@ from repro.ctl import parse_ctl
 from repro.engine import TRANS_MODES, EngineConfig
 from repro.gen import GenParams, generate
 from repro.lang import elaborate, load_module
-from repro.suite import BUILTIN_TARGETS, build_builtin
+from repro.suite import BUILTIN_TARGETS
 
 ROOT = Path(__file__).resolve().parents[2]
 
@@ -44,7 +44,7 @@ def _shipped_fsm(name):
     if name.endswith(".rml"):
         return elaborate(load_module(ROOT / name)).fsm
     target, _, stage = name.partition("@")
-    return build_builtin(target, stage=stage or None)[0]
+    return Analysis.builtin(target, stage=stage or None).fsm
 
 
 def _all_shipped():

@@ -7,8 +7,7 @@ an n-ary node from the left), while nested prefixes and left-nested
 stays inside the parsers' 256-level bound.
 """
 
-from hypothesis import given, settings
-from hypothesis import strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.ctl import ctl_to_str, parse_ctl
 from repro.expr import expr_to_str, parse_expr

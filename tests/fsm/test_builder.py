@@ -154,13 +154,12 @@ class TestFairness:
 ORDERS_SCRIPT = """
 import json, sys
 from pathlib import Path
-from repro.lang import elaborate, load_module
-from repro.suite import BUILTIN_TARGETS, build_builtin
-orders = {}
-for name in BUILTIN_TARGETS:
-    orders[name] = build_builtin(name)[0].manager.var_names
-orders["buffer-lo --buggy"] = build_builtin(
-    "buffer-lo", buggy=True)[0].manager.var_names
+from repro.circuits import BUILTIN_TARGETS, builtin_source
+from repro.lang import elaborate, load_module, parse_module
+def order(text):
+    return elaborate(parse_module(text)).fsm.manager.var_names
+orders = {name: order(builtin_source(name)) for name in BUILTIN_TARGETS}
+orders["buffer-lo --buggy"] = order(builtin_source("buffer-lo", buggy=True))
 for path in sorted(Path(sys.argv[1]).glob("*.rml")):
     orders[path.name] = elaborate(load_module(path)).fsm.manager.var_names
 print(json.dumps(orders))

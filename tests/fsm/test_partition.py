@@ -26,7 +26,9 @@ from repro.errors import ModelError
 from repro.fsm import TransitionPartition, early_quantification_schedule
 from repro.fsm.partition import _order_conjuncts, may_cluster, validate_trans_mode
 from repro.lang import elaborate, load_module
-from repro.suite import BUILTIN_TARGETS, build_builtin
+from repro.suite import BUILTIN_TARGETS
+
+from ..builtins import builtin_model
 
 ROOT = Path(__file__).resolve().parents[2]
 
@@ -46,7 +48,7 @@ def _shipped_fsms():
     ``pytest.param`` lazily building its FSM."""
     for name, stage in BUILTIN_CASES:
         yield pytest.param(
-            lambda name=name, stage=stage: build_builtin(name, stage=stage)[0],
+            lambda name=name, stage=stage: builtin_model(name, stage=stage)[0],
             id=f"{name}@{stage}",
         )
     for path in RML_MODELS:

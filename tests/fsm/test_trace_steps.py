@@ -18,7 +18,9 @@ import pytest
 from repro.analysis import Analysis
 from repro.engine import TRANS_MODES, TRANS_PARTITIONED, EngineConfig
 from repro.lang import elaborate, load_module
-from repro.suite import BUILTIN_TARGETS, build_builtin
+from repro.suite import BUILTIN_TARGETS
+
+from ..builtins import builtin_model
 
 ROOT = Path(__file__).resolve().parents[2]
 
@@ -57,14 +59,14 @@ def test_rml_predecessors_match_preimage(path, trans):
     "name,stage", BUILTIN_CASES, ids=[f"{n}@{s}" for n, s in BUILTIN_CASES]
 )
 def test_builtin_predecessors_match_preimage(name, stage, trans):
-    fsm = build_builtin(name, stage=stage, config=EngineConfig(trans=trans))[0]
+    fsm = builtin_model(name, stage=stage, config=EngineConfig(trans=trans))[0]
     assert fsm.trans_mode == trans
     _assert_predecessors_match_preimage(fsm)
 
 
 def test_repeat_trace_reuses_partition_cofactors():
     config = EngineConfig(trans=TRANS_PARTITIONED)
-    fsm = build_builtin("pipeline", stage="initial", config=config)[0]
+    fsm = builtin_model("pipeline", stage="initial", config=config)[0]
     target = fsm.state_cube(next(fsm.iter_states(fsm.rings()[-1])))
     first = fsm.shortest_trace(target)
     assert len(first) > 2

@@ -19,7 +19,9 @@ from repro.coverage import CoverageEstimator, format_uncovered_traces
 from repro.engine import EngineConfig
 from repro.lang import elaborate, load_module
 from repro.mc import ModelChecker
-from repro.suite import BUILTIN_TARGETS, build_builtin
+from repro.suite import BUILTIN_TARGETS
+
+from ..builtins import builtin_model
 
 MONO = EngineConfig(trans="mono")
 PARTITIONED = EngineConfig(trans="partitioned")
@@ -62,8 +64,8 @@ def _estimate(fsm, props, observed, dont_care):
 
 @pytest.mark.parametrize("name,stage", _all_builtin_cases())
 def test_builtin_targets_mode_equivalent(name, stage):
-    mono = build_builtin(name, stage=stage, config=MONO)
-    part = build_builtin(name, stage=stage, config=PARTITIONED)
+    mono = builtin_model(name, stage=stage, config=MONO)
+    part = builtin_model(name, stage=stage, config=PARTITIONED)
     fsm_m, props_m, obs_m, dc_m = mono
     fsm_p, props_p, obs_p, dc_p = part
     assert fsm_m.trans_mode == "mono"
@@ -104,7 +106,7 @@ def test_counterexample_traces_mode_equivalent():
     augmented suite is the one that catches the planted bug)."""
     results = {}
     for trans in ("mono", "partitioned"):
-        fsm, props, _obs, _dc = build_builtin(
+        fsm, props, _obs, _dc = builtin_model(
             "buffer-lo", stage="augmented", buggy=True,
             config=EngineConfig(trans=trans),
         )
@@ -125,8 +127,8 @@ def test_counterexample_traces_mode_equivalent():
 def test_lazy_mono_transition_matches_eager():
     """Accessing ``transition`` on a partitioned FSM conjoins the same
     relation the mono build produced eagerly."""
-    fsm_m, _, _, _ = build_builtin("queue-wrap", config=MONO)
-    fsm_p, _, _, _ = build_builtin("queue-wrap", config=PARTITIONED)
+    fsm_m, _, _, _ = builtin_model("queue-wrap", config=MONO)
+    fsm_p, _, _, _ = builtin_model("queue-wrap", config=PARTITIONED)
     # Different managers — compare via satcount over all variables.
     all_vars = list(range(fsm_m.manager.num_vars))
     assert fsm_m.transition.satcount(all_vars) == fsm_p.transition.satcount(
@@ -145,7 +147,7 @@ def test_lazy_mono_transition_matches_eager():
 @pytest.mark.parametrize("name,stage", _all_builtin_cases())
 def test_facade_matches_hand_wired_pipeline(name, stage, trans):
     config = EngineConfig(trans=trans)
-    manual = _estimate(*build_builtin(name, stage=stage, config=config))
+    manual = _estimate(*builtin_model(name, stage=stage, config=config))
     analysis = Analysis.builtin(name, stage=stage, config=config)
     if not analysis.holds():
         facade = ("fail", tuple(str(r.formula) for r in analysis.failing()))

@@ -133,9 +133,20 @@ class TestExitCodes:
 
 
 class TestTargetFlag:
-    def test_builtin_target_has_no_source(self, capsys):
-        assert main(["lint", "--target", "counter@full"]) == 2
-        assert "builtin circuit" in capsys.readouterr().err
+    def test_builtin_target_lints_its_generated_text(self, capsys):
+        assert main(["lint", "--target", "queue-wrap@final", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["files"] == ["queue-wrap@final"]
+        assert report["diagnostics"] == []
+
+    def test_example_name_keeps_meaning_the_example(self, capsys):
+        assert main(["lint", "--target", "counter", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["files"] == ["examples/counter.rml"]
+
+    def test_invalid_builtin_stage_names_the_valid_ones(self, capsys):
+        assert main(["lint", "--target", "counter@bogus"]) == 2
+        assert "valid stages: full, partial" in capsys.readouterr().err
 
     def test_unknown_target(self, capsys):
         assert main(["lint", "--target", "nonsense"]) == 2

@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from repro.analysis import KIND_RML, Analysis, AnalysisResult
+from repro.analysis import Analysis, AnalysisResult
 from repro.engine import EngineConfig
 from repro.errors import ReportError
 from repro.lang import parse_module
@@ -58,7 +58,7 @@ class TestFromRmlModuleReuse:
 
     def test_from_job_reuses_a_preparsed_module(self):
         job = CoverageJob(
-            name="rml:m", kind=KIND_RML, source=RML, config=EngineConfig()
+            name="rml:m", source=RML, config=EngineConfig()
         )
         module = parse_module(RML)
         with counter_delta("lang.parse_module") as parses:
@@ -70,7 +70,7 @@ class TestFromRmlModuleReuse:
 class TestExecuteJobHooks:
     def test_include_lint_false_omits_the_lint_block(self):
         job = CoverageJob(
-            name="rml:m", kind=KIND_RML, source=RML, config=EngineConfig()
+            name="rml:m", source=RML, config=EngineConfig()
         )
         with_lint = execute_job(job).to_json()
         without = execute_job(job, include_lint=False).to_json()
@@ -104,14 +104,14 @@ class TestAnalysisResultFromJson:
         assert revived.config.trans == "mono"
 
     def test_unknown_fields_are_rejected(self):
-        doc = AnalysisResult(name="n", kind="builtin", status="ok").to_json()
+        doc = AnalysisResult(name="n", kind="rml", status="ok").to_json()
         doc["surprise"] = 1
         with pytest.raises(ReportError, match="surprise"):
             AnalysisResult.from_json(doc)
 
     def test_missing_identity_fields_are_rejected(self):
         with pytest.raises(ReportError, match="status"):
-            AnalysisResult.from_json({"name": "n", "kind": "builtin"})
+            AnalysisResult.from_json({"name": "n", "kind": "rml"})
 
     def test_non_object_is_rejected(self):
         with pytest.raises(ReportError):

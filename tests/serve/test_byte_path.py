@@ -21,7 +21,7 @@ from urllib.parse import urlsplit
 import pytest
 
 import repro.serve.server as server_module
-from repro.analysis import KIND_RML, AnalysisResult
+from repro.analysis import AnalysisResult
 from repro.engine import EngineConfig
 from repro.lang import discover_rml, parse_module
 from repro.lint import lint_module
@@ -86,10 +86,8 @@ def dict_envelope(
     }
 
 
-def request_lint(job: CoverageJob) -> Optional[Dict]:
+def request_lint(job: CoverageJob) -> Dict:
     """The lint document a request's raw text gets, computed here."""
-    if job.source is None:
-        return None
     module = parse_module(job.source, filename=job.path)
     return lint_module(
         module, text=job.source, filename=job.path or module.filename
@@ -116,7 +114,7 @@ def matrix_jobs(config: EngineConfig):
     for directory in (ROOT / "examples", ROOT / "tests" / "corpus"):
         jobs += [rml_job(p, config=config) for p in discover_rml(directory)]
     jobs += [
-        CoverageJob(name=name, kind=KIND_RML, source=source, config=config)
+        CoverageJob(name=name, source=source, config=config)
         for name, source in (("rml:fail", RML_FAIL), ("rml:error", RML_ERROR))
     ]
     return jobs
@@ -216,5 +214,5 @@ def test_byte_gauges_are_the_sums_of_what_is_held(threaded_server):
     assert len(memo) == 64
     held = sum(len(entry.body) for entry in cache._memory.values())
     assert counters["serve.cache.memory_bytes"] == held > 0
-    linted = sum(len(lint) for _, lint in memo.values() if lint is not None)
+    linted = sum(len(lint) for _, lint in memo.values())
     assert counters["serve.server.memo_bytes"] == linted > 0

@@ -15,10 +15,10 @@ import threading
 
 import pytest
 
-from repro.analysis import KIND_BUILTIN, KIND_RML
 from repro.engine import EngineConfig
 from repro.errors import ServeError
 from repro.suite.jobs import CoverageJob
+from repro.suite.registry import builtin_job
 from repro.suite.runner import execute_job
 
 REQUESTS = 200
@@ -63,15 +63,12 @@ def expected():
     """Locally computed ground truth for every valid request shape."""
     truth = {}
     for target, stage in BUILTINS:
-        job = CoverageJob(
-            name=f"{target}@{stage}", kind=KIND_BUILTIN, target=target,
-            stage=stage, config=EngineConfig(),
-        )
+        job = builtin_job(target, stage)
         truth["builtin", target, stage] = stripped(execute_job(job).to_json())
     for n in range(4):
         for i, noise in enumerate(NOISE):
             job = CoverageJob(
-                name=f"fuzz{n}", kind=KIND_RML, source=rml_text(n, noise),
+                name=f"fuzz{n}", source=rml_text(n, noise),
                 config=EngineConfig(),
             )
             truth["rml", n, i] = stripped(execute_job(job).to_json())

@@ -1,9 +1,10 @@
-"""The ``repro-key/v1`` scheme: stability, invariance, and sensitivity.
+"""The ``repro-key/v2`` scheme: stability, invariance, and sensitivity.
 
 The cache is only sound if the key is exactly as blind as the engine:
 invariant under concrete-syntax noise (whitespace, comments — the
 engine never sees them), distinct under anything the engine *does* see
-(semantic edits, config knobs, property selection).
+(semantic edits, config knobs, property selection), and distinct under
+the fields a result echoes back (name, path, stage).
 """
 
 import pytest
@@ -13,6 +14,7 @@ from repro.engine import EngineConfig
 from repro.errors import ParseError
 from repro.lang import module_to_str, parse_module
 from repro.serve.keys import canonical_rml, model_key, request_key
+from repro.suite.registry import builtin_source
 
 from ..strategies import modules
 
@@ -79,14 +81,18 @@ class TestModelKey:
 
 
 class TestRequestKey:
-    def test_exactly_one_of_rml_and_target(self):
-        with pytest.raises(ValueError):
-            request_key()
-        with pytest.raises(ValueError):
-            request_key(rml=BASE, target="counter")
-
-    def test_rml_and_builtin_never_collide(self):
-        assert request_key(rml=BASE) != request_key(target="counter")
+    def test_builtins_are_keyed_by_their_text(self):
+        """There is no builtin key kind: a builtin target's key is its
+        module text's, so a stage (another suite) or an edit to the
+        circuit lands on another key."""
+        with pytest.raises(TypeError):
+            request_key(target="counter")
+        full = builtin_source("counter", "full")
+        assert request_key(full) == request_key(parse_module(full))
+        assert request_key(full) != request_key(builtin_source("counter", "partial"))
+        edited = full.replace("stall : count;", "stall : count + 1;")
+        assert edited != full
+        assert request_key(full) != request_key(edited)
 
     def test_rml_accepts_parsed_module(self):
         module = parse_module(BASE)
@@ -95,16 +101,23 @@ class TestRequestKey:
     def test_config_is_part_of_the_key(self):
         mono = EngineConfig(trans="mono")
         assert request_key(rml=BASE) != request_key(rml=BASE, config=mono)
-        assert request_key(target="counter") != request_key(
-            target="counter", config=mono
-        )
 
-    def test_property_selection_is_part_of_the_key(self):
-        base = request_key(target="counter")
-        assert base != request_key(target="counter", stage="partial")
-        assert base != request_key(target="counter", buggy=True)
-        assert request_key(target="counter", stage="partial") != request_key(
-            target="counter", stage="full"
+    def test_echoed_fields_are_part_of_the_key(self):
+        base = request_key(BASE)
+        keys = {
+            base,
+            request_key(BASE, name="rml:a"),
+            request_key(BASE, name="rml:b"),
+            request_key(BASE, path="a/m.rml"),
+            request_key(BASE, stage="final"),
+        }
+        assert len(keys) == 5
+
+    def test_echoed_fields_cannot_spill_into_each_other(self):
+        # Each field is JSON-encoded on its own header line, so a value
+        # holding a newline and another field's text stays one value.
+        assert request_key(BASE, name='a\npath="p"') != request_key(
+            BASE, name="a", path="p"
         )
 
     def test_default_config_is_explicit_not_absent(self):

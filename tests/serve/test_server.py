@@ -7,14 +7,18 @@ the loop.
 """
 
 import threading
+from pathlib import Path
 
-from repro.analysis import KIND_BUILTIN, KIND_RML, AnalysisResult
+from repro.analysis import AnalysisResult
 from repro.engine import EngineConfig
 from repro.serve.cache import ENTRY_SCHEMA
 from repro.serve.server import SERVE_SCHEMA
 from repro.serve.workers import WorkerPool, payload_from_job
 from repro.suite.jobs import CoverageJob
+from repro.suite.registry import builtin_job, builtin_source
 from repro.suite.runner import execute_job
+
+ROOT = Path(__file__).resolve().parents[2]
 
 RML = (
     "MODULE m\n"
@@ -113,10 +117,7 @@ class TestCaching:
 
 class TestByteIdentity:
     def test_builtin_matches_direct_execution(self, threaded_server):
-        job = CoverageJob(
-            name="counter@full", kind=KIND_BUILTIN, target="counter",
-            stage="full", config=EngineConfig(),
-        )
+        job = builtin_job("counter", "full")
         local = execute_job(job).to_json()
         remote = threaded_server().client().analyze_job(job).to_json()
         assert strip_timings(remote) == strip_timings(local)
@@ -125,7 +126,7 @@ class TestByteIdentity:
         self, threaded_server
     ):
         job = CoverageJob(
-            name="rml:m", kind=KIND_RML, source=RML, config=EngineConfig()
+            name="rml:m", source=RML, config=EngineConfig()
         )
         local = execute_job(job).to_json()
         remote = threaded_server().client().analyze_job(job).to_json()
@@ -137,12 +138,53 @@ class TestByteIdentity:
         # must answer with the same status="error" result document.
         bad = "MODULE m\nVAR x : boolean;\nASSIGN next(x) := !x;\nSPEC AG x;\n"
         job = CoverageJob(
-            name="rml:bad", kind=KIND_RML, source=bad, config=EngineConfig()
+            name="rml:bad", source=bad, config=EngineConfig()
         )
         local = execute_job(job).to_json()
         remote = threaded_server().client().analyze_job(job).to_json()
         assert remote["status"] == "error"
         assert strip_timings(remote) == strip_timings(local)
+
+
+class TestEchoedFields:
+    def test_cached_answer_echoes_each_requests_name_and_path(
+        self, threaded_server
+    ):
+        """The fields a result echoes are part of its key: the same model
+        posted under another name and path is answered with that name and
+        path, not with the first request's."""
+        client = threaded_server().client()
+        text = (ROOT / "examples" / "counter.rml").read_text()
+        first = client.analyze_rml(text, name="rml:a", path="a/counter.rml")
+        second = client.analyze_rml(text, name="rml:b", path="b/other.rml")
+        assert (second["result"]["name"], second["result"]["path"]) == (
+            "rml:b", "b/other.rml"
+        )
+        assert second["result"]["lint"]["files"] == ["b/other.rml"]
+        assert second["key"] != first["key"]
+        again = client.analyze_rml(text, name="rml:b", path="b/other.rml")
+        assert again["cached"] and again["key"] == second["key"]
+
+    def test_target_payload_is_its_builtin_text(self, threaded_server):
+        """A ``target`` payload is keyed and answered as the module text
+        ``builtin_source`` renders: a ``kind: "rml"`` result with lint,
+        the same key as that text posted under the same name and stage."""
+        client = threaded_server().client()
+        by_target = client.analyze_builtin("queue-wrap", stage="final")
+        result = by_target["result"]
+        assert result["kind"] == "rml"
+        assert result["name"] == "queue-wrap@final"
+        assert result["stage"] == "final"
+        assert result["lint"]["diagnostics"] == []
+        by_text = client.analyze(
+            {
+                "rml": builtin_source("queue-wrap", "final"),
+                "name": "queue-wrap@final",
+                "stage": "final",
+            }
+        )
+        assert by_text["key"] == by_target["key"]
+        assert by_text["cached"] is True
 
 
 class TestLintFreshness:
@@ -159,7 +201,7 @@ class TestLintFreshness:
         assert edited["cached"] is True
 
         local_job = CoverageJob(
-            name="rml:m", kind=KIND_RML, source=RML_COMMENTED,
+            name="rml:m", source=RML_COMMENTED,
             config=EngineConfig(),
         )
         local = execute_job(local_job).to_json()
@@ -213,10 +255,7 @@ class TestWorkerPool:
     def test_recycles_after_quota(self):
         pool = WorkerPool(workers=1, recycle_after=2)
         try:
-            job = CoverageJob(
-                name="counter@partial", kind=KIND_BUILTIN, target="counter",
-                stage="partial", config=EngineConfig(),
-            )
+            job = builtin_job("counter", "partial")
             payload = payload_from_job(job)
             for _ in range(5):
                 doc = pool.submit(payload).result(timeout=120)
@@ -232,10 +271,7 @@ class TestWorkerPool:
         pool = WorkerPool(workers=0)
         try:
             assert pool.inline
-            job = CoverageJob(
-                name="counter@partial", kind=KIND_BUILTIN, target="counter",
-                stage="partial", config=EngineConfig(),
-            )
+            job = builtin_job("counter", "partial")
             doc = pool.submit(payload_from_job(job)).result(timeout=120)
             assert AnalysisResult.from_json(doc).status == "ok"
         finally:

@@ -84,7 +84,7 @@ class TestRegistryDiscovery:
     def test_default_jobs_collect_the_corpus(self):
         jobs = default_jobs(rml_dir=CORPUS, include_builtins=False)
         assert len(jobs) == len(_all_files())
-        assert all(job.kind == "rml" for job in jobs)
+        assert sorted(Path(job.path).name for job in jobs) == _all_files()
 
 
 class TestCorpusInBothModes:

@@ -43,7 +43,9 @@ from repro.engine import TRANS_MODES, EngineConfig
 from repro.lang import elaborate, load_module
 from repro.mc import ModelChecker
 from repro.obs import WorkStats
-from repro.suite import BUILTIN_TARGETS, build_builtin
+from repro.suite import BUILTIN_TARGETS
+
+from ..builtins import builtin_model
 
 EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
 
@@ -135,8 +137,8 @@ def _forced_gc_report(fsm, props, observed, dont_care):
 
 @pytest.mark.parametrize("name,stage", _all_builtin_cases())
 def test_builtin_reports_identical_under_forced_gc(name, stage):
-    default = _default_report(*build_builtin(name, stage=stage))
-    forced = _forced_gc_report(*build_builtin(name, stage=stage))
+    default = _default_report(*builtin_model(name, stage=stage))
+    forced = _forced_gc_report(*builtin_model(name, stage=stage))
     assert forced == default
 
 
@@ -161,13 +163,13 @@ def test_mono_vs_partitioned_identical_under_forced_gc(name, stage):
     """The mono/partitioned equivalence guarantee survives the densest GC
     schedule (the tentpole's acceptance criterion)."""
     mono = _forced_gc_report(
-        *build_builtin(
+        *builtin_model(
             name, stage=stage,
             config=EngineConfig(trans="mono"),
         )
     )
     part = _forced_gc_report(
-        *build_builtin(
+        *builtin_model(
             name, stage=stage,
             config=EngineConfig(trans="partitioned"),
         )
@@ -184,9 +186,9 @@ class TestWrapperGranularity:
         self, name, stage, trans
     ):
         default = _default_report(
-            *build_builtin(name, stage=stage, config=EngineConfig(trans=trans))
+            *builtin_model(name, stage=stage, config=EngineConfig(trans=trans))
         )
-        fsm, props, obs, dc = build_builtin(
+        fsm, props, obs, dc = builtin_model(
             name, stage=stage, config=_aggressive(trans)
         )
         assert _default_report(fsm, props, obs, dc) == default

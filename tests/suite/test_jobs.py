@@ -11,7 +11,7 @@ import pickle
 import pytest
 
 from repro.engine import EngineConfig
-from repro.suite import CoverageJob
+from repro.suite import CoverageJob, builtin_job
 
 
 def _reparse_flags(tokens):
@@ -33,54 +33,47 @@ CONFIGS = [
 class TestDescribe:
     @pytest.mark.parametrize("config", CONFIGS)
     def test_builtin_describe_round_trips(self, config):
-        job = CoverageJob(name="counter@full", kind="builtin",
-                          target="counter", stage="full", config=config)
+        job = builtin_job("counter", "full", config=config)
         description = job.describe()
-        assert description.startswith("counter --stage full")
-        flags = description.split("counter --stage full")[1].split()
+        assert description.startswith("<counter@full>")
+        flags = description[len("<counter@full>"):].split()
         assert _reparse_flags(flags) == config
 
     @pytest.mark.parametrize("config", CONFIGS)
     def test_rml_describe_round_trips(self, config):
-        job = CoverageJob(name="rml:m", kind="rml", path="m.rml",
+        job = CoverageJob(name="rml:m", path="m.rml",
                           source="MODULE m\n", config=config)
         description = job.describe()
         assert description.startswith("m.rml")
         flags = description[len("m.rml"):].split()
         assert _reparse_flags(flags) == config
 
-    def test_buggy_and_stage_flags_present(self):
-        job = CoverageJob(name="b", kind="builtin", target="buffer-lo",
-                          stage="augmented", buggy=True,
+    def test_buggy_variant_and_stage_are_in_the_name(self):
+        job = builtin_job("buffer-lo", "augmented", True,
                           config=EngineConfig(trans="mono"))
-        assert job.describe() == (
-            "buffer-lo --stage augmented --buggy --trans mono"
-        )
+        assert job.describe() == "<buffer-lo@augmented> --trans mono"
+        assert "_buggy" in job.source
 
     def test_default_config_renders_no_flags(self):
-        job = CoverageJob(name="c", kind="builtin", target="counter")
-        assert job.describe() == "counter"
+        assert builtin_job("counter").describe() == "<counter>"
 
 
 class TestConstruction:
     def test_default_config(self):
-        job = CoverageJob(name="c", kind="builtin", target="counter")
+        job = CoverageJob(name="c", source="MODULE c\n")
         assert job.config == EngineConfig()
 
     def test_frozen(self):
-        job = CoverageJob(name="c", kind="builtin", target="counter")
+        job = CoverageJob(name="c", source="MODULE c\n")
         with pytest.raises(Exception):
             job.name = "other"
 
     def test_equality_includes_config(self):
-        a = CoverageJob(name="c", kind="builtin", target="counter",
-                        config=EngineConfig(trans="mono"))
-        b = CoverageJob(name="c", kind="builtin", target="counter")
+        a = builtin_job("counter", config=EngineConfig(trans="mono"))
+        b = builtin_job("counter")
         assert a != b
-        assert a == CoverageJob(name="c", kind="builtin", target="counter",
-                                config=EngineConfig(trans="mono"))
+        assert a == builtin_job("counter", config=EngineConfig(trans="mono"))
 
     def test_pickle_round_trip(self):
-        job = CoverageJob(name="c", kind="builtin", target="counter",
-                          config=EngineConfig(gc_threshold=3))
+        job = builtin_job("counter", config=EngineConfig(gc_threshold=3))
         assert pickle.loads(pickle.dumps(job)) == job

@@ -2,10 +2,14 @@
 
 import pytest
 
+from repro.circuits import counter_properties
+from repro.expr import parse_expr
+from repro.lang import parse_module
 from repro.suite import (
     BUILTIN_TARGETS,
-    build_builtin,
+    builtin_job,
     builtin_jobs,
+    builtin_source,
     default_jobs,
     discover_rml,
     rml_job,
@@ -19,31 +23,40 @@ class TestBuiltins:
             "queue-full", "queue-empty", "pipeline",
         }
 
-    def test_build_builtin_returns_quadruple(self):
-        fsm, props, observed, dont_care = build_builtin("counter")
-        assert fsm.name.startswith("counter")
-        assert props
-        assert observed == "count"
-        assert dont_care is None
+    def test_builtin_source_is_one_module_with_its_suite(self):
+        module = parse_module(builtin_source("counter"))
+        assert module.name == "counter_mod5"
+        assert len(module.specs) == len(counter_properties())
+        assert module.observed == ("count",)
+        assert module.dont_care is None
 
     def test_pipeline_carries_dont_care(self):
-        *_, dont_care = build_builtin("pipeline")
-        assert dont_care == "!out_valid"
+        module = parse_module(builtin_source("pipeline"))
+        assert module.dont_care == parse_expr("!out_valid")
 
     def test_unknown_target_raises(self):
         with pytest.raises(ValueError, match="unknown target"):
-            build_builtin("nonsense")
+            builtin_source("nonsense")
 
     def test_invalid_stage_raises(self):
         with pytest.raises(ValueError, match="invalid stage"):
-            build_builtin("counter", stage="bogus")
+            builtin_source("counter", stage="bogus")
         with pytest.raises(ValueError, match="invalid stage"):
-            build_builtin("queue-full", stage="anything")
+            builtin_source("queue-full", stage="anything")
 
     def test_buggy_without_a_buggy_variant_raises(self):
         with pytest.raises(ValueError, match="buggy variants: buffer-hi, buffer-lo"):
-            build_builtin("counter", buggy=True)
-        build_builtin("buffer-hi", buggy=True)
+            builtin_source("counter", buggy=True)
+        with pytest.raises(ValueError, match="no buggy variant"):
+            builtin_job("counter", buggy=True)
+        assert "_buggy" in builtin_source("buffer-hi", buggy=True)
+
+    def test_builtin_job_runs_the_generated_text(self):
+        job = builtin_job("queue-wrap", "final")
+        assert job.name == "queue-wrap@final"
+        assert job.stage == "final"
+        assert job.path is None
+        assert job.source == builtin_source("queue-wrap", "final")
 
     def test_one_job_per_stage(self):
         names = [job.name for job in builtin_jobs()]
@@ -68,15 +81,13 @@ class TestDiscovery:
         job = rml_job(path)
         path.unlink()  # the job must survive the file disappearing
         assert job.name == "rml:tiny"
-        assert job.kind == "rml"
         assert job.source == "MODULE tiny\n"
 
     def test_default_jobs_merges(self, tmp_path):
         (tmp_path / "extra.rml").write_text("MODULE extra\n")
         jobs = default_jobs(rml_dir=tmp_path)
-        kinds = {job.kind for job in jobs}
-        assert kinds == {"builtin", "rml"}
-        assert len(jobs) == len(builtin_jobs()) + 1
+        assert jobs[:-1] == builtin_jobs()
+        assert jobs[-1].path == str(tmp_path / "extra.rml")
 
     def test_default_jobs_without_builtins(self, tmp_path):
         (tmp_path / "only.rml").write_text("MODULE only\n")
@@ -84,5 +95,4 @@ class TestDiscovery:
         assert [job.name for job in jobs] == ["rml:only"]
 
     def test_default_jobs_builtins_only(self):
-        jobs = default_jobs()
-        assert all(job.kind == "builtin" for job in jobs)
+        assert default_jobs() == builtin_jobs()

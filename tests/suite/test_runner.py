@@ -1,6 +1,7 @@
 """Tests for the suite runner: execution, parallelism, JSON reporting."""
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ from repro.suite import (
     JSON_SCHEMA_ID,
     JSON_SCHEMA_ID_V1,
     CoverageJob,
+    builtin_job,
     builtin_jobs,
     execute_job,
     format_results,
@@ -28,14 +30,11 @@ EXAMPLES_DIR = Path(__file__).resolve().parent.parent.parent / "examples"
 #: a verification failure, and a parse error.
 def _jobs():
     return [
-        CoverageJob(name="counter@full", kind="builtin", target="counter",
-                    stage="full"),
-        CoverageJob(name="counter@partial", kind="builtin", target="counter",
-                    stage="partial"),
+        builtin_job("counter", "full"),
+        builtin_job("counter", "partial"),
         rml_job(EXAMPLES_DIR / "traffic_light.rml"),
-        CoverageJob(name="buggy", kind="builtin", target="buffer-lo",
-                    stage="augmented", buggy=True),
-        CoverageJob(name="broken", kind="rml", path="broken.rml",
+        replace(builtin_job("buffer-lo", "augmented", True), name="buggy"),
+        CoverageJob(name="broken", path="broken.rml",
                     source="MODULE broken\nVAR\n  x : oops;\n"),
     ]
 
@@ -78,7 +77,7 @@ class TestExecuteJob:
 
     def test_rml_without_specs_errors(self):
         job = CoverageJob(
-            name="no-specs", kind="rml", path="x.rml",
+            name="no-specs", path="x.rml",
             source=(
                 "MODULE x\nVAR\n  a : boolean;\nASSIGN\n  next(a) := !a;\n"
                 "OBSERVED a;\n"
@@ -101,7 +100,7 @@ class TestExecuteJob:
 
     def test_rml_without_observed_errors(self):
         job = CoverageJob(
-            name="no-observed", kind="rml", path="x.rml",
+            name="no-observed", path="x.rml",
             source=(
                 "MODULE x\nVAR\n  a : boolean;\nASSIGN\n  next(a) := !a;\n"
                 "SPEC AG (a -> AX !a);\n"
@@ -156,9 +155,8 @@ class TestReporting:
     def test_every_job_embeds_a_round_trippable_config(self):
         config = EngineConfig(trans="mono", gc_threshold=9999)
         jobs = [
-            CoverageJob(name="counter@full", kind="builtin",
-                        target="counter", stage="full", config=config),
-            CoverageJob(name="broken", kind="rml", path="broken.rml",
+            builtin_job("counter", "full", config=config),
+            CoverageJob(name="broken", path="broken.rml",
                         source="MODULE broken\nVAR\n  x : oops;\n",
                         config=config),
         ]

@@ -11,6 +11,7 @@ the worker pool respawned instead of the run raising
 import json
 import os
 import threading
+from dataclasses import replace
 
 import pytest
 
@@ -18,7 +19,7 @@ from repro.errors import ConfigError
 from repro.obs import Telemetry
 from repro.obs.counters import counter_delta
 from repro.suite import (
-    CoverageJob,
+    builtin_job,
     default_jobs,
     execute_job,
     rml_job,
@@ -288,9 +289,7 @@ class TestRunJobsSharded:
         jobs = list(healthy)
         jobs.insert(
             2,
-            CoverageJob(
-                name="crash", kind="builtin", target="counter", stage="full"
-            ),
+            replace(builtin_job("counter", "full"), name="crash"),
         )
         monkeypatch.setattr(runner_mod, "execute_job", _crashy_execute_job)
         results, stats = run_jobs_sharded(
@@ -322,8 +321,7 @@ class TestRunJobsSharded:
     ):
         monkeypatch.setattr(runner_mod, "execute_job", _crashy_execute_job)
         jobs = [
-            CoverageJob(name="crash", kind="builtin", target="counter",
-                        stage="full"),
+            replace(builtin_job("counter", "full"), name="crash"),
             rml_job(EXAMPLES_DIR / "traffic_light.rml"),
         ]
         # Two jobs in ONE shard: the innocent neighbour shares the
@@ -337,10 +335,8 @@ class TestRunJobsSharded:
     def test_retry_exhaustion_through_run_jobs(self, monkeypatch):
         monkeypatch.setattr(runner_mod, "execute_job", _crashy_execute_job)
         jobs = [
-            CoverageJob(name="crash", kind="builtin", target="counter",
-                        stage="full"),
-            CoverageJob(name="counter@full", kind="builtin",
-                        target="counter", stage="full"),
+            replace(builtin_job("counter", "full"), name="crash"),
+            builtin_job("counter", "full"),
         ]
         with counter_delta("suite.shards.retries") as retries:
             results, stats = run_jobs_sharded(

@@ -10,7 +10,7 @@ from repro.analysis import Analysis, AnalysisResult
 from repro.circuits import build_counter, counter_partial_properties
 from repro.engine import EngineConfig
 from repro.errors import ModelError, ParseError, VerificationError
-from repro.suite import CoverageJob
+from repro.suite import builtin_job
 
 EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
 
@@ -21,7 +21,7 @@ class TestBuiltinConstructor:
     def test_full_counter(self):
         analysis = Analysis.builtin("counter")
         assert analysis.name == "counter"
-        assert analysis.kind == "builtin"
+        assert analysis.kind == "rml"
         assert analysis.holds()
         assert analysis.coverage().percentage == 100.0
 
@@ -133,16 +133,10 @@ class TestFromFsm:
 
 class TestFromJob:
     def test_builtin_job(self):
-        job = CoverageJob(name="counter@full", kind="builtin",
-                          target="counter", stage="full")
-        analysis = Analysis.from_job(job)
+        analysis = Analysis.from_job(builtin_job("counter", "full"))
         assert analysis.name == "counter@full"
+        assert analysis.stage == "full"
         assert analysis.coverage().percentage == 100.0
-
-    def test_unknown_kind(self):
-        job = CoverageJob(name="x", kind="martian")
-        with pytest.raises(ValueError, match="unknown job kind"):
-            Analysis.from_job(job)
 
 
 class TestPipeline:
@@ -197,15 +191,15 @@ class TestPipeline:
 
 class TestAnalysisResult:
     def test_ok_property(self):
-        assert AnalysisResult(name="n", kind="builtin", status="ok").ok
-        assert not AnalysisResult(name="n", kind="builtin", status="fail").ok
+        assert AnalysisResult(name="n", kind="rml", status="ok").ok
+        assert not AnalysisResult(name="n", kind="rml", status="fail").ok
 
     def test_format_line_shapes(self):
-        ok = AnalysisResult(name="n", kind="builtin", status="ok",
+        ok = AnalysisResult(name="n", kind="rml", status="ok",
                             percentage=100.0, covered_states=20,
                             space_states=20, properties=11)
         assert "100.00%" in ok.format_line()
-        fail = AnalysisResult(name="n", kind="builtin", status="fail",
+        fail = AnalysisResult(name="n", kind="rml", status="fail",
                               properties=7,
                               failing_properties=["AG x"])
         assert "FAIL" in fail.format_line()

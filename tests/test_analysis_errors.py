@@ -19,7 +19,7 @@ from repro.errors import (
     ParseError,
     VerificationError,
 )
-from repro.suite import CoverageJob, execute_job
+from repro.suite import CoverageJob, builtin_job, execute_job
 
 
 class TestFacadeErrors:
@@ -68,24 +68,20 @@ class TestFacadeErrors:
 class TestJobErrorCapture:
     def test_parse_error_becomes_error_status(self):
         job = CoverageJob(
-            name="rml:broken", kind="rml", path="broken.rml",
+            name="rml:broken", path="broken.rml",
             source="MODULE m\nVAR b : boolean\n",
         )
         result = execute_job(job)
         assert result.status == "error"
         assert result.error
 
-    def test_buggy_job_on_a_target_without_one_is_an_error(self):
-        job = CoverageJob(
-            name="counter", kind="builtin", target="counter", buggy=True
-        )
-        result = execute_job(job)
-        assert result.status == "error"
-        assert "no buggy variant" in result.error
+    def test_buggy_job_on_a_target_without_one_is_refused(self):
+        with pytest.raises(ValueError, match="no buggy variant"):
+            builtin_job("counter", buggy=True)
 
     def test_missing_declarations_become_error_status(self):
         job = CoverageJob(
-            name="rml:nospec", kind="rml", path="nospec.rml",
+            name="rml:nospec", path="nospec.rml",
             source="MODULE m\nVAR\n  b : boolean;\nASSIGN\n"
                    "  next(b) := b;\nOBSERVED b;\n",
         )

@@ -113,7 +113,7 @@ def _stale_positional_calls():
     from repro.engine import EngineConfig
     from repro.fsm import CircuitBuilder
     from repro.lang import elaborate, parse_module
-    from repro.suite import build_builtin
+    from repro.suite import builtin_job
 
     def circuit_builder_build():
         b = CircuitBuilder("m")
@@ -137,8 +137,8 @@ def _stale_positional_calls():
         pytest.param(lambda: elaborate(module, "mono"), id="elaborate"),
         pytest.param(circuit_builder_build, id="CircuitBuilder.build"),
         pytest.param(
-            lambda: build_builtin("counter", None, False, EngineConfig()),
-            id="build_builtin",
+            lambda: builtin_job("counter", None, False, EngineConfig()),
+            id="builtin_job",
         ),
     ]
 
@@ -162,7 +162,7 @@ def _removed_keyword_calls():
     from repro.engine import EngineConfig
     from repro.fsm import CircuitBuilder
     from repro.lang import elaborate, parse_module
-    from repro.suite import (CoverageJob, build_builtin, builtin_jobs,
+    from repro.suite import (CoverageJob, builtin_job, builtin_jobs,
                              default_jobs, rml_job)
 
     def circuit_builder_build(**kwargs):
@@ -184,7 +184,7 @@ def _removed_keyword_calls():
         ("build_pipeline", lambda **kw: build_pipeline(3, **kw)),
         ("elaborate", lambda **kw: elaborate(module, **kw)),
         ("CircuitBuilder.build", circuit_builder_build),
-        ("build_builtin", lambda **kw: build_builtin("counter", **kw)),
+        ("builtin_job", lambda **kw: builtin_job("counter", **kw)),
     ]
     calls = [
         (name, fn, keyword)
@@ -197,12 +197,12 @@ def _removed_keyword_calls():
             ("rml_job", lambda **kw: rml_job(example, **kw), keyword),
             ("default_jobs", default_jobs, keyword),
             ("CoverageJob",
-             lambda **kw: CoverageJob("j", "builtin", "counter", **kw),
+             lambda **kw: CoverageJob("j", "MODULE m\n", **kw),
              keyword),
         ]
     calls += [
         ("AnalysisResult",
-         lambda **kw: AnalysisResult("r", "builtin", "ok", **kw), "trans"),
+         lambda **kw: AnalysisResult("r", "rml", "ok", **kw), "trans"),
         ("EngineConfig", EngineConfig, "backend"),
         ("BDDManager", lambda **kw: BDDManager(["a"], **kw), "backend"),
         # Dynamic reordering is gone; the variable order is fixed when the
@@ -239,13 +239,15 @@ def test_removed_engine_keywords_are_rejected(call, keyword):
 
 
 def _removed_attribute_reads():
+    import repro.analysis
     import repro.bdd
+    import repro.circuits
     from repro.analysis import AnalysisResult
     from repro.bdd import BDDManager
     from repro.engine import EngineConfig
     from repro.suite import CoverageJob
 
-    job = CoverageJob("j", "builtin", "counter")
+    job = CoverageJob("j", "MODULE m\n")
     # Spelled in two pieces so a repo-wide grep for the removed
     # interface's name stays empty.
     seam = "BDD" + "Backend"
@@ -253,8 +255,14 @@ def _removed_attribute_reads():
         pytest.param(job, "trans", id="CoverageJob.trans"),
         pytest.param(job, "gc_threshold", id="CoverageJob.gc_threshold"),
         pytest.param(job, "auto_reorder", id="CoverageJob.auto_reorder"),
+        # Builtins are .rml text: no builtin job kind, target or variant.
+        pytest.param(job, "kind", id="CoverageJob.kind"),
+        pytest.param(job, "target", id="CoverageJob.target"),
+        pytest.param(job, "buggy", id="CoverageJob.buggy"),
+        pytest.param(repro.analysis, "KIND_BUILTIN", id="KIND_BUILTIN"),
+        pytest.param(repro.circuits, "build_builtin", id="build_builtin"),
         pytest.param(
-            AnalysisResult("r", "builtin", "ok"), "trans",
+            AnalysisResult("r", "rml", "ok"), "trans",
             id="AnalysisResult.trans",
         ),
         pytest.param(EngineConfig(), "backend", id="EngineConfig.backend"),

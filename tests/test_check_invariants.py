@@ -128,6 +128,30 @@ def test_single_meter_flags_snapshots_outside_obs(tmp_path, monkeypatch):
     ]
 
 
+def test_one_model_path_flags_builders_outside_the_elaborator(
+    tmp_path, monkeypatch
+):
+    """``src/`` constructs ``CircuitBuilder`` only in the elaborator, and a
+    tree scan flags a construction anywhere else under ``src/`` (a second
+    model path) while leaving the elaborator alone."""
+    checker = _load_checker()
+    assert [
+        v for v in checker.check_tree(ROOT / "src")
+        if v.rule == "one-model-path"
+    ] == []
+    tree = tmp_path / "src" / "repro"
+    (tree / "circuits").mkdir(parents=True)
+    (tree / "lang").mkdir()
+    build = "def model(CircuitBuilder):\n    return CircuitBuilder('m')\n"
+    (tree / "circuits" / "counter.py").write_text(build)
+    (tree / "lang" / "elaborate.py").write_text(build)
+    monkeypatch.setattr(checker, "ROOT", tmp_path)
+    flagged = checker.check_tree(tmp_path / "src")
+    assert [(v.path.parent.name, v.line, v.rule) for v in flagged] == [
+        ("circuits", 2, "one-model-path")
+    ]
+
+
 def test_scoped_scan_skips_out_of_scope_files(tmp_path):
     """On a tree scan, rules only apply inside their scoped paths — a
     recursive helper outside the BDD package is fine."""

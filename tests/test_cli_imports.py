@@ -41,6 +41,11 @@ BUDGETS = [
         ["lint", "--target", "counter"],
         ("repro.bdd", "repro.fsm", "repro.analysis"),
     ),
+    # A builtin's text is generated without the engine.
+    (
+        ["lint", "--target", "queue-wrap@final"],
+        ("repro.bdd", "repro.fsm", "repro.analysis"),
+    ),
     # Target mode reads the builtin table, not the suite layer.
     (["--list"], ("repro.suite", "multiprocessing", "concurrent.futures")),
     (

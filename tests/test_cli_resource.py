@@ -12,7 +12,7 @@ import pytest
 
 from repro.cli import main
 from repro.engine import EngineConfig
-from repro.suite import CoverageJob, default_jobs, execute_job
+from repro.suite import builtin_job, default_jobs, execute_job
 
 EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
 
@@ -124,11 +124,8 @@ class TestSuiteMode:
 
 class TestJobExecution:
     def test_builtin_job_with_policy_fields(self):
-        job = CoverageJob(
-            name="counter@full",
-            kind="builtin",
-            target="counter",
-            stage="full",
+        job = builtin_job(
+            "counter", "full",
             # Tiny threshold: the counter's live set is a few hundred
             # nodes, so this forces collections to actually happen.
             config=EngineConfig(gc_threshold=50),
@@ -143,9 +140,8 @@ class TestJobExecution:
     def test_jobs_pickle_roundtrip(self):
         import pickle
 
-        job = CoverageJob(
-            name="x", kind="builtin", target="counter",
-            config=EngineConfig(gc_threshold=7, cache_threshold=77),
+        job = builtin_job(
+            "counter", config=EngineConfig(gc_threshold=7, cache_threshold=77)
         )
         clone = pickle.loads(pickle.dumps(job))
         assert clone == job

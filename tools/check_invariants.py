@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Fail CI when the codebase breaks one of its structural invariants.
 
-Three guarantees the codebase relies on are enforceable by AST
+Four guarantees the codebase relies on are enforceable by AST
 inspection, so this tool enforces them:
 
 ``kernel-recursion``
@@ -27,6 +27,15 @@ inspection, so this tool enforces them:
     (``Telemetry.span`` yields the phase's ``WorkStats``); a second
     snapshot site would be a second meter that can drift from the span's
     numbers and doubles the snapshot work.
+
+``one-model-path``
+    Inside ``src/``, only the elaborator (``src/repro/lang/elaborate.py``)
+    calls ``CircuitBuilder(...)``.  Every model the library analyses —
+    the paper's circuits included — is ``.rml`` text that goes through
+    parse → check → elaborate; a second construction site would be a
+    second model path that lint, the serve key and the reports cannot
+    see.  ``CircuitBuilder`` stays public for hand-built circuits outside
+    ``src/``.
 
 When scanning a directory each rule applies only to its scoped paths;
 explicitly-listed files get every rule (which is how the deliberately
@@ -64,6 +73,9 @@ KERNEL_DIR = "src/repro/bdd/"
 
 #: The only package allowed to snapshot ``resource_stats()``.
 METER_DIR = "src/repro/obs/"
+
+#: The only module allowed to construct a ``CircuitBuilder``.
+ELABORATOR = "src/repro/lang/elaborate.py"
 
 
 class Violation(NamedTuple):
@@ -181,6 +193,30 @@ def check_single_meter(tree: ast.AST, path: Path) -> List[Violation]:
 
 
 # ----------------------------------------------------------------------
+# Rule: one-model-path
+# ----------------------------------------------------------------------
+
+
+def check_one_model_path(tree: ast.AST, path: Path) -> List[Violation]:
+    """Flag ``CircuitBuilder(...)`` constructions."""
+    out: List[Violation] = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+        if name == "CircuitBuilder":
+            out.append(
+                Violation(
+                    path, node.lineno, "one-model-path",
+                    "CircuitBuilder(...) outside the elaborator; write the "
+                    "model as .rml text and elaborate it",
+                )
+            )
+    return out
+
+
+# ----------------------------------------------------------------------
 # Driver
 # ----------------------------------------------------------------------
 
@@ -199,6 +235,11 @@ RULES: Tuple[Tuple[str, Callable, Callable], ...] = (
         "single-meter",
         check_single_meter,
         lambda rel: not rel.startswith(METER_DIR),
+    ),
+    (
+        "one-model-path",
+        check_one_model_path,
+        lambda rel: rel.startswith("src/") and rel != ELABORATOR,
     ),
 )
 

@@ -31,3 +31,10 @@ def bad_report(names):
 def bad_meter(manager):
     # single-meter: a resource_stats() snapshot outside repro.obs.
     return manager.resource_stats()["nodes_created"]
+
+
+def bad_model(CircuitBuilder):
+    # one-model-path: a circuit built outside the elaborator.
+    builder = CircuitBuilder("m")
+    builder.latch("x", init=False, next_="!x")
+    return builder.build()
