@@ -4,7 +4,7 @@ The paper's coverage estimate is a pure function of (model, property
 suite, engine config) — so identical requests deserve one computation,
 not many.  This package keeps an analysis service resident: a
 content-addressed result cache (:mod:`~repro.serve.cache`) keyed by the
-``repro-key/v1`` scheme (:mod:`~repro.serve.keys`), a warm recycling
+``repro-key/v2`` scheme (:mod:`~repro.serve.keys`), a warm recycling
 worker pool (:mod:`~repro.serve.workers`), a hand-rolled asyncio HTTP
 server (:mod:`~repro.serve.server`), and a tiny blocking client
 (:mod:`~repro.serve.client`) that ``repro-coverage run/suite --server``

@@ -1,6 +1,6 @@
 """Two-tier result cache: bounded in-memory LRU over a disk store.
 
-One :class:`ResultCache` maps ``repro-key/v1`` request keys
+One :class:`ResultCache` maps ``repro-key/v2`` request keys
 (:mod:`repro.serve.keys`) to JSON-safe analysis results.  The memory tier
 is a bounded LRU (``max_entries``) of :class:`CacheEntry` values: each
 result encoded once, as the bytes of ``json.dumps(result)`` a response

@@ -12,7 +12,8 @@ Routes
 ``POST /v1/analyze``
     Body: a JSON payload (see :func:`repro.serve.workers.job_from_payload`)
     naming either an ``rml`` model text or a ``target`` (a builtin
-    circuit, resolved to its ``.rml`` text), plus an optional ``config``.  Response envelope::
+    circuit, resolved to its ``.rml`` text), plus an optional ``config``.
+    Response envelope::
 
         {"schema": "repro-serve/v1", "key": "<hex>",
          "cached": true|false, "result": { ...AnalysisResult JSON... }}
@@ -39,8 +40,9 @@ Request flow, and where each satellite guarantee lives:
    telemetry asserts this).
 2. On memo miss, the ``.rml`` text (a builtin target's included) is
    parsed once; the module computes the reprint-normalised
-   ``repro-key/v2`` request key *and* the raw-text lint document, then (inline mode) is handed to the worker so the
-   analysis reuses the same AST.
+   ``repro-key/v2`` request key *and* the raw-text lint document, then
+   (inline mode) is handed to the worker so the analysis reuses the
+   same AST.
 3. The key hits the two-tier :class:`~repro.serve.cache.ResultCache`;
    a hit answers without touching the pool.
 4. Misses land in the in-flight table: concurrent identical requests

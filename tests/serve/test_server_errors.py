@@ -68,6 +68,20 @@ class TestProtocolErrors:
         client = threaded_server().client()
         expect_serve_error(lambda: client.analyze({}), 400, "bad-request")
 
+    def test_target_without_text_is_400(self, threaded_server):
+        """A target resolves to its module text before anything else, so
+        one that names no text is a bad request, not an error result."""
+        client = threaded_server().client()
+        for payload, message in (
+            ({"target": "nonsense"}, "unknown target"),
+            ({"target": "counter", "stage": "bogus"}, "invalid stage"),
+            ({"target": "counter", "buggy": True}, "no buggy variant"),
+        ):
+            error = expect_serve_error(
+                lambda: client.analyze(payload), 400, "bad-request"
+            )
+            assert message in str(error)
+
     def test_oversized_body_is_413(self, threaded_server):
         server = threaded_server(max_body=1024)
         client = server.client()

@@ -152,10 +152,11 @@ def test_lazy_package_exports_resolve_and_are_listed(package):
 
 
 def test_serve_loads_no_http_client_or_suite_registry():
-    # What ``_main_serve`` imports.  The server parent loads the engine,
-    # the circuits and the job runner because its forked workers inherit
-    # them (see ``repro.serve.workers``); it never sends a request or
-    # discovers a suite.
+    # What ``_main_serve`` imports.  The server parent loads the engine
+    # and the job runner because its forked workers inherit them, and the
+    # circuits because it resolves ``target`` payloads to their text (see
+    # ``repro.serve.workers``); it never sends a request or discovers a
+    # suite.
     modules = fresh(
         "import json, sys\n"
         "import repro.cli\n"
