@@ -2,41 +2,50 @@
 """Using the library on your own design: a traffic-light controller.
 
 This example shows the full public API surface on a fresh circuit rather
-than a paper benchmark: build a design with :class:`CircuitBuilder`, verify
-CTL properties, estimate coverage for an observed signal, inspect the holes
-with the Definition-3 mutation oracle, and cross-check the two.
+than a paper benchmark: write the design as ``.rml`` module text,
+elaborate it, verify CTL properties, estimate coverage for an observed
+signal, inspect the holes with the Definition-3 mutation oracle, and
+cross-check the two.
 
 Run:  python examples/custom_circuit.py
 """
 
 from repro import (
-    CircuitBuilder,
     CoverageEstimator,
     ModelChecker,
+    elaborate,
     enumerate_model,
     mutation_covered,
     parse_ctl,
+    parse_module,
 )
-from repro.expr import parse_expr
-from repro.expr.arith import increment_mod_bits, mux
+
+#: Green -> yellow -> red -> green, with an emergency override to red.
+TRAFFIC_LIGHT = """
+MODULE traffic_light
+
+VAR
+  emergency : boolean;   -- free input: force the light to red
+  phase : word[2];       -- 0 = green, 1 = yellow, 2 = red
+
+ASSIGN
+  init(phase) := 0;
+  next(phase) := case
+    emergency : 2;
+    phase = 2 : 0;
+    TRUE : phase + 1;
+  esac;
+
+DEFINE
+  green := phase = 0;
+  yellow := phase = 1;
+  red := phase = 2;
+"""
 
 
 def build_traffic_light():
-    """Green -> yellow -> red -> green, with an emergency override to red."""
-    b = CircuitBuilder("traffic_light")
-    emergency = b.input("emergency")
-    bits = ["phase0", "phase1"]
-    advance = increment_mod_bits(bits, 3)  # 0=green, 1=yellow, 2=red
-    # Emergency forces red (phase = 2 = binary 01 on (phase0, phase1)).
-    b.latch("phase0", init=False,
-            next_=mux(emergency, parse_expr("false"), advance[0]))
-    b.latch("phase1", init=False,
-            next_=mux(emergency, parse_expr("true"), advance[1]))
-    b.word("phase", bits)
-    b.define("green", "phase = 0")
-    b.define("yellow", "phase = 1")
-    b.define("red", "phase = 2")
-    return b.build()
+    """The traffic light's FSM: its module text, parsed and elaborated."""
+    return elaborate(parse_module(TRAFFIC_LIGHT), text=TRAFFIC_LIGHT).fsm
 
 
 def main() -> None:

@@ -70,7 +70,7 @@ from .errors import (
     VerificationError,
 )
 from .expr import Expr, evaluate, expr_to_str, parse_expr
-from .fsm import FSM, CircuitBuilder, ExplicitGraph, ExplicitModel, enumerate_model
+from .fsm import FSM, ExplicitGraph, ExplicitModel, enumerate_model
 from .gen import (
     Disagreement,
     FuzzResult,
@@ -156,8 +156,7 @@ __all__ = [
     "CtlFormula", "parse_ctl", "ctl_to_str", "normalize_for_coverage",
     "observability_transform",
     # fsm
-    "FSM", "CircuitBuilder", "ExplicitGraph", "ExplicitModel",
-    "enumerate_model",
+    "FSM", "ExplicitGraph", "ExplicitModel", "enumerate_model",
     # mc
     "ModelChecker", "CheckResult", "ExplicitModelChecker",
     "format_trace", "input_sequence",

@@ -23,7 +23,8 @@ Constructors
     A ``.rml`` model file (path) or module text, parsed and elaborated.
 :meth:`Analysis.from_fsm`
     An already-built FSM with explicit properties/observed signals — the
-    hook for hand-constructed circuits and benchmarks.
+    hook for explicit state graphs (``ExplicitGraph.to_fsm``), FSMs
+    elaborated or generated ahead of time, and benchmarks.
 :meth:`Analysis.from_job`
     A picklable :class:`~repro.suite.jobs.CoverageJob` description — what
     suite worker processes rebuild on their side of the fork.
@@ -57,7 +58,7 @@ from .obs.telemetry import Telemetry, WorkStats
 __all__ = ["Analysis", "AnalysisResult"]
 
 #: Analysis kinds: built from ``.rml`` text (every file, module string,
-#: builtin target and suite job), or from a hand-built FSM.
+#: builtin target and suite job), or from an already-built FSM.
 KIND_RML = "rml"
 KIND_CUSTOM = "custom"
 
@@ -274,8 +275,8 @@ class Analysis:
         self.telemetry.attach(fsm.manager)
         self.fsm.telemetry = self.telemetry
         #: The parsed module AST for rml-built analyses (set by
-        #: ``_from_module``); ``None`` for hand-built FSMs, which have no
-        #: source to lint.
+        #: ``_from_module``); ``None`` for :meth:`from_fsm` analyses, which
+        #: have no source to lint.
         self.module = None
         #: The original ``.rml`` source text when construction had it —
         #: improves lint anchors and enables waiver pragmas.
@@ -422,9 +423,10 @@ class Analysis:
         name: Optional[str] = None,
         config: Optional[EngineConfig] = None,
     ) -> "Analysis":
-        """Wrap an already-built FSM (hand-constructed circuits,
-        benchmarks).  The FSM's engine knobs were fixed when it was built;
-        ``config`` here only documents them on the result."""
+        """Wrap an already-built FSM (an explicit graph's
+        :meth:`~repro.fsm.explicit.ExplicitGraph.to_fsm`, a model elaborated
+        ahead of time, benchmarks).  The FSM's engine knobs were fixed when
+        it was built; ``config`` here only documents them on the result."""
         return cls(
             fsm, properties, observed, dont_care, config=config, name=name,
             kind=KIND_CUSTOM,
@@ -532,7 +534,7 @@ class Analysis:
         built from, as a :class:`~repro.lint.LintReport` (memoised).
 
         Engine-free: runs entirely over the parsed AST, never touching
-        the BDD layer.  Analyses without a module AST (hand-built FSMs)
+        the BDD layer.  Analyses without a module AST (:meth:`from_fsm`)
         return an empty report over zero files.
         """
         from .lint import LintReport, lint_module

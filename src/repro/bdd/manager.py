@@ -31,7 +31,7 @@ Nodes are integers; the two terminals are the reserved node ids ``0``
 are declared: a variable's id is its level (the first declared is topmost),
 so each node stores its variable's id and the kernels compare ids to find
 the top variable.  Callers choose the order by declaring in it
-(``CircuitBuilder.build`` derives it from the next-state logic).  Every
+(:func:`~repro.fsm.builder.build_fsm` derives it from the next-state logic).  Every
 kernel is **iterative** (explicit work stacks), so the engine's depth limit
 is available memory, not Python's recursion limit: a 1400-level BDD chain
 is as routine as a 14-level one.
@@ -1100,11 +1100,6 @@ class BDDManager:
             self._pinned[node] = count
         else:
             self._pinned.pop(node, None)
-
-    def set_policy(self, policy: ResourcePolicy) -> None:
-        """Install a new resource policy and re-arm its triggers."""
-        self.policy = policy
-        self._gc_trigger = policy.gc_node_threshold
 
     def cache_entry_count(self) -> int:
         """Combined entry count of all operation caches."""

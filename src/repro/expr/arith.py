@@ -1,10 +1,8 @@
 """Bit-level arithmetic builders for next-state logic.
 
-Circuits in this library (counters, pointers, entry counts) describe their
-next-state functions as plain expressions over current signals.  These
-helpers construct the per-bit expressions for the usual datapath idioms —
-increment, decrement, modulo wrap, multiplexing — so circuit definitions
-read at the register-transfer level.
+The ``.rml`` elaborator (:mod:`repro.lang.elaborate`) lowers word-valued
+right-hand sides with these helpers: constants, ``word + k`` offsets,
+``hi + lo`` word sums and the multiplexers of ``case`` blocks.
 
 All helpers return :class:`~repro.expr.ast.Expr` trees over the given bit
 signal names (LSB first) and are purely combinational.
@@ -14,18 +12,14 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-from .ast import FALSE_EXPR, TRUE_EXPR, And, Const, Expr, Not, Or, Var, Xor
-from .bitvector import int_to_bits, word_equals_const
+from .ast import FALSE_EXPR, And, Const, Expr, Not, Or, Var, Xor
+from .bitvector import int_to_bits
 
 __all__ = [
     "mux",
-    "increment_bits",
-    "decrement_bits",
-    "increment_mod_bits",
     "const_bits",
     "add_const_bits",
     "add_words_bits",
-    "conditional_delta_bits",
 ]
 
 
@@ -37,34 +31,6 @@ def mux(select: Expr, when_true: Expr, when_false: Expr) -> Expr:
 def const_bits(value: int, width: int) -> List[Expr]:
     """Constant word as a list of constant expressions (LSB first)."""
     return [Const(b) for b in int_to_bits(value, width)]
-
-
-def increment_bits(bits: Sequence[str]) -> List[Expr]:
-    """Per-bit expressions for ``word + 1`` (wrapping at 2^width).
-
-    Bit ``i`` of the incremented value is ``bit_i XOR carry_i`` with
-    ``carry_0 = 1`` and ``carry_{i+1} = carry_i AND bit_i``.
-    """
-    out: List[Expr] = []
-    carry: Expr = TRUE_EXPR
-    for name in bits:
-        out.append(Xor(Var(name), carry))
-        carry = And((carry, Var(name)))
-    return out
-
-
-def decrement_bits(bits: Sequence[str]) -> List[Expr]:
-    """Per-bit expressions for ``word - 1`` (wrapping at 0).
-
-    Bit ``i`` is ``bit_i XOR borrow_i`` with ``borrow_0 = 1`` and
-    ``borrow_{i+1} = borrow_i AND NOT bit_i``.
-    """
-    out: List[Expr] = []
-    borrow: Expr = TRUE_EXPR
-    for name in bits:
-        out.append(Xor(Var(name), borrow))
-        borrow = And((borrow, Not(Var(name))))
-    return out
 
 
 def add_const_bits(bits: Sequence[str], constant: int) -> List[Expr]:
@@ -101,38 +67,3 @@ def add_words_bits(a_bits: Sequence[str], b_bits: Sequence[str]) -> List[Expr]:
         carry = Or((And((a, b)), And((a, carry)), And((b, carry))))
     out.append(carry)
     return out
-
-
-def conditional_delta_bits(
-    bits: Sequence[str], increment: Expr, decrement: Expr
-) -> List[Expr]:
-    """Per-bit next-state for ``word + increment - decrement``.
-
-    ``increment``/``decrement`` are condition expressions; when both or
-    neither hold the word is unchanged.  This is the counting idiom of
-    entry buffers (accept raises, dequeue lowers, simultaneously they
-    cancel).
-    """
-    inc_only = And((increment, Not(decrement)))
-    dec_only = And((decrement, Not(increment)))
-    inc = increment_bits(bits)
-    dec = decrement_bits(bits)
-    return [
-        mux(inc_only, inc[i], mux(dec_only, dec[i], Var(name)))
-        for i, name in enumerate(bits)
-    ]
-
-
-def increment_mod_bits(bits: Sequence[str], modulus: int) -> List[Expr]:
-    """Per-bit expressions for ``(word + 1) mod modulus``.
-
-    The word is assumed to stay within ``[0, modulus)``; when it equals
-    ``modulus - 1`` the next value is 0, otherwise ``word + 1``.
-    """
-    if modulus < 2 or modulus > (1 << len(bits)):
-        raise ValueError(
-            f"modulus {modulus} out of range for {len(bits)}-bit word"
-        )
-    at_top = word_equals_const(list(bits), modulus - 1)
-    inc = increment_bits(bits)
-    return [mux(at_top, FALSE_EXPR, bit) for bit in inc]

@@ -1,6 +1,10 @@
-"""FSM substrate: circuit builder, symbolic Kripke structure, explicit models."""
+"""FSM substrate: symbolic Kripke structure, partitioned relations, explicit models.
 
-from .builder import CircuitBuilder
+The ``.rml`` elaborator compiles every model through
+:func:`repro.fsm.builder.build_fsm`; :meth:`ExplicitGraph.to_fsm` builds one
+from an explicit state graph.
+"""
+
 from .explicit import ExplicitGraph, ExplicitModel, enumerate_model
 from .fsm import FSM, NEXT_SUFFIX
 from .partition import (
@@ -16,7 +20,6 @@ from .partition import (
 __all__ = [
     "FSM",
     "NEXT_SUFFIX",
-    "CircuitBuilder",
     "ExplicitGraph",
     "ExplicitModel",
     "enumerate_model",

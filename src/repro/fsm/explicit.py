@@ -296,8 +296,9 @@ class ExplicitGraph:
 def enumerate_model(fsm: FSM, limit: int = 200_000) -> ExplicitModel:
     """Enumerate the reachable states of a functional FSM explicitly.
 
-    Requires the FSM to carry next-state expressions (circuits built via
-    :class:`~repro.fsm.builder.CircuitBuilder`).  Successor states are the
+    Requires the FSM to carry next-state expressions (every elaborated
+    ``.rml`` model, compiled by :func:`~repro.fsm.builder.build_fsm`,
+    does).  Successor states are the
     latch updates crossed with every input valuation.  Raises
     :class:`ModelError` past ``limit`` states — this path exists for
     oracle validation on small instances, not for scale.

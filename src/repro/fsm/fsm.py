@@ -17,10 +17,10 @@ Current and next copies of each variable are interleaved in the BDD order
 transition relations small and makes current<->next renaming a fast
 monotone rebuild.
 
-Construction goes through :class:`~repro.fsm.builder.CircuitBuilder` (for
-circuits) or :func:`~repro.fsm.explicit.ExplicitGraph.to_fsm` (for explicit
-state graphs); this class only assumes a relation, not functional
-next-state logic.
+Construction goes through :func:`~repro.fsm.builder.build_fsm` (the
+elaborator's back end) or :func:`~repro.fsm.explicit.ExplicitGraph.to_fsm`
+(for explicit state graphs); this class only assumes a relation, not
+functional next-state logic.
 """
 
 from __future__ import annotations
@@ -156,7 +156,7 @@ class FSM:
     ):
         self.manager = manager
         #: The telemetry this machine meters its phases with.  Every FSM
-        #: (including hand-built test fixtures) gets its own at level
+        #: (including explicit-graph test fixtures) gets its own at level
         #: "off", so checker and estimator costs are always measured;
         #: :class:`~repro.analysis.Analysis` installs the run's recorder.
         #: Never affects results — spans only read state.

@@ -3,10 +3,10 @@
 An SMV-inspired contract that decouples model description from library
 code: circuits, properties, observed signals, fairness, and don't-cares
 all live in one ``.rml`` file, parsed by :func:`parse_module`, validated by
-:func:`check_module`, lowered onto the existing
-:class:`~repro.fsm.builder.CircuitBuilder` by :func:`elaborate` (which
-raises the validator's first finding), and round-tripped by
-:func:`module_to_str`.
+:func:`check_module`, compiled to an FSM by :func:`elaborate` (which
+raises the validator's first finding, then hands the module's bit-level
+logic to :func:`~repro.fsm.builder.build_fsm`), and round-tripped by
+:func:`module_to_str`.  ``.rml`` is the library's one model front end.
 
     >>> from repro.lang import parse_module, elaborate
     >>> model = elaborate(parse_module(

@@ -4,31 +4,34 @@
 and raises its first finding as a :class:`~repro.errors.ParseError` carrying
 the source line/column, so errors from ``.rml`` files point at the offending
 text rather than at library internals, and read exactly as ``repro lint``
-reports them.  A module the validator accepts is then only lowered, onto a
-:class:`~repro.fsm.builder.CircuitBuilder` — the only one the library
-constructs: every model it analyses, the paper's circuits in
-:mod:`repro.circuits` included, is ``.rml`` text that comes through here:
+reports them.  A module the validator accepts is then only lowered to its
+bit-level pieces and compiled by :func:`~repro.fsm.builder.build_fsm` — the
+one call of it in the library: every model it analyses, the paper's
+circuits in :mod:`repro.circuits` included, is ``.rml`` text that comes
+through here:
 
-* a variable with a ``next()`` assignment becomes a latch (words become
-  per-bit latch banks via :meth:`CircuitBuilder.word_latch`); one without
+* a variable with a ``next()`` assignment becomes a latch (a word becomes
+  one latch per bit of the symbol table's ``word_bits``); one without
   becomes a free input;
 * word-valued right-hand sides are lowered to per-bit expressions with the
   RTL builders of :mod:`repro.expr.arith` (``count + 1`` becomes a
   ripple-carry increment, ``case`` blocks become per-bit mux trees), over
   the bit names of the validator's symbol table;
 * ``DEFINE`` bodies become combinational signals; word sums
-  (``total := hi + lo``) expand to a carry chain plus a word alias;
+  (``total := hi + lo``) expand to one carry-chain signal per bit of the
+  word;
 * ``FAIRNESS``/``SPEC``/``OBSERVED``/``DONTCARE`` pass through.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..ctl.ast import CtlFormula
 from ..expr.arith import add_const_bits, add_words_bits, const_bits, mux
 from ..expr.ast import FALSE_EXPR, Expr, Var
+from ..expr.bitvector import int_to_bits
 from .ast import Case, Module, WordConst, WordOffset, WordSum
 from .check import check_module
 
@@ -91,7 +94,7 @@ def elaborate(
     knobs: the FSM's transition-relation mode — ``"partitioned"`` (default,
     per-latch conjuncts with early quantification) or ``"mono"`` (one
     relation BDD) — and the resource thresholds compiled into the BDD
-    manager's policy (see :meth:`~repro.fsm.builder.CircuitBuilder.build`).
+    manager's policy (see :func:`~repro.fsm.builder.build_fsm`).
     ``text``, the module's source, anchors errors on constructs the AST
     carries no position for (``OBSERVED`` names, ``DONTCARE``), as
     ``repro lint`` does.
@@ -107,46 +110,44 @@ def elaborate(
     # The engine (and through it the BDD layer) is imported only when a
     # module is actually lowered: importing this package must stay cheap
     # and BDD-free so ``repro.lint`` can use the parser alone.
-    from ..fsm.builder import CircuitBuilder
+    from ..fsm.builder import build_fsm
 
     words = check.table.word_bits
     nexts = {assign.target: assign.value for assign in module.nexts}
     inits = {init.target: init.value for init in module.inits}
-    builder = CircuitBuilder(module.name)
+    latches: Dict[str, Tuple[bool, Expr]] = {}
+    inputs: List[str] = []
     for var in module.vars:
+        bits = words[var.name] if var.is_word else [var.name]
         value = nexts.get(var.name)
         if value is None:
-            if var.is_word:
-                builder.word_input(var.name, var.width)
-            else:
-                builder.input(var.name)
+            inputs += bits
         elif var.is_word:
-            builder.word_latch(
-                var.name,
-                var.width,
-                inits.get(var.name, 0),
-                _word_next(value, var.width, words),
+            init_bits = int_to_bits(inits.get(var.name, 0), var.width)
+            latches.update(
+                zip(bits, zip(init_bits, _word_next(value, var.width, words)))
             )
         else:
-            builder.latch(
-                var.name, bool(inits.get(var.name, 0)), _bool_next(value)
-            )
+            latches[var.name] = (bool(inits.get(var.name, 0)), _bool_next(value))
+    defines: Dict[str, Expr] = {}
     for define in module.defines:
         if isinstance(define.value, WordSum):
-            names = words[define.name]
-            bits = add_words_bits(
-                words[define.value.lhs], words[define.value.rhs]
-            )
-            for bit_name, bit_expr in zip(names, bits):
-                builder.define(bit_name, bit_expr)
-            builder.word(define.name, names)
+            sum_bits = add_words_bits(words[define.value.lhs], words[define.value.rhs])
+            defines.update(zip(words[define.name], sum_bits))
         else:
-            builder.define(define.name, define.value)
-    for fairness in module.fairness:
-        builder.fairness(fairness.expr)
+            defines[define.name] = define.value
+    fsm = build_fsm(
+        module.name,
+        latches,
+        inputs,
+        defines,
+        words,
+        [fairness.expr for fairness in module.fairness],
+        config=config,
+    )
     return ElaboratedModel(
         module=module,
-        fsm=builder.build(config=config),
+        fsm=fsm,
         specs=[spec.formula for spec in module.specs],
         observed=list(module.observed),
         dont_care=module.dont_care,

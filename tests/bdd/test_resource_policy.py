@@ -97,14 +97,6 @@ class TestAutoGC:
         _burn(mgr)  # plenty of safe points, GC at every one
         assert [[f.evaluate(e) for e in envs] for f in funcs] == tables
 
-    def test_set_policy_rearms_triggers(self, names):
-        mgr = BDDManager(names)  # default: high threshold
-        _burn(mgr)
-        assert mgr.gc_runs == 0
-        mgr.set_policy(ResourcePolicy(gc_node_threshold=40))
-        _burn(mgr)
-        assert mgr.gc_runs >= 1
-
 
 class TestCacheEviction:
     def test_cache_entry_cap_clears_caches(self, names):

@@ -1,5 +1,5 @@
-"""The builtin targets as elaborated models, for tests that drive the
-engine layers below :class:`~repro.analysis.Analysis` directly."""
+"""Models as elaborated ``.rml`` text, for tests that drive the engine
+layers below :class:`~repro.analysis.Analysis` directly."""
 
 from repro.circuits import builtin_source
 from repro.lang import elaborate, parse_module
@@ -11,3 +11,8 @@ def builtin_model(name, stage=None, buggy=False, *, config=None):
     text = builtin_source(name, stage, buggy)
     model = elaborate(parse_module(text), config=config, text=text)
     return model.fsm, model.specs, model.observed, model.dont_care
+
+
+def rml_fsm(text, config=None):
+    """The FSM of one ``.rml`` module's text, parsed and elaborated."""
+    return elaborate(parse_module(text), config=config, text=text).fsm

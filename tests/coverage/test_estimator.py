@@ -9,10 +9,10 @@ from repro.coverage import (
 )
 from repro.ctl import parse_ctl
 from repro.errors import CoverageError, NotInSubsetError, VerificationError
-from repro.expr import Var, parse_expr
-from repro.expr.arith import increment_mod_bits, mux
-from repro.fsm import CircuitBuilder
+from repro.expr import parse_expr
 from repro.mc import ModelChecker
+
+from ..builtins import rml_fsm
 
 
 def build_counter(modulus=4, with_stall=True):
@@ -20,18 +20,21 @@ def build_counter(modulus=4, with_stall=True):
     import math
 
     width = max(1, math.ceil(math.log2(modulus)))
-    b = CircuitBuilder(f"mod{modulus}")
-    if with_stall:
-        b.input("stall")
-    bits = [f"c{i}" for i in range(width)]
-    nxt = increment_mod_bits(bits, modulus)
-    for i, bit in enumerate(bits):
-        if with_stall:
-            b.latch(bit, init=False, next_=mux(Var("stall"), Var(bit), nxt[i]))
-        else:
-            b.latch(bit, init=False, next_=nxt[i])
-    b.word("c", bits)
-    return b.build()
+    stall = "stall : boolean;" if with_stall else ""
+    hold = "stall : c;" if with_stall else ""
+    return rml_fsm(f"""
+MODULE mod{modulus}
+VAR
+  {stall}
+  c : word[{width}];
+ASSIGN
+  init(c) := 0;
+  next(c) := case
+    {hold}
+    c = {modulus - 1} : 0;
+    TRUE : c + 1;
+  esac;
+""")
 
 
 def counter_suite(modulus=4):

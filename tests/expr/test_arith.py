@@ -5,17 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import EvaluationError
 from repro.expr import evaluate, int_to_bits
-from repro.expr.arith import (
-    add_const_bits,
-    add_words_bits,
-    conditional_delta_bits,
-    const_bits,
-    decrement_bits,
-    increment_bits,
-    increment_mod_bits,
-    mux,
-)
-from repro.expr.ast import Const, Var
+from repro.expr.arith import add_const_bits, add_words_bits, const_bits, mux
+from repro.expr.ast import Var
 
 WIDTH = 4
 BITS = [f"b{i}" for i in range(WIDTH)]
@@ -56,20 +47,6 @@ class TestConstBits:
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(0, 15))
-def test_increment_wraps(value):
-    exprs = increment_bits(BITS)
-    assert eval_word(exprs, env_for(value)) == (value + 1) % 16
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(0, 15))
-def test_decrement_wraps(value):
-    exprs = decrement_bits(BITS)
-    assert eval_word(exprs, env_for(value)) == (value - 1) % 16
-
-
-@settings(max_examples=100, deadline=None)
 @given(st.integers(0, 15), st.integers(0, 31))
 def test_add_const(value, constant):
     exprs = add_const_bits(BITS, constant)
@@ -86,36 +63,3 @@ def test_add_words(a, b):
     exprs = add_words_bits(a_bits, b_bits)
     assert len(exprs) == WIDTH + 1  # no overflow
     assert eval_word(exprs, env) == a + b
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(0, 15), st.booleans(), st.booleans())
-def test_conditional_delta(value, inc, dec):
-    exprs = conditional_delta_bits(
-        BITS, Const(inc), Const(dec)
-    )
-    expected = value
-    if inc and not dec:
-        expected = (value + 1) % 16
-    elif dec and not inc:
-        expected = (value - 1) % 16
-    assert eval_word(exprs, env_for(value)) == expected
-
-
-class TestIncrementMod:
-    @pytest.mark.parametrize("modulus", [2, 3, 5, 8])
-    def test_all_values(self, modulus):
-        import math
-
-        width = max(1, math.ceil(math.log2(modulus)))
-        bits = [f"m{i}" for i in range(width)]
-        exprs = increment_mod_bits(bits, modulus)
-        for value in range(modulus):
-            env = {n: v for n, v in zip(bits, int_to_bits(value, width))}
-            assert eval_word(exprs, env) == (value + 1) % modulus
-
-    def test_bad_modulus(self):
-        with pytest.raises(ValueError):
-            increment_mod_bits(["x"], 3)
-        with pytest.raises(ValueError):
-            increment_mod_bits(["x", "y"], 1)

@@ -1,84 +1,74 @@
-"""Tests for CircuitBuilder compilation."""
+"""Tests for ``build_fsm``: the FSM an elaborated ``.rml`` module compiles to."""
 
+import gc
 import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
 from repro.bdd import Function
 from repro.circuits import build_pipeline
-from repro.errors import ModelError
+from repro.engine import EngineConfig
 from repro.expr import parse_expr
-from repro.expr.arith import increment_mod_bits
-from repro.fsm import NEXT_SUFFIX, CircuitBuilder
-from repro.lang import elaborate, parse_module
+from repro.fsm import NEXT_SUFFIX, TRANS_MODES
+from repro.lang import elaborate, load_module, parse_module
 from repro.obs.bench import WORD_COMPARE_RML
+
+from ..builtins import rml_fsm
 
 ROOT = Path(__file__).resolve().parents[2]
 
 
 def build_toggle():
-    b = CircuitBuilder("toggle")
-    b.input("en")
-    b.latch("t", init=False, next_="t ^ en")
-    return b.build()
+    return rml_fsm("""
+MODULE toggle
+VAR
+  en : boolean;
+  t : boolean;
+ASSIGN
+  next(t) := t ^ en;
+""")
 
 
 def build_mod3_counter():
-    b = CircuitBuilder("mod3")
-    bits = [f"c{i}" for i in range(2)]
-    nxt = increment_mod_bits(bits, 3)
-    b.latch("c0", init=False, next_=nxt[0])
-    b.latch("c1", init=False, next_=nxt[1])
-    b.word("c", bits)
-    b.define("at_top", "c = 2")
-    return b.build()
+    return rml_fsm("""
+MODULE mod3
+VAR
+  c : word[2];
+ASSIGN
+  init(c) := 0;
+  next(c) := case
+    c = 2 : 0;
+    TRUE : c + 1;
+  esac;
+DEFINE
+  at_top := c = 2;
+""")
 
 
 class TestDeclarations:
-    def test_duplicate_name_rejected(self):
-        b = CircuitBuilder("x")
-        b.input("a")
-        with pytest.raises(ModelError):
-            b.latch("a", init=False, next_="a")
-
-    def test_reserved_suffix_rejected(self):
-        b = CircuitBuilder("x")
-        with pytest.raises(ModelError):
-            b.input("a#next")
-
-    def test_empty_circuit_rejected(self):
-        with pytest.raises(ModelError):
-            CircuitBuilder("empty").build()
-
-    def test_word_latch_width_mismatch(self):
-        b = CircuitBuilder("x")
-        with pytest.raises(ModelError):
-            b.word_latch("w", width=2, init=0, next_=["w0"])
-
-    def test_unknown_signal_in_next_rejected_at_build(self):
-        b = CircuitBuilder("x")
-        b.latch("a", init=False, next_="ghost")
-        with pytest.raises(ModelError):
-            b.build()
-
-    def test_combinational_cycle_rejected(self):
-        b = CircuitBuilder("x")
-        b.latch("a", init=False, next_="a")
-        b.define("d1", "d2")
-        b.define("d2", "d1")
-        with pytest.raises(ModelError):
-            b.build()
+    def test_config_policy_reaches_the_new_manager(self):
+        config = EngineConfig(gc_threshold=40, cache_threshold=77)
+        fsm = rml_fsm("MODULE x\nVAR\n  a : boolean;\nASSIGN\n  next(a) := !a;\n",
+                      config=config)
+        assert fsm.manager.policy == config.policy()
 
     def test_define_chain_resolves(self):
-        b = CircuitBuilder("x")
-        b.latch("a", init=True, next_="a")
-        b.define("d1", "a")
-        b.define("d2", "!d1")
-        fsm = b.build()
+        fsm = rml_fsm("""
+MODULE x
+VAR
+  a : boolean;
+ASSIGN
+  init(a) := TRUE;
+  next(a) := a;
+DEFINE
+  d1 := a;
+  d2 := !d1;
+""")
         assert fsm.signal("d2") == ~fsm.signal("a")
 
 
@@ -140,11 +130,15 @@ class TestModCounter:
 
 class TestFairness:
     def test_fairness_symbolized(self):
-        b = CircuitBuilder("f")
-        b.input("stall")
-        b.latch("x", init=False, next_="x | !stall")
-        b.fairness("!stall")
-        fsm = b.build()
+        fsm = rml_fsm("""
+MODULE f
+VAR
+  stall : boolean;
+  x : boolean;
+ASSIGN
+  next(x) := x | !stall;
+FAIRNESS !stall;
+""")
         assert len(fsm.fairness) == 1
         assert fsm.fairness[0] == ~fsm.signal("stall")
 
@@ -216,3 +210,34 @@ class TestDerivedOrder:
         assert outputs[0] == outputs[1]
         examples = [path.name for path in (ROOT / "examples").glob("*.rml")]
         assert examples and set(examples) <= set(outputs[0])
+
+
+class TestManagerLifetime:
+    """Dropping an FSM frees its BDD manager by reference counting alone:
+    nothing the build leaves behind holds the manager in a cycle that only
+    the cyclic collector could break."""
+
+    @pytest.fixture(autouse=True)
+    def cyclic_gc_off(self):
+        enabled = gc.isenabled()
+        gc.disable()
+        yield
+        if enabled:
+            gc.enable()
+
+    @pytest.mark.parametrize("trans", TRANS_MODES)
+    def test_builtin_fsm_frees_its_manager(self, trans):
+        manager = weakref.ref(
+            build_pipeline(3, config=EngineConfig(trans=trans)).manager
+        )
+        assert manager() is None
+
+    @pytest.mark.parametrize("trans", TRANS_MODES)
+    def test_elaborated_fsm_frees_its_manager(self, trans):
+        model = elaborate(
+            load_module(ROOT / "examples" / "counter.rml"),
+            config=EngineConfig(trans=trans),
+        )
+        manager = weakref.ref(model.fsm.manager)
+        del model
+        assert manager() is None

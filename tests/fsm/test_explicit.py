@@ -4,8 +4,9 @@ import pytest
 
 from repro.errors import ModelError
 from repro.expr import parse_expr
-from repro.expr.arith import increment_mod_bits
-from repro.fsm import CircuitBuilder, ExplicitGraph, enumerate_model
+from repro.fsm import ExplicitGraph, enumerate_model
+
+from ..builtins import rml_fsm
 
 
 def diamond_graph():
@@ -123,18 +124,21 @@ class TestSymbolicBridge:
 
 class TestEnumerateModel:
     def build_counter(self):
-        b = CircuitBuilder("mod3")
-        bits = ["c0", "c1"]
-        nxt = increment_mod_bits(bits, 3)
-        b.input("stall")
-        from repro.expr import Var
-        from repro.expr.arith import mux
-
-        b.latch("c0", init=False, next_=mux(Var("stall"), Var("c0"), nxt[0]))
-        b.latch("c1", init=False, next_=mux(Var("stall"), Var("c1"), nxt[1]))
-        b.word("c", bits)
-        b.define("top", "c = 2")
-        return b.build()
+        return rml_fsm("""
+MODULE mod3
+VAR
+  stall : boolean;
+  c : word[2];
+ASSIGN
+  init(c) := 0;
+  next(c) := case
+    stall : c;
+    c = 2 : 0;
+    TRUE : c + 1;
+  esac;
+DEFINE
+  top := c = 2;
+""")
 
     def test_enumeration_matches_symbolic_reachability(self):
         fsm = self.build_counter()

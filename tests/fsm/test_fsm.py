@@ -4,7 +4,8 @@ import pytest
 
 from repro.errors import ModelError
 from repro.expr import parse_expr
-from repro.fsm import CircuitBuilder
+
+from ..builtins import rml_fsm
 
 
 def build_chain(length=4):
@@ -12,17 +13,17 @@ def build_chain(length=4):
     import math
 
     width = max(1, math.ceil(math.log2(length + 1)))
-    b = CircuitBuilder("chain")
-    bits = [f"p{i}" for i in range(width)]
-    from repro.expr.arith import increment_bits, mux
-    from repro.expr import Var, parse_expr as pe
-
-    at_end = pe(f"p = {length}")
-    inc = increment_bits(bits)
-    for i, bit in enumerate(bits):
-        b.latch(bit, init=False, next_=mux(at_end, Var(bit), inc[i]))
-    b.word("p", bits)
-    return b.build()
+    return rml_fsm(f"""
+MODULE chain
+VAR
+  p : word[{width}];
+ASSIGN
+  init(p) := 0;
+  next(p) := case
+    p = {length} : p;
+    TRUE : p + 1;
+  esac;
+""")
 
 
 class TestImageOperators:

@@ -38,6 +38,13 @@ class TestTokenizer:
         assert info.value.line == 2
         assert info.value.column == 3
 
+    def test_next_state_suffix_cannot_name_a_signal(self):
+        # The FSM names each variable's next-state copy ``v#next``; no
+        # declared name can take that form.
+        with pytest.raises(ParseError, match="illegal character '#'") as info:
+            parse_module("MODULE m\nVAR\n  a#next : boolean;\n")
+        assert (info.value.line, info.value.column) == (3, 4)
+
     def test_assignment_and_comparison_ops_tokenize(self):
         tokens = tokenize_module(":= == != <= >= <-> -> + -")
         assert [t.text for t in tokens if t.kind == "op"] == [

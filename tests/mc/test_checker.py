@@ -2,10 +2,25 @@
 
 
 from repro.ctl import parse_ctl
-from repro.expr import Var
-from repro.expr.arith import increment_mod_bits, mux
-from repro.fsm import CircuitBuilder, ExplicitGraph
+from repro.fsm import ExplicitGraph
 from repro.mc import ModelChecker
+
+from ..builtins import rml_fsm
+
+#: A mod-3 counter that holds its count while ``stall`` is high.
+STALL_COUNTER_RML = """
+MODULE counter
+VAR
+  stall : boolean;
+  c : word[2];
+ASSIGN
+  init(c) := 0;
+  next(c) := case
+    stall : c;
+    c = 2 : 0;
+    TRUE : c + 1;
+  esac;
+"""
 
 
 def chain_graph():
@@ -178,14 +193,7 @@ class TestCheckResult:
 
 class TestOnCircuit:
     def build(self):
-        b = CircuitBuilder("counter")
-        b.input("stall")
-        bits = ["c0", "c1"]
-        nxt = increment_mod_bits(bits, 3)
-        b.latch("c0", init=False, next_=mux(Var("stall"), Var("c0"), nxt[0]))
-        b.latch("c1", init=False, next_=mux(Var("stall"), Var("c1"), nxt[1]))
-        b.word("c", bits)
-        return b.build()
+        return rml_fsm(STALL_COUNTER_RML)
 
     def test_counter_increments(self):
         fsm = self.build()
@@ -209,15 +217,7 @@ class TestOnCircuit:
 
 class TestFairness:
     def build_fair_counter(self):
-        b = CircuitBuilder("counter")
-        b.input("stall")
-        bits = ["c0", "c1"]
-        nxt = increment_mod_bits(bits, 3)
-        b.latch("c0", init=False, next_=mux(Var("stall"), Var("c0"), nxt[0]))
-        b.latch("c1", init=False, next_=mux(Var("stall"), Var("c1"), nxt[1]))
-        b.word("c", bits)
-        b.fairness("!stall")
-        return b.build()
+        return rml_fsm(STALL_COUNTER_RML + "FAIRNESS !stall;\n")
 
     def test_af_holds_under_fairness(self):
         fsm = self.build_fair_counter()

@@ -111,14 +111,13 @@ def _stale_positional_calls():
     from repro.circuits import (build_circular_queue, build_counter,
                                 build_pipeline, build_priority_buffer)
     from repro.engine import EngineConfig
-    from repro.fsm import CircuitBuilder
+    from repro.expr.ast import Not, Var
+    from repro.fsm.builder import build_fsm
     from repro.lang import elaborate, parse_module
     from repro.suite import builtin_job
 
-    def circuit_builder_build():
-        b = CircuitBuilder("m")
-        b.latch("x", init=False, next_="!x")
-        return b.build(None, "mono")
+    def build_fsm_positional():
+        return build_fsm("m", {"x": (False, Not(Var("x")))}, [], {}, {}, [], "mono")
 
     module = parse_module(
         "MODULE m\nVAR\n  x : boolean;\nASSIGN\n  init(x) := 0;\n"
@@ -135,7 +134,7 @@ def _stale_positional_calls():
         ),
         pytest.param(lambda: build_pipeline(3, "mono"), id="build_pipeline"),
         pytest.param(lambda: elaborate(module, "mono"), id="elaborate"),
-        pytest.param(circuit_builder_build, id="CircuitBuilder.build"),
+        pytest.param(build_fsm_positional, id="build_fsm"),
         pytest.param(
             lambda: builtin_job("counter", None, False, EngineConfig()),
             id="builtin_job",
@@ -160,15 +159,14 @@ def _removed_keyword_calls():
     from repro.circuits import (build_circular_queue, build_counter,
                                 build_pipeline, build_priority_buffer)
     from repro.engine import EngineConfig
-    from repro.fsm import CircuitBuilder
+    from repro.expr.ast import Not, Var
+    from repro.fsm.builder import build_fsm
     from repro.lang import elaborate, parse_module
     from repro.suite import (CoverageJob, builtin_job, builtin_jobs,
                              default_jobs, rml_job)
 
-    def circuit_builder_build(**kwargs):
-        b = CircuitBuilder("m")
-        b.latch("x", init=False, next_="!x")
-        return b.build(**kwargs)
+    def build_fsm_call(**kwargs):
+        return build_fsm("m", {"x": (False, Not(Var("x")))}, [], {}, {}, [], **kwargs)
 
     module = parse_module(
         "MODULE m\nVAR\n  x : boolean;\nASSIGN\n  init(x) := 0;\n"
@@ -183,7 +181,7 @@ def _removed_keyword_calls():
          lambda **kw: build_priority_buffer(4, **kw)),
         ("build_pipeline", lambda **kw: build_pipeline(3, **kw)),
         ("elaborate", lambda **kw: elaborate(module, **kw)),
-        ("CircuitBuilder.build", circuit_builder_build),
+        ("build_fsm", build_fsm_call),
         ("builtin_job", lambda **kw: builtin_job("counter", **kw)),
     ]
     calls = [
@@ -201,6 +199,8 @@ def _removed_keyword_calls():
              keyword),
         ]
     calls += [
+        # The FSM always gets a fresh manager of its own.
+        ("build_fsm", build_fsm_call, "manager"),
         ("AnalysisResult",
          lambda **kw: AnalysisResult("r", "rml", "ok", **kw), "trans"),
         ("EngineConfig", EngineConfig, "backend"),
@@ -220,6 +220,7 @@ def _removed_keyword_calls():
     calls += [("ResourcePolicy", ResourcePolicy, name) for name in constants]
     values = {
         **flat, **constants, "policy": ResourcePolicy(), "backend": "dict",
+        "manager": BDDManager(["x", "x#next"]),
     }
     return [
         pytest.param(
@@ -291,14 +292,21 @@ def test_removed_engine_attributes_are_gone(obj, attr):
 
 
 def _removed_public_names():
-    """Names deleted when the telemetry span became the one meter, and
-    the CLI's second target registry and the ``JobResult`` alias went."""
+    """Names deleted when the telemetry span became the one meter, when
+    the CLI's second target registry and the ``JobResult`` alias went, and
+    when ``.rml`` became the one model front end (no circuit builder, no
+    RTL helpers only hand-built circuits called, no policy swap on a live
+    manager)."""
     import repro.cli
+    import repro.expr.arith
+    import repro.fsm
+    import repro.fsm.builder
     import repro.mc
     import repro.obs
     import repro.obs.telemetry
     import repro.suite
     import repro.suite.jobs
+    from repro.bdd import BDDManager
     from repro.obs import Telemetry
 
     return [
@@ -319,6 +327,14 @@ def _removed_public_names():
             (repro.cli, "repro.cli", "_legacy_builder"),
             (repro.suite, "repro.suite", "JobResult"),
             (repro.suite.jobs, "repro.suite.jobs", "JobResult"),
+            (repro, "repro", "CircuitBuilder"),
+            (repro.fsm, "repro.fsm", "CircuitBuilder"),
+            (repro.fsm.builder, "repro.fsm.builder", "CircuitBuilder"),
+            (repro.expr.arith, "repro.expr.arith", "increment_bits"),
+            (repro.expr.arith, "repro.expr.arith", "decrement_bits"),
+            (repro.expr.arith, "repro.expr.arith", "conditional_delta_bits"),
+            (repro.expr.arith, "repro.expr.arith", "increment_mod_bits"),
+            (BDDManager, "BDDManager", "set_policy"),
         )
     ]
 
@@ -327,6 +343,14 @@ def _removed_public_names():
 def test_removed_public_names_are_gone(obj, attr):
     with pytest.raises(AttributeError):
         getattr(obj, attr)
+
+
+def test_arith_keeps_the_elaborator_helpers():
+    import repro.expr.arith
+
+    assert sorted(repro.expr.arith.__all__) == [
+        "add_const_bits", "add_words_bits", "const_bits", "mux",
+    ]
 
 
 def test_work_meter_module_is_gone():

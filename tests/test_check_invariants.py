@@ -131,9 +131,9 @@ def test_single_meter_flags_snapshots_outside_obs(tmp_path, monkeypatch):
 def test_one_model_path_flags_builders_outside_the_elaborator(
     tmp_path, monkeypatch
 ):
-    """``src/`` constructs ``CircuitBuilder`` only in the elaborator, and a
-    tree scan flags a construction anywhere else under ``src/`` (a second
-    model path) while leaving the elaborator alone."""
+    """``src/`` calls ``build_fsm`` only in the elaborator, and a tree
+    scan flags a call anywhere else under ``src/`` (a second model path)
+    while leaving the elaborator alone."""
     checker = _load_checker()
     assert [
         v for v in checker.check_tree(ROOT / "src")
@@ -142,7 +142,7 @@ def test_one_model_path_flags_builders_outside_the_elaborator(
     tree = tmp_path / "src" / "repro"
     (tree / "circuits").mkdir(parents=True)
     (tree / "lang").mkdir()
-    build = "def model(CircuitBuilder):\n    return CircuitBuilder('m')\n"
+    build = "def model(build_fsm):\n    return build_fsm('m', {}, ['x'], {}, {}, [])\n"
     (tree / "circuits" / "counter.py").write_text(build)
     (tree / "lang" / "elaborate.py").write_text(build)
     monkeypatch.setattr(checker, "ROOT", tmp_path)

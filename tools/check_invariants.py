@@ -30,12 +30,11 @@ inspection, so this tool enforces them:
 
 ``one-model-path``
     Inside ``src/``, only the elaborator (``src/repro/lang/elaborate.py``)
-    calls ``CircuitBuilder(...)``.  Every model the library analyses —
-    the paper's circuits included — is ``.rml`` text that goes through
-    parse → check → elaborate; a second construction site would be a
-    second model path that lint, the serve key and the reports cannot
-    see.  ``CircuitBuilder`` stays public for hand-built circuits outside
-    ``src/``.
+    calls ``build_fsm(...)``.  Every model the library analyses — the
+    paper's circuits included — is ``.rml`` text that goes through
+    parse → check → elaborate; a second call site would be a second model
+    path that the validator, lint, the serve key and the reports cannot
+    see.
 
 When scanning a directory each rule applies only to its scoped paths;
 explicitly-listed files get every rule (which is how the deliberately
@@ -74,7 +73,7 @@ KERNEL_DIR = "src/repro/bdd/"
 #: The only package allowed to snapshot ``resource_stats()``.
 METER_DIR = "src/repro/obs/"
 
-#: The only module allowed to construct a ``CircuitBuilder``.
+#: The only module allowed to call ``build_fsm``.
 ELABORATOR = "src/repro/lang/elaborate.py"
 
 
@@ -198,18 +197,18 @@ def check_single_meter(tree: ast.AST, path: Path) -> List[Violation]:
 
 
 def check_one_model_path(tree: ast.AST, path: Path) -> List[Violation]:
-    """Flag ``CircuitBuilder(...)`` constructions."""
+    """Flag ``build_fsm(...)`` calls."""
     out: List[Violation] = []
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
         func = node.func
         name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
-        if name == "CircuitBuilder":
+        if name == "build_fsm":
             out.append(
                 Violation(
                     path, node.lineno, "one-model-path",
-                    "CircuitBuilder(...) outside the elaborator; write the "
+                    "build_fsm(...) outside the elaborator; write the "
                     "model as .rml text and elaborate it",
                 )
             )

@@ -33,8 +33,6 @@ def bad_meter(manager):
     return manager.resource_stats()["nodes_created"]
 
 
-def bad_model(CircuitBuilder):
-    # one-model-path: a circuit built outside the elaborator.
-    builder = CircuitBuilder("m")
-    builder.latch("x", init=False, next_="!x")
-    return builder.build()
+def bad_model(build_fsm):
+    # one-model-path: an FSM compiled outside the elaborator.
+    return build_fsm("m", {}, ["x"], {}, {}, [])
