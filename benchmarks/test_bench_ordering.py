@@ -24,9 +24,9 @@ def _copy(source, root, target):
     def copy(node):
         if node not in copies:
             literal = target.var(source.var_name(source.level_of(node)))
-            copies[node] = target.ite(
-                literal, copy(source.high_of(node)), copy(source.low_of(node))
-            )
+            high = target.apply_and(literal, copy(source.high_of(node)))
+            low = target.apply_and(target.apply_not(literal), copy(source.low_of(node)))
+            copies[node] = target.apply_or(high, low)
         return copies[node]
 
     return copy(root)

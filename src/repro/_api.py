@@ -2,12 +2,7 @@
 namespace (see ``repro/__init__.py``)."""
 
 from .analysis import Analysis, AnalysisResult
-from .bdd import (
-    BDDManager,
-    Function,
-    ResourcePolicy,
-    to_dot,
-)
+from .bdd import BDDManager, Function, ResourcePolicy
 from .circuits import (
     DEFAULT_CAPACITY,
     DEFAULT_DEPTH,
@@ -150,7 +145,7 @@ __all__ = [
     # facade + engine configuration
     "Analysis", "AnalysisResult", "EngineConfig", "DEFAULT_CONFIG",
     # bdd
-    "BDDManager", "Function", "ResourcePolicy", "to_dot",
+    "BDDManager", "Function", "ResourcePolicy",
     # expr / ctl
     "Expr", "parse_expr", "expr_to_str", "evaluate",
     "CtlFormula", "parse_ctl", "ctl_to_str", "normalize_for_coverage",

@@ -6,10 +6,11 @@ Public surface:
 * :class:`Function` — wrapper with Boolean operators, the type the rest of
   the library passes around.
 * :class:`ResourcePolicy` — automatic GC / cache-eviction knobs.
-* :func:`to_dot` — Graphviz export.
+
+The manager holds the kernels the model checker and the coverage
+recursion run, and only those (see :mod:`repro.bdd.manager`).
 """
 
-from .dot import to_dot
 from .function import Function
 from .manager import FALSE, TRUE, BDDManager
 from .policy import DEFAULT_POLICY, ResourcePolicy
@@ -21,5 +22,4 @@ __all__ = [
     "DEFAULT_POLICY",
     "FALSE",
     "TRUE",
-    "to_dot",
 ]

@@ -2,8 +2,9 @@
 
 :class:`Function` pairs a node id with its owning manager and provides the
 Boolean algebra (`&`, `|`, `~`, `^`, :meth:`implies`, :meth:`iff`), set-style
-helpers (:meth:`diff`, :meth:`subseteq`) and quantification in a form that
-reads like the paper's set equations, e.g.::
+helpers (:meth:`diff`, :meth:`subseteq`), existential quantification,
+relational products, cofactors and renaming in a form that reads like the
+paper's set equations, e.g.::
 
     covered = (t_b & depend).diff(dont_care)
 """
@@ -101,13 +102,6 @@ class Function:
             self.manager, self.manager.apply_iff(self.node, self._coerce(other))
         )
 
-    def ite(self, then: "Function", other: "Function") -> "Function":
-        """If-then-else with ``self`` as the condition."""
-        return Function(
-            self.manager,
-            self.manager.ite(self.node, self._coerce(then), self._coerce(other)),
-        )
-
     def diff(self, other: "Function") -> "Function":
         """Set difference ``self & ~other``."""
         return Function(
@@ -122,15 +116,11 @@ class Function:
         """Whether the two sets share at least one state."""
         return self.manager.apply_and(self.node, self._coerce(other)) != FALSE
 
-    # -- quantification / substitution ------------------------------------
+    # -- quantification / cofactors / renaming -----------------------------
 
     def exist(self, variables: Sequence[int]) -> "Function":
         """Existentially quantify the given variable ids."""
         return Function(self.manager, self.manager.exists(self.node, variables))
-
-    def forall(self, variables: Sequence[int]) -> "Function":
-        """Universally quantify the given variable ids."""
-        return Function(self.manager, self.manager.forall(self.node, variables))
 
     def and_exists(self, other: "Function", variables: Sequence[int]) -> "Function":
         """Relational product: ``exists variables . (self & other)``."""
@@ -155,21 +145,13 @@ class Function:
             self.manager, self.manager.and_exists_chain(self.node, raw)
         )
 
-    def restrict(self, var: int, value: bool) -> "Function":
-        """Cofactor with variable id ``var`` fixed to ``value``."""
-        return Function(self.manager, self.manager.restrict(self.node, var, value))
-
     def cofactor(self, assignment: Dict[int, bool]) -> "Function":
         """Cofactor with every variable id in ``assignment`` fixed to its value."""
         return Function(self.manager, self.manager.cofactor(self.node, assignment))
 
-    def compose(self, substitution: Dict[int, "Function"]) -> "Function":
-        """Simultaneously substitute functions for variable ids."""
-        raw = {var: self._coerce(g) for var, g in substitution.items()}
-        return Function(self.manager, self.manager.compose_many(self.node, raw))
-
     def rename(self, mapping: Dict[int, int]) -> "Function":
-        """Rename variables ``{old id -> new id}``."""
+        """Rename variables ``{old id -> new id}``; the mapping must keep the
+        order of the support (see :meth:`BDDManager.rename`)."""
         return Function(self.manager, self.manager.rename(self.node, mapping))
 
     # -- inspection -------------------------------------------------------
@@ -181,10 +163,6 @@ class Function:
     def support(self) -> Sequence[int]:
         """Variable ids this function depends on."""
         return self.manager.support(self.node)
-
-    def support_names(self) -> Sequence[str]:
-        """Names of the variables this function depends on."""
-        return [self.manager.var_name(v) for v in self.manager.support(self.node)]
 
     def iter_cubes(self) -> Iterator[Dict[int, bool]]:
         """Iterate over the cubes (paths to TRUE) of this function."""

@@ -1,10 +1,11 @@
 """A self-contained reduced ordered binary decision diagram (ROBDD) engine.
 
 This module provides the symbolic substrate that the DAC'99 coverage paper
-gets from SMV's BDD package: hash-consed nodes, the ``ite`` operator with
-memoisation, specialised binary operators, existential/universal
-quantification, relational products (``and_exists``), functional composition,
-variable renaming, satisfying-assignment counting and enumeration.
+gets from SMV's BDD package: hash-consed nodes, memoised binary operators and
+negation, existential quantification, relational products (``and_exists``),
+cofactors, order-preserving variable renaming, satisfying-assignment counting
+and enumeration — the operations the coverage recursion and the model
+checker run, and no others.
 
 :class:`BDDManager` is the node store: parallel Python lists for the node
 fields, one unique-table dict per level, one dict per operation cache, and
@@ -17,14 +18,13 @@ schema.
 
 Every unique-table and op-cache key is one int of 32-bit fields:
 ``(low << 32) | high`` in the table of the node's level, ``(f << 32) | g``
-in the and, or and xor caches, three fields in the ite, quantification,
-relational-product and compose caches (layouts in ``__init__``).  Node ids
-and profile ids are list indices, far below 2**32; the topmost field of a
-key may be any size (the compose token only ever grows), so every packing
-is injective.  CPython's cyclic garbage collector never tracks an int, nor
-a dict holding only ints, so its collections never walk the tables — a
-tuple key would be a GC-tracked 64-byte object per entry.  Only this
-module knows the layout.
+in the and, or and xor caches, ``(profile << 32) | f`` in the
+quantification cache and three fields in the relational-product cache
+(layouts in ``__init__``).  Node ids and profile ids are list indices, far
+below 2**32, so every packing is injective.  CPython's cyclic garbage
+collector never tracks an int, nor a dict holding only ints, so its
+collections never walk the tables — a tuple key would be a GC-tracked
+64-byte object per entry.  Only this module knows the layout.
 
 Nodes are integers; the two terminals are the reserved node ids ``0``
 (FALSE) and ``1`` (TRUE).  The variable order is fixed when the variables
@@ -67,11 +67,6 @@ TERMINAL_LEVEL = 1 << 30
 #: Reserved node ids for the constant functions.
 FALSE = 0
 TRUE = 1
-
-#: The compose cache is keyed by a per-substitution token, so entries from
-#: finished ``compose_many`` calls can never be hit again; it is purged
-#: after this many substitution generations.
-COMPOSE_GENERATIONS = 8
 
 # Binary operators; each indexes its own cache and hit/miss counters.
 _OP_AND = 0
@@ -120,20 +115,14 @@ class BDDManager:
         self._free: List[int] = []
 
         # Operation caches, keyed by packed ints (see the module docstring):
-        #   ite         (f << 64) | (g << 32) | h
         #   and/or/xor  one dict per _OP_* index: (f << 32) | g, f <= g
         #   not         f
-        #   quant       (tag << 64) | (profile << 32) | f, tag 1 for forall
+        #   quant       (profile << 32) | f
         #   relprod     (profile << 64) | (f << 32) | g, f <= g
-        #   compose     (token << 32) | f
-        self._ite_cache: Dict[int, int] = {}
         self._bin_caches: List[Dict[int, int]] = [{}, {}, {}]
         self._not_cache: Dict[int, int] = {}
         self._quant_cache: Dict[int, int] = {}
         self._relprod_cache: Dict[int, int] = {}
-        self._compose_cache: Dict[int, int] = {}
-        self._compose_token = 0
-        self._compose_purged_token = 0
         # Registered quantification profiles: canonical tuple of levels -> id.
         self._quant_profiles: Dict[Tuple[int, ...], int] = {}
         self._quant_profile_sets: List[frozenset] = []
@@ -143,8 +132,6 @@ class BDDManager:
         # *work*, never results: deterministic for a given operation
         # sequence, monotone, and cheap.
         self._created_nodes = 2
-        self._ite_hits = 0
-        self._ite_misses = 0
         self._bin_hits = [0, 0, 0]  # indexed by _OP_AND/_OP_OR/_OP_XOR
         self._bin_misses = [0, 0, 0]
         self._not_hits = 0
@@ -155,8 +142,6 @@ class BDDManager:
         self._restrict_misses = 0
         self._relprod_hits = 0
         self._relprod_misses = 0
-        self._compose_hits = 0
-        self._compose_misses = 0
         # Unique-table (hash-consing) pressure: probes are mk lookups that
         # reached the table (the reduce rule short-circuits before
         # probing); hits found an existing node, so probes - hits equals
@@ -240,13 +225,6 @@ class BDDManager:
             var = self.add_var(name)
         return self._mk(var, FALSE, TRUE)
 
-    def nvar(self, name: str) -> int:
-        """Return the node for the negative literal of variable ``name``."""
-        var = self._name_to_var.get(name)
-        if var is None:
-            var = self.add_var(name)
-        return self._mk(var, TRUE, FALSE)
-
     # ------------------------------------------------------------------
     # Node store
     # ------------------------------------------------------------------
@@ -316,63 +294,6 @@ class BDDManager:
     # ------------------------------------------------------------------
     # Core operators
     # ------------------------------------------------------------------
-
-    def ite(self, f: int, g: int, h: int) -> int:
-        """If-then-else: ``(f & g) | (~f & h)``, the universal connective."""
-        level_arr = self._level
-        low_arr = self._low
-        high_arr = self._high
-        cache = self._ite_cache
-        hits = misses = 0
-        tasks: List[Tuple[int, int, int, bool]] = [(f, g, h, False)]
-        results: List[int] = []
-        while tasks:
-            f, g, h, combine = tasks.pop()
-            if combine:
-                high = results.pop()
-                low = results.pop()
-                level = min(level_arr[f], level_arr[g], level_arr[h])
-                result = self._mk(level, low, high)
-                cache[(f << 64) | (g << 32) | h] = result
-                results.append(result)
-                continue
-            if f == TRUE:
-                results.append(g)
-                continue
-            if f == FALSE:
-                results.append(h)
-                continue
-            if g == h:
-                results.append(g)
-                continue
-            if g == TRUE and h == FALSE:
-                results.append(f)
-                continue
-            cached = cache.get((f << 64) | (g << 32) | h)
-            if cached is not None:
-                hits += 1
-                results.append(cached)
-                continue
-            misses += 1
-            level = min(level_arr[f], level_arr[g], level_arr[h])
-            if level_arr[f] == level:
-                f0, f1 = low_arr[f], high_arr[f]
-            else:
-                f0 = f1 = f
-            if level_arr[g] == level:
-                g0, g1 = low_arr[g], high_arr[g]
-            else:
-                g0 = g1 = g
-            if level_arr[h] == level:
-                h0, h1 = low_arr[h], high_arr[h]
-            else:
-                h0 = h1 = h
-            tasks.append((f, g, h, True))
-            tasks.append((f1, g1, h1, False))
-            tasks.append((f0, g0, h0, False))
-        self._ite_hits += hits
-        self._ite_misses += misses
-        return results[0]
 
     def apply_not(self, f: int) -> int:
         """Negation (O(size) without complement edges, memoised)."""
@@ -569,14 +490,14 @@ class BDDManager:
             self._quant_profile_max.append(max(key) if key else -1)
         return profile
 
-    def _quantify_profile(self, f: int, profile: int, disjunctive: bool) -> int:
-        """Iterative quantification core (``exists`` when ``disjunctive``)."""
+    def _quantify_profile(self, f: int, profile: int) -> int:
+        """Iterative core of :meth:`exists` over an interned profile."""
         level_arr = self._level
         qset = self._quant_profile_sets[profile]
         qmax = self._quant_profile_max[profile]
         cache = self._quant_cache
-        # The key's upper fields are fixed for the whole call.
-        base = ((0 if disjunctive else 1) << 64) | (profile << 32)
+        # The key's upper field is fixed for the whole call.
+        base = profile << 32
         hits = misses = 0
         tasks: List[Tuple[int, bool]] = [(f, False)]
         results: List[int] = []
@@ -587,10 +508,7 @@ class BDDManager:
                 low = results.pop()
                 level = level_arr[f]
                 if level in qset:
-                    if disjunctive:
-                        result = self.apply_or(low, high)
-                    else:
-                        result = self.apply_and(low, high)
+                    result = self.apply_or(low, high)
                 else:
                     result = self._mk(level, low, high)
                 cache[base | f] = result
@@ -616,15 +534,7 @@ class BDDManager:
         """Existential quantification of ``variables`` (ids) out of ``f``."""
         if not variables:
             return f
-        profile = self._quant_profile(variables)
-        return self._quantify_profile(f, profile, disjunctive=True)
-
-    def forall(self, f: int, variables: Sequence[int]) -> int:
-        """Universal quantification of ``variables`` (ids) out of ``f``."""
-        if not variables:
-            return f
-        profile = self._quant_profile(variables)
-        return self._quantify_profile(f, profile, disjunctive=False)
+        return self._quantify_profile(f, self._quant_profile(variables))
 
     def and_exists(self, f: int, g: int, variables: Sequence[int]) -> int:
         """Relational product ``exists variables . (f & g)`` in one pass.
@@ -662,14 +572,10 @@ class BDDManager:
                     results.append(TRUE)
                     continue
                 if f == TRUE:
-                    results.append(
-                        self._quantify_profile(g, profile, disjunctive=True)
-                    )
+                    results.append(self._quantify_profile(g, profile))
                     continue
                 if g == TRUE or f == g:
-                    results.append(
-                        self._quantify_profile(f, profile, disjunctive=True)
-                    )
+                    results.append(self._quantify_profile(f, profile))
                     continue
                 if level_arr[f] > qmax and level_arr[g] > qmax:
                     results.append(self.apply_and(f, g))
@@ -761,12 +667,8 @@ class BDDManager:
         return result
 
     # ------------------------------------------------------------------
-    # Cofactor / composition / renaming
+    # Cofactor / renaming
     # ------------------------------------------------------------------
-
-    def restrict(self, f: int, var: int, value: bool) -> int:
-        """Cofactor of ``f`` with variable id ``var`` fixed to ``value``."""
-        return self.cofactor(f, {var: value})
 
     def cofactor(self, f: int, assignment: Dict[int, bool]) -> int:
         """Cofactor of ``f`` with each variable id in ``assignment`` fixed to
@@ -815,78 +717,23 @@ class BDDManager:
         self._restrict_misses += misses
         return results[0]
 
-    def compose(self, f: int, var: int, g: int) -> int:
-        """Substitute function ``g`` for variable id ``var`` inside ``f``."""
-        return self.compose_many(f, {var: g})
-
-    def compose_many(self, f: int, substitution: Dict[int, int]) -> int:
-        """Simultaneous substitution ``{var id -> replacement node}``.
-
-        Simultaneity matters: ``compose_many(f, {x: y, y: x})`` swaps the two
-        variables, which sequential composition would not.
-        """
-        if not substitution:
-            return f
-        # A fresh token keys this substitution in the (shared) compose
-        # cache.  Entries of previous tokens can never be hit again; purge
-        # them once COMPOSE_GENERATIONS generations have accumulated.
-        self._compose_token += 1
-        if self._compose_token - self._compose_purged_token >= COMPOSE_GENERATIONS:
-            self._compose_cache.clear()
-            self._compose_purged_token = self._compose_token
-        level_arr = self._level
-        max_level = max(substitution)
-        base = self._compose_token << 32
-        cache = self._compose_cache
-        hits = misses = 0
-        tasks: List[Tuple[int, bool]] = [(f, False)]
-        results: List[int] = []
-        while tasks:
-            f, combine = tasks.pop()
-            if combine:
-                high = results.pop()
-                low = results.pop()
-                level = level_arr[f]
-                replacement = substitution.get(level)
-                if replacement is None:
-                    replacement = self._mk(level, FALSE, TRUE)
-                result = self.ite(replacement, high, low)
-                cache[base | f] = result
-                results.append(result)
-                continue
-            if f <= TRUE or level_arr[f] > max_level:
-                results.append(f)
-                continue
-            cached = cache.get(base | f)
-            if cached is not None:
-                hits += 1
-                results.append(cached)
-                continue
-            misses += 1
-            tasks.append((f, True))
-            tasks.append((self._high[f], False))
-            tasks.append((self._low[f], False))
-        self._compose_hits += hits
-        self._compose_misses += misses
-        return results[0]
-
     def rename(self, f: int, mapping: Dict[int, int]) -> int:
         """Rename variables of ``f`` according to ``{old var id -> new var id}``.
 
-        Only the *support* of ``f`` matters: when the mapping restricted to
-        the support is strictly order-preserving (true for the interleaved
-        current<->next FSM encoding), a fast direct rebuild is used;
-        otherwise this falls back to simultaneous composition, which is
-        always correct.
+        Only the *support* of ``f`` matters: the mapping restricted to it
+        must be strictly order-preserving (true for the interleaved
+        current<->next FSM encoding), so the result is ``f``'s DAG rebuilt
+        node for node on the new variables.  A mapping that would
+        reorder the support raises :class:`~repro.errors.BDDError`.
         """
         if not mapping or f <= TRUE:
             return f
         mapped = [mapping.get(var, var) for var in self.support(f)]
         if not all(mapped[i] < mapped[i + 1] for i in range(len(mapped) - 1)):
-            substitution = {
-                old: self._mk(new, FALSE, TRUE) for old, new in mapping.items()
-            }
-            return self.compose_many(f, substitution)
+            raise BDDError(
+                "rename: the mapping does not preserve the variable order "
+                "on the function's support"
+            )
         level_arr = self._level
         cache: Dict[int, int] = {}
         tasks: List[Tuple[int, bool]] = [(f, False)]
@@ -1104,12 +951,10 @@ class BDDManager:
     def cache_entry_count(self) -> int:
         """Combined entry count of all operation caches."""
         return (
-            len(self._ite_cache)
-            + sum(len(cache) for cache in self._bin_caches)
+            sum(len(cache) for cache in self._bin_caches)
             + len(self._not_cache)
             + len(self._quant_cache)
             + len(self._relprod_cache)
-            + len(self._compose_cache)
         )
 
     def checkpoint(self) -> None:
@@ -1144,14 +989,11 @@ class BDDManager:
 
     def clear_caches(self) -> None:
         """Drop all operation caches (automatically done by GC)."""
-        self._ite_cache.clear()
         for cache in self._bin_caches:
             cache.clear()
         self._not_cache.clear()
         self._quant_cache.clear()
         self._relprod_cache.clear()
-        self._compose_cache.clear()
-        self._compose_purged_token = self._compose_token
 
     def collect_garbage(self, extra_roots: Iterable[int] = ()) -> int:
         """Mark-and-sweep: recycle nodes unreachable from live references.
@@ -1275,8 +1117,6 @@ class BDDManager:
             "unique_probes": self._unique_probes,
             "unique_hits": self._unique_hits,
             # Op-cache hits/misses per operation kind.
-            "ite_hits": self._ite_hits,
-            "ite_misses": self._ite_misses,
             "and_hits": self._bin_hits[_OP_AND],
             "and_misses": self._bin_misses[_OP_AND],
             "or_hits": self._bin_hits[_OP_OR],
@@ -1291,35 +1131,11 @@ class BDDManager:
             "restrict_misses": self._restrict_misses,
             "relprod_hits": self._relprod_hits,
             "relprod_misses": self._relprod_misses,
-            "compose_hits": self._compose_hits,
-            "compose_misses": self._compose_misses,
             # Relational-product chain shape (and_exists_chain).
             "chain_runs": self._chain_runs,
             "chain_steps": self._chain_steps,
             "chain_max_len": self._chain_max_len,
         }
-
-    # ------------------------------------------------------------------
-    # Debugging helpers
-    # ------------------------------------------------------------------
-
-    def to_expr_str(self, f: int, max_nodes: int = 64) -> str:
-        """Small human-readable rendering (sum of cubes), for debugging."""
-        if f == FALSE:
-            return "FALSE"
-        if f == TRUE:
-            return "TRUE"
-        terms = []
-        for i, cube in enumerate(self.iter_cubes(f)):
-            if i >= max_nodes:
-                terms.append("...")
-                break
-            literals = [
-                self._var_names[var] if value else f"!{self._var_names[var]}"
-                for var, value in sorted(cube.items())
-            ]
-            terms.append(" & ".join(literals) if literals else "TRUE")
-        return " | ".join(terms)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

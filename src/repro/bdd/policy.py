@@ -2,8 +2,7 @@
 
 A :class:`ResourcePolicy` bundles the knobs of the manager's automatic
 resource manager: when to garbage-collect and when to drop operation
-caches.  (The compose-cache purge period is a constant of
-:mod:`repro.bdd.manager`.)  The policy travels with the
+caches.  The policy travels with the
 :class:`~repro.bdd.manager.BDDManager` and is consulted only at *safe
 points* — moments when every live BDD is rooted in a
 :class:`~repro.bdd.function.Function` wrapper and no raw-node computation

@@ -12,7 +12,7 @@ unconstrained state variables.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..bdd import BDDManager, Function
 from ..engine import DEFAULT_CONFIG, EngineConfig
@@ -37,6 +37,40 @@ def _leaves(expr: Expr) -> Iterator[str]:
     elif isinstance(expr, (Xor, Iff, Implies)):
         yield from _leaves(expr.lhs)
         yield from _leaves(expr.rhs)
+
+
+def _words_in(
+    expr: Expr,
+    bit_word: Dict[str, Tuple[str, int]],
+    defines: Dict[str, Expr],
+    cone_words: Dict[str, List[str]],
+) -> List[str]:
+    """The words whose bits ``expr`` reads, DEFINEs read through, in first
+    read order; ``cone_words`` memoises each DEFINE's list."""
+    found: Dict[str, None] = {}
+    for name in _leaves(expr):
+        if name in bit_word:
+            found[bit_word[name][0]] = None
+        elif name in defines:
+            if name not in cone_words:
+                cone_words[name] = []  # cuts a cycle; RML003 rejects it
+                cone_words[name] = _words_in(
+                    defines[name], bit_word, defines, cone_words
+                )
+            found.update(dict.fromkeys(cone_words[name]))
+    return list(found)
+
+
+def _walk(expr: Expr, defines: Dict[str, Expr], walked: Set[str]) -> Iterator[str]:
+    """The non-DEFINE leaves of ``expr``, depth first and left to right,
+    reading each DEFINE not yet in ``walked`` through (and adding it)."""
+    for name in _leaves(expr):
+        if name in defines:
+            if name not in walked:
+                walked.add(name)
+                yield from _walk(defines[name], defines, walked)
+        else:
+            yield name
 
 
 def _variable_order(
@@ -74,20 +108,10 @@ def _variable_order(
             if bit in state:
                 bit_word.setdefault(bit, (word, index))
 
+    # The helpers that recurse are module functions: a nested function
+    # calling itself through its closure cell is a reference cycle, which
+    # would hold every table here until a cyclic collection.
     cone_words: Dict[str, List[str]] = {}
-
-    def words_in(expr: Expr) -> List[str]:
-        found: Dict[str, None] = {}
-        for name in _leaves(expr):
-            if name in bit_word:
-                found[bit_word[name][0]] = None
-            elif name in defines:
-                if name not in cone_words:
-                    cone_words[name] = []  # cuts a cycle; RML003 rejects it
-                    cone_words[name] = words_in(defines[name])
-                found.update(dict.fromkeys(cone_words[name]))
-        return list(found)
-
     parent: Dict[str, str] = {}
 
     def find(word: str) -> str:
@@ -103,9 +127,9 @@ def _variable_order(
 
     for latch, expr in latch_next.items():
         own = [bit_word[latch][0]] if latch in bit_word else []
-        join(own + words_in(expr))
+        join(own + _words_in(expr, bit_word, defines, cone_words))
     for expr in [*defines.values(), *fairness]:
-        join(words_in(expr))
+        join(_words_in(expr, bit_word, defines, cone_words))
 
     rank = {word: position for position, word in enumerate(words)}
     group_bits: Dict[str, List[str]] = {}
@@ -115,24 +139,17 @@ def _variable_order(
         group_bits.setdefault(find(word), []).append(bit)
 
     placed: Dict[str, None] = {}
-    walked = set()
+    walked: Set[str] = set()
 
     def place(var: str) -> None:
         owner = bit_word.get(var)
         for bit in group_bits[find(owner[0])] if owner else [var]:
             placed.setdefault(bit)
 
-    def walk(expr: Expr) -> None:
-        for name in _leaves(expr):
-            if name in defines:
-                if name not in walked:
-                    walked.add(name)
-                    walk(defines[name])
-            elif name in state and name not in placed:
-                place(name)
-
     for latch, expr in latch_next.items():
-        walk(expr)
+        for name in _walk(expr, defines, walked):
+            if name in state and name not in placed:
+                place(name)
         place(latch)
     for var in state_vars:
         place(var)

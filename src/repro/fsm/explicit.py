@@ -211,8 +211,9 @@ class ExplicitGraph:
         width = self.encoding_width()
         return {f"s{i}": bool((index >> i) & 1) for i in range(width)}
 
-    def to_fsm(self, manager: Optional[BDDManager] = None) -> FSM:
-        """Encode the graph as a symbolic FSM (state index in binary).
+    def to_fsm(self) -> FSM:
+        """Encode the graph as a symbolic FSM (state index in binary), in a
+        BDD manager of its own.
 
         State variables are ``s0..s{k-1}``; every labelled signal becomes a
         defined proposition (the union of its states' cubes).  Unused binary
@@ -225,8 +226,7 @@ class ExplicitGraph:
         """
         if not self._initial:
             raise ModelError(f"graph {self.name!r} has no initial state")
-        if manager is None:
-            manager = BDDManager()
+        manager = BDDManager()
         width = self.encoding_width()
         state_vars = [f"s{i}" for i in range(width)]
         for var in state_vars:

@@ -75,10 +75,7 @@ DEFAULT_TOLERANCE = 0.10
 ABS_SLACK = 64
 
 #: The op-cache kinds summed into the derived ``op_misses``/``op_hits``.
-_OP_KINDS = (
-    "ite", "and", "or", "xor", "not",
-    "quant", "restrict", "relprod", "compose",
-)
+_OP_KINDS = ("and", "or", "xor", "not", "quant", "restrict", "relprod")
 
 
 @dataclass(frozen=True)

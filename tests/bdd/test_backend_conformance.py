@@ -18,10 +18,15 @@ specification as code, checked against brute-force truth tables:
   ``iter_cubes`` / ``iter_sat`` against brute-force truth tables, with
   the enumeration *order* pinned to the canonical low-first order (trace
   text depends on it).
-* **Quantification** — ``exist`` / ``forall`` / ``and_exists`` /
-  ``and_exists_chain`` / ``restrict`` / ``compose`` against a
-  brute-force oracle, including the fused relational-product identity
-  ``and_exists(f, g, V) == exists(f & g, V)``.
+* **Quantification and cofactors** — ``exist`` / ``and_exists`` /
+  ``and_exists_chain`` / ``cofactor`` against a brute-force oracle,
+  including the fused relational-product identity
+  ``and_exists(f, g, V) == exists(f & g, V)`` and cofactors that fix one
+  variable or several at once (a trace step fixes every next-state
+  variable in one call).
+
+The manager holds only the kernels the model checker and the coverage
+recursion run.
 
 Deterministic seeded generation (no hypothesis): the scenario set must
 not vary per run.
@@ -29,8 +34,6 @@ not vary per run.
 
 import itertools
 import random
-
-import pytest
 
 from repro.bdd import BDDManager, Function, ResourcePolicy
 from repro.bdd.manager import FALSE, TERMINAL_LEVEL, TRUE
@@ -185,7 +188,7 @@ class TestCanonicity:
         assert (a ^ b_).node == ((a | b_) & ~(a & b_)).node
         assert (a.implies(b_)).node == (~a | b_).node
         assert (a.iff(b_)).node == (~(a ^ b_)).node
-        assert (a.ite(b_, c)).node == ((a & b_) | (~a & c)).node
+        assert ((a & b_) | (~a & c)).node == ((~a | b_) & (a | c)).node
 
     def test_pool_truth_table_equality_is_id_equality(self):
         mgr = _manager()
@@ -333,25 +336,19 @@ class TestCountingAndEnumeration:
 
 
 class TestQuantification:
-    def _brute_quant(self, expr, env, names, exists):
-        combiner = any if exists else all
-        return combiner(
-            _eval(expr, {**env, **dict(zip(names, bits))})
-            for bits in itertools.product([False, True], repeat=len(names))
-        )
-
-    @pytest.mark.parametrize("exists", [True, False], ids=["exists", "forall"])
-    def test_quantifiers_match_brute_force(self, exists):
+    def test_exists_matches_brute_force(self):
         mgr = _manager()
         rng = random.Random(909)
         envs = list(_all_envs())
         for expr in _expr_pool(909, 20):
             names = rng.sample(VARS, rng.randint(1, 3))
             ids = [mgr.var_id(v) for v in names]
-            fn = _build(mgr, expr)
-            quantified = fn.exist(ids) if exists else fn.forall(ids)
+            quantified = _build(mgr, expr).exist(ids)
             for env in envs:
-                expected = self._brute_quant(expr, env, names, exists)
+                expected = any(
+                    _eval(expr, {**env, **dict(zip(names, bits))})
+                    for bits in itertools.product([False, True], repeat=len(names))
+                )
                 assert quantified.evaluate(
                     {mgr.var_id(v): env[v] for v in VARS}
                 ) == expected
@@ -381,25 +378,24 @@ class TestQuantification:
             conj = fns[0] & fns[1] & fns[2]
             assert chained.node == conj.exist(ids).node
 
-    def test_restrict_and_compose_match_brute_force(self):
+    def test_cofactor_matches_brute_force(self):
+        """One variable or several fixed in one call, every value
+        combination: the cofactor agrees with the truth table with those
+        variables overridden, and no longer depends on them."""
         mgr = _manager()
         rng = random.Random(333)
-        pool = _expr_pool(333, 20)
         envs = list(_all_envs())
-        for i in range(0, len(pool) - 1, 2):
-            expr, sub_expr = pool[i], pool[i + 1]
+        for expr in _expr_pool(333, 20):
             fn = _build(mgr, expr)
-            name = rng.choice(VARS)
-            vid = mgr.var_id(name)
-            for value in (False, True):
-                restricted = fn.restrict(vid, value)
-                for env in envs:
-                    assert restricted.evaluate(
-                        {mgr.var_id(v): env[v] for v in VARS}
-                    ) == _eval(expr, {**env, name: value})
-            composed = fn.compose({vid: _build(mgr, sub_expr)})
-            for env in envs:
-                expected = _eval(expr, {**env, name: _eval(sub_expr, env)})
-                assert composed.evaluate(
-                    {mgr.var_id(v): env[v] for v in VARS}
-                ) == expected
+            for count in (1, rng.randint(2, len(VARS))):
+                names = rng.sample(VARS, count)
+                for values in itertools.product([False, True], repeat=count):
+                    fixed = dict(zip(names, values))
+                    cof = fn.cofactor(
+                        {mgr.var_id(v): value for v, value in fixed.items()}
+                    )
+                    assert not set(cof.support()) & {mgr.var_id(v) for v in names}
+                    for env in envs:
+                        assert cof.evaluate(
+                            {mgr.var_id(v): env[v] for v in VARS}
+                        ) == _eval(expr, {**env, **fixed})

@@ -38,10 +38,6 @@ class TestOperators:
         assert p.iff(p).is_true()
         assert (p & q).implies(p).is_true()
 
-    def test_ite(self, mgr, p, q):
-        r = Function.var(mgr, "r")
-        assert p.ite(q, r) == (p & q) | (~p & r)
-
     def test_diff(self, p, q):
         assert (p.diff(q)) == (p & ~q)
 
@@ -76,9 +72,6 @@ class TestGuards:
 
 
 class TestIntrospection:
-    def test_support_names(self, mgr, p, q):
-        assert (p & q).support_names() == ["p", "q"]
-
     def test_satcount_default_all_vars(self, mgr, p):
         assert p.satcount() == 4  # q, r free
 

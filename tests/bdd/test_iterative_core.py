@@ -65,19 +65,11 @@ def test_deep_xor_parity(deep_mgr):
     assert m.apply_not(m.apply_not(parity)) == parity
 
 
-def test_deep_ite(deep_mgr, deep_conj):
-    m = deep_mgr
-    top = m.var("x0")
-    picked = m.ite(top, deep_conj, m.apply_not(deep_conj))
-    assert m.satcount(m.apply_and(picked, top)) == 1
-
-
 def test_deep_exists_forall(deep_mgr, deep_conj):
     m = deep_mgr
     evens = [m.var_id(f"x{i}") for i in range(0, DEEP, 2)]
     gone = m.exists(deep_conj, evens)
     assert m.satcount(gone) == 2 ** (DEEP // 2)
-    assert m.forall(deep_conj, evens) == FALSE
 
 
 def test_deep_and_exists(deep_mgr):
@@ -97,18 +89,19 @@ def test_deep_restrict_compose_rename():
     conj = TRUE
     for i in range(DEEP):
         conj = m.apply_and(conj, m.var(f"x{i}"))
-    fixed = m.restrict(conj, m.var_id(f"x{DEEP - 1}"), True)
+    fixed = m.cofactor(conj, {m.var_id(f"x{DEEP - 1}"): True})
     assert m.satcount(fixed, list(range(DEEP))) == 2
-    assert m.restrict(conj, m.var_id("x0"), False) == FALSE
+    assert m.cofactor(conj, {m.var_id("x0"): False}) == FALSE
+    # Every other variable fixed at once, as a trace step fixes the
+    # next-state copies: one pass down the whole chain.
+    odds = {m.var_id(f"x{i}"): True for i in range(1, DEEP, 2)}
+    assert m.satcount(m.cofactor(conj, odds), list(range(DEEP))) == 2 ** (DEEP // 2)
     # Rename the whole chain onto the y block (monotone fast path).
     renamed = m.rename(
         conj, {m.var_id(f"x{i}"): m.var_id(f"y{i}") for i in range(DEEP)}
     )
     y_ids = [m.var_id(f"y{i}") for i in range(DEEP)]
     assert m.satcount(renamed, y_ids) == 1
-    # Compose substitutes a function for a deep variable.
-    swapped = m.compose(conj, m.var_id(f"x{DEEP - 1}"), m.var("y0"))
-    assert m.satcount(swapped, list(range(DEEP)) + [m.var_id("y0")]) == 2
 
 
 def test_deep_iter_cubes_and_pick_sat(deep_mgr, deep_conj):
@@ -152,7 +145,6 @@ class TestSmallCaseSemantics:
             assert ev(m.apply_and(a, cd)) == (ev(a) and ev(cd))
             assert ev(m.apply_or(b, cd)) == (ev(b) or ev(cd))
             assert ev(m.apply_xor(a, cd)) == (ev(a) != ev(cd))
-            assert ev(m.ite(a, b, cd)) == (ev(b) if ev(a) else ev(cd))
             assert ev(m.apply_not(cd)) == (not ev(cd))
 
     def test_quantification_truth_tables(self):
@@ -163,7 +155,6 @@ class TestSmallCaseSemantics:
         )
         b_id = m.var_id("b")
         ex = m.exists(f, [b_id])
-        fa = m.forall(f, [b_id])
         for env in self._envs(m):
             lo = dict(env)
             lo[b_id] = False
@@ -171,9 +162,6 @@ class TestSmallCaseSemantics:
             hi[b_id] = True
             assert m.eval_node(ex, env) == (
                 m.eval_node(f, lo) or m.eval_node(f, hi)
-            )
-            assert m.eval_node(fa, env) == (
-                m.eval_node(f, lo) and m.eval_node(f, hi)
             )
         assert m.and_exists(f, m.var("a"), [b_id]) == m.exists(
             m.apply_and(f, m.var("a")), [b_id]

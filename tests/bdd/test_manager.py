@@ -35,13 +35,6 @@ class TestVariables:
         assert node > TRUE
         assert m.var_name(m.var_id("x")) == "x"
 
-    def test_nvar_is_negation_of_var(self, mgr):
-        a = mgr.var("a")
-        na = mgr.nvar("a")
-        assert mgr.apply_not(a) == na
-        assert mgr.apply_and(a, na) == FALSE
-        assert mgr.apply_or(a, na) == TRUE
-
 
 class TestHashConsing:
     def test_identical_expressions_share_nodes(self, mgr):
@@ -84,24 +77,7 @@ class TestConjoin:
         assert calls == []
 
 
-class TestIte:
-    def test_ite_terminal_cases(self, mgr):
-        a, b = mgr.var("a"), mgr.var("b")
-        assert mgr.ite(TRUE, a, b) == a
-        assert mgr.ite(FALSE, a, b) == b
-        assert mgr.ite(a, b, b) == b
-        assert mgr.ite(a, TRUE, FALSE) == a
-
-    def test_ite_equals_composition_of_and_or(self, mgr):
-        a, b, c = mgr.var("a"), mgr.var("b"), mgr.var("c")
-        lhs = mgr.ite(a, b, c)
-        rhs = mgr.apply_or(mgr.apply_and(a, b), mgr.apply_and(mgr.apply_not(a), c))
-        assert lhs == rhs
-
-    def test_xor_via_ite(self, mgr):
-        a, b = mgr.var("a"), mgr.var("b")
-        assert mgr.apply_xor(a, b) == mgr.ite(a, mgr.apply_not(b), b)
-
+class TestConnectives:
     def test_iff_implies(self, mgr):
         a, b = mgr.var("a"), mgr.var("b")
         iff = mgr.apply_iff(a, b)
@@ -121,14 +97,6 @@ class TestQuantification:
         f = mgr.apply_or(mgr.apply_and(a, b), mgr.apply_and(mgr.apply_not(a), b))
         assert mgr.exists(f, [mgr.var_id("a")]) == b
 
-    def test_forall_dual_of_exists(self, mgr):
-        a, b, c = mgr.var("a"), mgr.var("b"), mgr.var("c")
-        f = mgr.apply_or(mgr.apply_and(a, b), c)
-        vars_ = [mgr.var_id("a"), mgr.var_id("b")]
-        lhs = mgr.forall(f, vars_)
-        rhs = mgr.apply_not(mgr.exists(mgr.apply_not(f), vars_))
-        assert lhs == rhs
-
     def test_and_exists_matches_two_step(self, mgr):
         a, b, c = mgr.var("a"), mgr.var("b"), mgr.var("c")
         f = mgr.apply_or(a, b)
@@ -141,30 +109,17 @@ class TestQuantification:
     def test_empty_quantification_is_identity(self, mgr):
         a = mgr.var("a")
         assert mgr.exists(a, []) == a
-        assert mgr.forall(a, []) == a
 
 
 class TestRestrictComposeRename:
     def test_restrict_cofactors(self, mgr):
         a, b = mgr.var("a"), mgr.var("b")
         f = mgr.apply_and(a, b)
-        assert mgr.restrict(f, mgr.var_id("a"), True) == b
-        assert mgr.restrict(f, mgr.var_id("a"), False) == FALSE
-
-    def test_compose_substitutes_function(self, mgr):
-        a, b, c = mgr.var("a"), mgr.var("b"), mgr.var("c")
-        f = mgr.apply_and(a, b)
-        g = mgr.apply_or(b, c)
-        composed = mgr.compose(f, mgr.var_id("a"), g)
-        expected = mgr.apply_and(g, b)
-        assert composed == expected
-
-    def test_compose_many_is_simultaneous(self, mgr):
-        a, b = mgr.var("a"), mgr.var("b")
-        f = mgr.apply_and(a, mgr.apply_not(b))
-        swapped = mgr.compose_many(f, {mgr.var_id("a"): b, mgr.var_id("b"): a})
-        expected = mgr.apply_and(b, mgr.apply_not(a))
-        assert swapped == expected
+        assert mgr.cofactor(f, {mgr.var_id("a"): True}) == b
+        assert mgr.cofactor(f, {mgr.var_id("a"): False}) == FALSE
+        both = {mgr.var_id("a"): True, mgr.var_id("b"): True}
+        assert mgr.cofactor(f, both) == TRUE
+        assert mgr.cofactor(f, {}) == f
 
     def test_rename_monotone_fast_path(self):
         m = BDDManager(["x0", "x0n", "x1", "x1n"])
@@ -176,13 +131,17 @@ class TestRestrictComposeRename:
         expected = m.apply_and(m.var("x0n"), m.apply_not(m.var("x1n")))
         assert renamed == expected
 
-    def test_rename_swap_falls_back_to_compose(self, mgr):
+    def test_rename_that_breaks_the_order_raises(self, mgr):
+        """Swapping two support variables would put a child above its
+        parent, which a node-for-node rebuild cannot express."""
         a, b = mgr.var("a"), mgr.var("b")
         f = mgr.apply_and(a, mgr.apply_not(b))
-        renamed = mgr.rename(f, {mgr.var_id("a"): mgr.var_id("b"),
-                                 mgr.var_id("b"): mgr.var_id("a")})
-        expected = mgr.apply_and(b, mgr.apply_not(a))
-        assert renamed == expected
+        swap = {mgr.var_id("a"): mgr.var_id("b"), mgr.var_id("b"): mgr.var_id("a")}
+        with pytest.raises(BDDError, match="variable order"):
+            mgr.rename(f, swap)
+        # Only the support counts: the same swap on a one-variable
+        # function keeps the order.
+        assert mgr.rename(a, swap) == b
 
 
 class TestSatcount:
@@ -254,13 +213,6 @@ class TestEnumeration:
         assert not mgr.eval_node(
             f, {ids["a"]: False, ids["b"]: False, ids["c"]: True, ids["d"]: True}
         )
-
-    def test_to_expr_str_renders_cubes(self):
-        mgr = BDDManager(["a", "b"])
-        f = mgr.apply_and(mgr.var("a"), mgr.apply_not(mgr.var("b")))
-        assert mgr.to_expr_str(f) == "a & !b"
-        assert mgr.to_expr_str(0) == "FALSE"
-        assert mgr.to_expr_str(1) == "TRUE"
 
     def test_cube_roundtrip(self, mgr):
         ids = {n: mgr.var_id(n) for n in "ab"}

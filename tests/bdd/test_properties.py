@@ -113,20 +113,7 @@ def test_exists_is_or_of_cofactors(expr, var):
     vid = mgr.var_id(var)
     quantified = mgr.exists(node, [vid])
     cof = mgr.apply_or(
-        mgr.restrict(node, vid, False), mgr.restrict(node, vid, True)
-    )
-    assert quantified == cof
-
-
-@settings(max_examples=100, deadline=None)
-@given(EXPR, st.sampled_from(VARS))
-def test_forall_is_and_of_cofactors(expr, var):
-    mgr = BDDManager(VARS)
-    node = build_bdd(mgr, expr)
-    vid = mgr.var_id(var)
-    quantified = mgr.forall(node, [vid])
-    cof = mgr.apply_and(
-        mgr.restrict(node, vid, False), mgr.restrict(node, vid, True)
+        mgr.cofactor(node, {vid: False}), mgr.cofactor(node, {vid: True})
     )
     assert quantified == cof
 
@@ -139,21 +126,6 @@ def test_and_exists_equals_two_step(e1, e2, qvars):
     g = build_bdd(mgr, e2)
     ids = [mgr.var_id(v) for v in qvars]
     assert mgr.and_exists(f, g, ids) == mgr.exists(mgr.apply_and(f, g), ids)
-
-
-@settings(max_examples=75, deadline=None)
-@given(EXPR, st.sampled_from(VARS), EXPR)
-def test_compose_shannon(e, var, g_expr):
-    # compose(f, v, g) == (g & f|v=1) | (~g & f|v=0)
-    mgr = BDDManager(VARS)
-    f = build_bdd(mgr, e)
-    g = build_bdd(mgr, g_expr)
-    vid = mgr.var_id(var)
-    composed = mgr.compose(f, vid, g)
-    expected = mgr.ite(
-        g, mgr.restrict(f, vid, True), mgr.restrict(f, vid, False)
-    )
-    assert composed == expected
 
 
 @settings(max_examples=75, deadline=None)

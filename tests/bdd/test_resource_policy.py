@@ -1,17 +1,16 @@
 """The automatic resource manager: policies, safe points, eviction.
 
 Covers the :class:`~repro.bdd.policy.ResourcePolicy` knobs end to end:
-auto-GC triggering and trigger growth, the compose-cache generation purge,
-the cache-entry cap, pin protection for in-flight cube iterators, and the
-resource counters a telemetry span reports as
-:class:`~repro.obs.telemetry.WorkStats`.
+auto-GC triggering and trigger growth, the cache-entry cap, pin protection
+for in-flight cube iterators, and the resource counters a telemetry span
+reports as :class:`~repro.obs.telemetry.WorkStats`.
 """
 
 import itertools
 
 import pytest
 
-from repro.bdd import BDDManager, Function, ResourcePolicy, manager as manager_module
+from repro.bdd import BDDManager, Function, ResourcePolicy
 from repro.obs import Telemetry, WorkStats
 
 
@@ -110,30 +109,6 @@ class TestCacheEviction:
         # The cap kept the combined caches bounded (clears happen at safe
         # points, so a single large operation may briefly exceed it).
         assert mgr.cache_entry_count() <= 200
-
-    def test_compose_cache_generation_purge(self, monkeypatch):
-        monkeypatch.setattr(manager_module, "COMPOSE_GENERATIONS", 3)
-        mgr = BDDManager(
-            ["a", "b", "c"], policy=ResourcePolicy(gc_node_threshold=0)
-        )
-        f = mgr.apply_and(mgr.var("a"), mgr.var("b"))
-        for _ in range(10):
-            mgr.compose(f, mgr.var_id("b"), mgr.var("c"))
-        # Stale generations were purged: the cache holds at most the last
-        # COMPOSE_GENERATIONS substitutions' entries.
-        assert len(mgr._compose_cache) <= 3 * mgr.node_count()
-        assert mgr._compose_token == 10
-        assert mgr._compose_purged_token >= 10 - 3
-
-    def test_compose_still_correct_across_purges(self, monkeypatch):
-        monkeypatch.setattr(manager_module, "COMPOSE_GENERATIONS", 1)
-        mgr = BDDManager(
-            ["a", "b", "c"], policy=ResourcePolicy(gc_node_threshold=0)
-        )
-        f = mgr.apply_and(mgr.var("a"), mgr.var("b"))
-        expected = mgr.apply_and(mgr.var("a"), mgr.var("c"))
-        for _ in range(4):
-            assert mgr.compose(f, mgr.var_id("b"), mgr.var("c")) == expected
 
 
 class TestExternalRootIdentity:

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from repro.bdd import Function
-from repro.circuits import build_pipeline
+from repro.circuits import build_pipeline, counter_source, pipeline_source
 from repro.engine import EngineConfig
 from repro.expr import parse_expr
 from repro.fsm import NEXT_SUFFIX, TRANS_MODES
@@ -241,3 +241,16 @@ class TestManagerLifetime:
         manager = weakref.ref(model.fsm.manager)
         del model
         assert manager() is None
+
+    @pytest.mark.parametrize("trans", TRANS_MODES)
+    @pytest.mark.parametrize(
+        "source", [pipeline_source(3), counter_source()], ids=["pipeline", "counter"]
+    )
+    def test_build_leaves_no_cyclic_garbage(self, source, trans):
+        """Nothing the build made, the variable-order helpers included,
+        needs the cyclic collector once the model is dropped."""
+        module = parse_module(source)
+        gc.collect()
+        model = elaborate(module, config=EngineConfig(trans=trans))
+        del model
+        assert gc.collect() == 0

@@ -40,8 +40,8 @@ class TestWorkloads:
         counters = counter_result.counters
         assert counters["op_misses"] == sum(
             counters[f"{kind}_misses"]
-            for kind in ("ite", "and", "or", "xor", "not",
-                         "quant", "restrict", "relprod", "compose")
+            for kind in ("and", "or", "xor", "not",
+                         "quant", "restrict", "relprod")
         )
         assert counters["op_hits"] > 0
 
@@ -68,8 +68,8 @@ class TestWorkloads:
         stats = direct.fsm.manager.resource_stats()
         stats["op_misses"] = sum(
             stats[f"{kind}_misses"]
-            for kind in ("ite", "and", "or", "xor", "not",
-                         "quant", "restrict", "relprod", "compose")
+            for kind in ("and", "or", "xor", "not",
+                         "quant", "restrict", "relprod")
         )
         for key in GATED_COUNTERS:
             assert result.counters[key] == stats[key], key

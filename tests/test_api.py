@@ -157,7 +157,8 @@ def _removed_keyword_calls():
     from repro.analysis import AnalysisResult
     from repro.bdd import BDDManager, ResourcePolicy
     from repro.circuits import (build_circular_queue, build_counter,
-                                build_pipeline, build_priority_buffer)
+                                build_pipeline, build_priority_buffer,
+                                figure1_graph)
     from repro.engine import EngineConfig
     from repro.expr.ast import Not, Var
     from repro.fsm.builder import build_fsm
@@ -201,6 +202,7 @@ def _removed_keyword_calls():
     calls += [
         # The FSM always gets a fresh manager of its own.
         ("build_fsm", build_fsm_call, "manager"),
+        ("ExplicitGraph.to_fsm", figure1_graph().to_fsm, "manager"),
         ("AnalysisResult",
          lambda **kw: AnalysisResult("r", "rml", "ok", **kw), "trans"),
         ("EngineConfig", EngineConfig, "backend"),
@@ -293,10 +295,14 @@ def test_removed_engine_attributes_are_gone(obj, attr):
 
 def _removed_public_names():
     """Names deleted when the telemetry span became the one meter, when
-    the CLI's second target registry and the ``JobResult`` alias went, and
-    when ``.rml`` became the one model front end (no circuit builder, no
-    RTL helpers only hand-built circuits called, no policy swap on a live
-    manager)."""
+    the CLI's second target registry and the ``JobResult`` alias went, when
+    ``.rml`` became the one model front end (no circuit builder, no RTL
+    helpers only hand-built circuits called, no policy swap on a live
+    manager), and when the BDD kernel was cut to the operations the engine
+    runs (no ``ite``, composition, universal quantification, one-variable
+    restrict, negative literal or debug renderers)."""
+    import repro.bdd
+    import repro.bdd.manager
     import repro.cli
     import repro.expr.arith
     import repro.fsm
@@ -306,12 +312,20 @@ def _removed_public_names():
     import repro.obs.telemetry
     import repro.suite
     import repro.suite.jobs
-    from repro.bdd import BDDManager
+    from repro.bdd import BDDManager, Function
     from repro.obs import Telemetry
 
+    kernel = [
+        (BDDManager, "BDDManager", name)
+        for name in ("ite", "compose", "compose_many", "forall", "restrict",
+                     "nvar", "to_expr_str")
+    ] + [
+        (Function, "Function", name)
+        for name in ("ite", "forall", "restrict", "compose", "support_names")
+    ]
     return [
         pytest.param(obj, attr, id=f"{label}.{attr}")
-        for obj, label, attr in (
+        for obj, label, attr in kernel + [
             (repro, "repro", "WorkMeter"),
             (repro, "repro", "NULL_TELEMETRY"),
             (repro, "repro", "JobResult"),
@@ -335,7 +349,10 @@ def _removed_public_names():
             (repro.expr.arith, "repro.expr.arith", "conditional_delta_bits"),
             (repro.expr.arith, "repro.expr.arith", "increment_mod_bits"),
             (BDDManager, "BDDManager", "set_policy"),
-        )
+            (repro, "repro", "to_dot"),
+            (repro.bdd, "repro.bdd", "to_dot"),
+            (repro.bdd.manager, "repro.bdd.manager", "COMPOSE_GENERATIONS"),
+        ]
     ]
 
 
@@ -358,6 +375,13 @@ def test_work_meter_module_is_gone():
 
     with pytest.raises(ImportError):
         importlib.import_module("repro.mc.stats")
+
+
+def test_dot_export_module_is_gone():
+    import importlib
+
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.bdd.dot")
 
 
 def test_work_stats_has_one_home():
